@@ -240,11 +240,19 @@ def build_experiment(doc: dict) -> ExperimentConfig:
             early_stop_patience=int(tr.get("early_stop_patience", 0)),
         )
         rc = _section(doc, "recovery")
+        solver = _enum(SolverKind, rc.get("solver", "basis_pursuit_lp"), "solver")
+        if solver is not SolverKind.BASIS_PURSUIT_LP:
+            # recover_all always solves the LP; echoing another solver
+            # into report.json would misstate how the numbers were made
+            raise ConfigError(
+                f"solver {solver.value!r} is not supported by the sweep; "
+                "use basis_pursuit_lp"
+            )
         recovery = RecoveryConfig(
             feas_tol=float(rc.get("feas_tol", 1e-10)),
             opt_tol=float(rc.get("opt_tol", 1e-9)),
             max_iters=int(rc.get("max_iters", 200)),
-            solver=_enum(SolverKind, rc.get("solver", "basis_pursuit_lp"), "solver"),
+            solver=solver,
         )
         mc = _section(doc, "metric")
         metric = MetricConfig(

@@ -89,7 +89,8 @@ class BatchNormLayer:
             if x.shape[0] < 2:
                 raise ValueError("train-mode batch norm needs batch size >= 2")
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            x_hat = x - mean
+            var = np.einsum("ij,ij->j", x_hat, x_hat) / x.shape[0]
             if update_running:
                 self.running_mean = (
                     self.momentum * self.running_mean + (1.0 - self.momentum) * mean
@@ -98,28 +99,34 @@ class BatchNormLayer:
                     self.momentum * self.running_var + (1.0 - self.momentum) * var
                 )
         else:
-            mean = self.running_mean
+            x_hat = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        return self.gamma * x_hat + self.beta, (x_hat, inv_std)
+        x_hat *= inv_std
+        out = self.gamma * x_hat
+        out += self.beta
+        return out, (x_hat, inv_std)
 
     def backward(
         self, grad_out: np.ndarray, cache: tuple[np.ndarray, np.ndarray], mode: Mode
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (grad_x, grad_gamma, grad_beta)."""
+        """Returns (grad_x, grad_gamma, grad_beta).
+
+        With grad_xhat = gamma * grad_out, the batch sums the train-mode
+        gradient needs are gamma * grad_beta and gamma * grad_gamma, so
+        grad_x = gamma inv_std (g - grad_beta/B - x_hat grad_gamma/B).
+        """
         x_hat, inv_std = cache
         grad_beta = grad_out.sum(axis=0)
-        grad_gamma = (grad_out * x_hat).sum(axis=0)
-        grad_xhat = grad_out * self.gamma
+        grad_gamma = np.einsum("ij,ij->j", grad_out, x_hat)
+        scale = self.gamma * inv_std
         if mode is Mode.INFER:
-            return grad_xhat * inv_std, grad_gamma, grad_beta
+            return grad_out * scale, grad_gamma, grad_beta
         batch = grad_out.shape[0]
-        grad_x = (inv_std / batch) * (
-            batch * grad_xhat
-            - grad_xhat.sum(axis=0)
-            - x_hat * (grad_xhat * x_hat).sum(axis=0)
-        )
+        grad_x = x_hat * (grad_gamma / batch)
+        np.subtract(grad_out, grad_x, out=grad_x)
+        grad_x -= grad_beta / batch
+        grad_x *= scale
         return grad_x, grad_gamma, grad_beta
 
 
@@ -169,7 +176,6 @@ class ForwardTrace:
     mode: Mode
     inputs: np.ndarray  # (batch, width)
     measurements: np.ndarray  # (batch, m)
-    pre_bn: list[np.ndarray]  # length L+1
     post_bn: list[np.ndarray]  # length L+1
     bn_caches: list[tuple[np.ndarray, np.ndarray]]
     signs: list[np.ndarray]  # length L
@@ -205,6 +211,24 @@ def decoder_init(model: UnrolledAutoencoder, y_batch: np.ndarray) -> np.ndarray:
     return y_batch @ model.phi
 
 
+def _update(
+    model: UnrolledAutoencoder,
+    h_batch: np.ndarray,
+    signs: np.ndarray,
+    signs_proj: np.ndarray,
+    step_index: int,
+) -> np.ndarray:
+    """h + (alpha/t)(sp Phi - s), built in place in the sp Phi buffer.
+
+    Bit-identical to h - (alpha/t)(s - sp Phi): negation is exact.
+    """
+    a = signs_proj @ model.phi
+    a -= signs
+    a *= model.alpha / step_index
+    a += h_batch
+    return a
+
+
 def decoder_update(
     model: UnrolledAutoencoder, h_batch: np.ndarray, step_index: int
 ) -> np.ndarray:
@@ -216,9 +240,7 @@ def decoder_update(
         raise ValueError("step_index must be >= 1")
     h_batch = np.asarray(h_batch, dtype=float)
     signs = np.sign(h_batch)
-    return h_batch - (model.alpha / step_index) * (
-        signs - (signs @ model.phi.T) @ model.phi
-    )
+    return _update(model, h_batch, signs, signs @ model.phi.T, step_index)
 
 
 def forward(
@@ -228,15 +250,12 @@ def forward(
     h_batch = np.asarray(h_batch, dtype=float)
     y = encode(model, h_batch)
 
-    pre_bn: list[np.ndarray] = []
     post_bn: list[np.ndarray] = []
     caches: list[tuple[np.ndarray, np.ndarray]] = []
     signs: list[np.ndarray] = []
     signs_proj: list[np.ndarray] = []
 
-    a = decoder_init(model, y)
-    pre_bn.append(a)
-    z, cache = model.bn_layers[0].forward(a, mode)
+    z, cache = model.bn_layers[0].forward(decoder_init(model, y), mode)
     post_bn.append(z)
     caches.append(cache)
 
@@ -245,9 +264,7 @@ def forward(
         sp = s @ model.phi.T
         signs.append(s)
         signs_proj.append(sp)
-        a = z - (model.alpha / t) * (s - sp @ model.phi)
-        pre_bn.append(a)
-        z, cache = model.bn_layers[t].forward(a, mode)
+        z, cache = model.bn_layers[t].forward(_update(model, z, s, sp, t), mode)
         post_bn.append(z)
         caches.append(cache)
 
@@ -256,7 +273,6 @@ def forward(
         mode=mode,
         inputs=h_batch,
         measurements=y,
-        pre_bn=pre_bn,
         post_bn=post_bn,
         bn_caches=caches,
         signs=signs,
@@ -300,8 +316,9 @@ def backward(
     d_gammas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
     d_betas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
 
-    g = (2.0 / batch) * (trace.output - h_batch)
-    g = g * (trace.post_bn[-1] > 0)  # ReLU'(x) = 0 for x <= 0
+    g = trace.output - h_batch
+    g *= 2.0 / batch
+    g *= trace.post_bn[-1] > 0  # ReLU'(x) = 0 for x <= 0
 
     for t in range(model.num_updates, 0, -1):
         g, d_gammas[t], d_betas[t] = model.bn_layers[t].backward(
@@ -309,9 +326,9 @@ def backward(
         )
         s = trace.signs[t - 1]
         sp = trace.signs_proj[t - 1]
-        v = s - sp @ phi
-        d_alpha -= float(np.sum(g * v)) / t
         gp = g @ phi.T
+        # <g, s - sp Phi> = <g, s> - <g Phi^T, sp>
+        d_alpha -= (float(np.vdot(g, s)) - float(np.vdot(gp, sp))) / t
         d_phi += (model.alpha / t) * (sp.T @ g + gp.T @ s)
         # dL/d post_bn[t-1] equals g: the sign branch is locally constant.
 

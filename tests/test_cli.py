@@ -105,6 +105,19 @@ def test_usage_errors(run_dir, tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out, "--m", "4,oops"]) == EXIT_USAGE
 
 
+def test_unsupported_solver_is_a_usage_error(tmp_path, capsys):
+    # the sweep always solves the LP, so no other solver may reach report.json
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({**CFG, "recovery": {"solver": "projected_subgradient"}})
+    )
+    out = str(tmp_path / "out")
+    for command in ("gen-data", "train", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", out]) == EXIT_USAGE
+        assert "projected_subgradient" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_bad_workers_env(run_dir, monkeypatch, tmp_path):
     root, out = run_dir
     cfg = str(root / "cfg.json")

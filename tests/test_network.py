@@ -173,7 +173,7 @@ def test_forward_trace_contents(rng):
     h = rng.standard_normal((5, 6))
     out, trace = forward(model, h, Mode.INFER)
     assert out.shape == (5, 6)
-    assert len(trace.pre_bn) == len(trace.post_bn) == len(trace.bn_caches) == 4
+    assert len(trace.post_bn) == len(trace.bn_caches) == 4
     assert len(trace.signs) == len(trace.signs_proj) == 3
     assert np.array_equal(trace.measurements, encode(model, h))
     assert np.array_equal(out, np.maximum(trace.post_bn[-1], 0.0))
@@ -212,7 +212,8 @@ def test_zero_updates_model(rng):
     model = make_model(num_updates=0)
     h = rng.standard_normal((3, 6))
     out, trace = forward(model, h, Mode.INFER)
-    assert len(trace.pre_bn) == 1 and len(trace.signs) == 0
+    assert len(trace.post_bn) == len(trace.bn_caches) == 1
+    assert len(trace.signs) == 0
     z, _ = model.bn_layers[0].forward(decoder_init(model, encode(model, h)), Mode.INFER)
     assert np.allclose(out, np.maximum(z, 0.0), atol=1e-14)
 
@@ -328,3 +329,124 @@ def test_backward_relu_gate(rng):
     grads = backward(model, trace, h)
     assert np.array_equal(grads.d_gammas[0], np.zeros(4))
     assert np.array_equal(grads.d_phi, np.zeros_like(model.phi))
+
+
+# ------------------------------------------ textbook reference, paper shape
+#
+# forward/backward and the batch-norm layer fold their batch sums and
+# build updates in place; these are the plain formulas they must match.
+
+
+def _textbook_bn_forward(layer, x, mode):
+    if mode is Mode.TRAIN:
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        layer.running_mean = (
+            layer.momentum * layer.running_mean + (1.0 - layer.momentum) * mean
+        )
+        layer.running_var = (
+            layer.momentum * layer.running_var + (1.0 - layer.momentum) * var
+        )
+    else:
+        mean = layer.running_mean
+        var = layer.running_var
+    inv_std = 1.0 / np.sqrt(var + layer.eps)
+    x_hat = (x - mean) * inv_std
+    return layer.gamma * x_hat + layer.beta, (x_hat, inv_std)
+
+
+def _textbook_bn_backward(layer, grad_out, cache, mode):
+    x_hat, inv_std = cache
+    grad_beta = grad_out.sum(axis=0)
+    grad_gamma = (grad_out * x_hat).sum(axis=0)
+    grad_xhat = grad_out * layer.gamma
+    if mode is Mode.INFER:
+        return grad_xhat * inv_std, grad_gamma, grad_beta
+    batch = grad_out.shape[0]
+    grad_x = (inv_std / batch) * (
+        batch * grad_xhat
+        - grad_xhat.sum(axis=0)
+        - x_hat * (grad_xhat * x_hat).sum(axis=0)
+    )
+    return grad_x, grad_gamma, grad_beta
+
+
+def _textbook_forward(model, h, mode):
+    y = h @ model.phi.T
+    z, cache = _textbook_bn_forward(model.bn_layers[0], y @ model.phi, mode)
+    post_bn, caches, signs, signs_proj = [z], [cache], [], []
+    for t in range(1, model.num_updates + 1):
+        s = np.sign(z)
+        sp = s @ model.phi.T
+        a = z - (model.alpha / t) * (s - sp @ model.phi)
+        z, cache = _textbook_bn_forward(model.bn_layers[t], a, mode)
+        post_bn.append(z)
+        caches.append(cache)
+        signs.append(s)
+        signs_proj.append(sp)
+    return y, post_bn, caches, signs, signs_proj
+
+
+def _textbook_backward(model, h, mode, y, post_bn, caches, signs, signs_proj):
+    phi = model.phi
+    layers = model.num_updates + 1
+    d_phi = np.zeros_like(phi)
+    d_alpha = 0.0
+    d_gammas, d_betas = [None] * layers, [None] * layers
+    g = (2.0 / h.shape[0]) * (np.maximum(post_bn[-1], 0.0) - h)
+    g = g * (post_bn[-1] > 0)
+    for t in range(model.num_updates, 0, -1):
+        g, d_gammas[t], d_betas[t] = _textbook_bn_backward(
+            model.bn_layers[t], g, caches[t], mode
+        )
+        s, sp = signs[t - 1], signs_proj[t - 1]
+        d_alpha -= float(np.sum(g * (s - sp @ phi))) / t
+        gp = g @ phi.T
+        d_phi += (model.alpha / t) * (sp.T @ g + gp.T @ s)
+    g, d_gammas[0], d_betas[0] = _textbook_bn_backward(
+        model.bn_layers[0], g, caches[0], mode
+    )
+    d_phi += y.T @ g + (g @ phi.T).T @ h
+    return d_phi, d_alpha, d_gammas, d_betas
+
+
+def _rel(got, ref):
+    return np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", [Mode.TRAIN, Mode.INFER])
+def test_forward_backward_match_textbook_at_paper_shape(mode):
+    # width 512 (N=256 stacked real), m=20, T=9, batch 128; sparse
+    # nonnegative inputs like the preprocessed beamspace samples
+    width, m, num_updates, batch = 512, 20, 9, 128
+    model = make_model(width=width, m=m, num_updates=num_updates, seed=11)
+    rng = np.random.default_rng(12)
+    model.phi = rng.standard_normal((m, width)) / np.sqrt(width)
+    h = np.zeros((batch, width))
+    for row in h:
+        row[rng.choice(width, 6, replace=False)] = rng.uniform(0.1, 1.0, 6)
+
+    reference = copy.deepcopy(model)
+    ref = _textbook_forward(reference, h, mode)
+    out, trace = forward(model, h, mode)
+
+    assert _rel(out, np.maximum(ref[1][-1], 0.0)) <= 1e-12
+    for got, want in zip(trace.post_bn, ref[1]):
+        assert _rel(got, want) <= 1e-12
+    for layer, ref_layer in zip(model.bn_layers, reference.bn_layers):
+        assert _rel(layer.running_mean, ref_layer.running_mean) <= 1e-12
+        assert _rel(layer.running_var, ref_layer.running_var) <= 1e-12
+
+    grads = backward(model, trace, h)
+    d_phi, d_alpha, d_gammas, d_betas = _textbook_backward(reference, h, mode, *ref)
+    assert _rel(grads.d_phi, d_phi) <= 1e-10
+    assert abs(grads.d_alpha - d_alpha) <= 1e-10 * abs(d_alpha)
+    for got, want in zip(grads.d_gammas, d_gammas):
+        assert _rel(got, want) <= 1e-10
+    # absolute: in train mode every BN but the last feeds a train-mode BN
+    # whose input gradient sums to zero over the batch, so d_beta of
+    # layers 0..T-1 is zero up to roundoff
+    for got, want in zip(grads.d_betas, d_betas):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    if mode is Mode.TRAIN:
+        assert np.max(np.abs(d_betas[-1])) > 1e-3
