@@ -16,7 +16,12 @@ import numpy as np
 
 from .channels import ChannelDataset
 from .matrices import COMPLEX_KINDS, MatrixKind, MeasurementMatrix, generate_baseline
-from .recovery import BasisPursuitSolver, RecoveryConfig, RecoveryStatus
+from .recovery import (
+    BasisPursuitSolver,
+    RecoveryConfig,
+    RecoveryStatus,
+    SolverKind,
+)
 
 _FAILURE_NOTE_THRESHOLD = 0.5
 
@@ -157,8 +162,13 @@ def recover_all(
 
     Returns (estimates, num_non_optimal).  workers > 1 splits the rows
     over processes; chunks are reassembled in order, so the result is
-    identical to the serial path.
+    identical to the serial path.  cfg.solver must be the LP, the only
+    solver this runs.
     """
+    if cfg.solver is not SolverKind.BASIS_PURSUIT_LP:
+        raise ValueError(
+            f"recover_all runs basis_pursuit_lp, not {cfg.solver.value}"
+        )
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != matrix.num_columns:
         raise ValueError(

@@ -75,13 +75,21 @@ class BatchNormLayer:
         )
 
     def forward(
-        self, x: np.ndarray, mode: Mode, update_running: bool = True
+        self,
+        x: np.ndarray,
+        mode: Mode,
+        update_running: bool = True,
+        *,
+        x_hat: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Normalize a (batch, width) block; returns (output, cache).
 
         cache = (x_hat, inv_std) feeds backward().  Train mode requires a
         batch of at least 2 and by default folds the batch statistics into
-        the running statistics.
+        the running statistics.  x_hat and out, when given, are written
+        and returned instead of fresh arrays; x_hat may be x itself, which
+        then is normalized in place.
         """
         if x.ndim != 2 or x.shape[1] != self.gamma.shape[0]:
             raise ValueError(f"expected (batch, {self.gamma.shape[0]}), got {x.shape}")
@@ -89,7 +97,7 @@ class BatchNormLayer:
             if x.shape[0] < 2:
                 raise ValueError("train-mode batch norm needs batch size >= 2")
             mean = x.mean(axis=0)
-            x_hat = x - mean
+            x_hat = np.subtract(x, mean, out=x_hat)
             var = np.einsum("ij,ij->j", x_hat, x_hat) / x.shape[0]
             if update_running:
                 self.running_mean = (
@@ -99,31 +107,37 @@ class BatchNormLayer:
                     self.momentum * self.running_var + (1.0 - self.momentum) * var
                 )
         else:
-            x_hat = x - self.running_mean
+            x_hat = np.subtract(x, self.running_mean, out=x_hat)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat *= inv_std
-        out = self.gamma * x_hat
+        out = np.multiply(self.gamma, x_hat, out=out)
         out += self.beta
         return out, (x_hat, inv_std)
 
     def backward(
-        self, grad_out: np.ndarray, cache: tuple[np.ndarray, np.ndarray], mode: Mode
+        self,
+        grad_out: np.ndarray,
+        cache: tuple[np.ndarray, np.ndarray],
+        mode: Mode,
+        *,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Returns (grad_x, grad_gamma, grad_beta).
 
         With grad_xhat = gamma * grad_out, the batch sums the train-mode
         gradient needs are gamma * grad_beta and gamma * grad_gamma, so
         grad_x = gamma inv_std (g - grad_beta/B - x_hat grad_gamma/B).
+        grad_x is written into out when given, which must not be grad_out.
         """
         x_hat, inv_std = cache
         grad_beta = grad_out.sum(axis=0)
         grad_gamma = np.einsum("ij,ij->j", grad_out, x_hat)
         scale = self.gamma * inv_std
         if mode is Mode.INFER:
-            return grad_out * scale, grad_gamma, grad_beta
+            return np.multiply(grad_out, scale, out=out), grad_gamma, grad_beta
         batch = grad_out.shape[0]
-        grad_x = x_hat * (grad_gamma / batch)
+        grad_x = np.multiply(x_hat, grad_gamma / batch, out=out)
         np.subtract(grad_out, grad_x, out=grad_x)
         grad_x -= grad_beta / batch
         grad_x *= scale
@@ -170,17 +184,56 @@ class UnrolledAutoencoder:
 
 
 @dataclass
+class _Buffers:
+    """Full-size storage behind a ForwardTrace, allocated once and
+    overwritten by every forward(..., reuse=trace) it can hold."""
+
+    measurements: np.ndarray  # (rows, m)
+    x_hat: np.ndarray  # (L+1, rows, width): batch-norm inputs, normalized in place
+    signs: np.ndarray  # (L, rows, width)
+    signs_proj: np.ndarray  # (L, rows, m)
+    post_bn: np.ndarray  # (rows, width)
+    output: np.ndarray  # (rows, width)
+    grads: np.ndarray | None = None  # (2, rows, width), made by the first backward
+
+    @classmethod
+    def allocate(cls, model: UnrolledAutoencoder, rows: int) -> "_Buffers":
+        m, width, steps = model.num_measurements, model.width, model.num_updates
+        return cls(
+            measurements=np.empty((rows, m)),
+            x_hat=np.empty((steps + 1, rows, width)),
+            signs=np.empty((steps, rows, width)),
+            signs_proj=np.empty((steps, rows, m)),
+            post_bn=np.empty((rows, width)),
+            output=np.empty((rows, width)),
+        )
+
+    def holds(self, model: UnrolledAutoencoder, rows: int) -> bool:
+        return (
+            self.x_hat.shape[0] == model.num_updates + 1
+            and self.x_hat.shape[1] >= rows
+            and self.x_hat.shape[2] == model.width
+            and self.measurements.shape[1] == model.num_measurements
+        )
+
+
+@dataclass
 class ForwardTrace:
-    """Intermediates recorded by forward() for the backward pass."""
+    """Intermediates recorded by forward() for the backward pass.
+
+    The arrays are leading-row views of buffers that the next
+    forward(..., reuse=this trace) overwrites.
+    """
 
     mode: Mode
-    inputs: np.ndarray  # (batch, width)
+    inputs: np.ndarray  # (batch, width), the caller's array
     measurements: np.ndarray  # (batch, m)
-    post_bn: list[np.ndarray]  # length L+1
-    bn_caches: list[tuple[np.ndarray, np.ndarray]]
-    signs: list[np.ndarray]  # length L
-    signs_proj: list[np.ndarray]  # sign @ Phi^T, length L
+    post_bn: np.ndarray  # (batch, width), output of the last batch norm
+    bn_caches: list[tuple[np.ndarray, np.ndarray]]  # (x_hat, inv_std), length L+1
+    signs: np.ndarray  # (L, batch, width)
+    signs_proj: np.ndarray  # (L, batch, m), sign @ Phi^T
     output: np.ndarray
+    buffers: _Buffers = field(repr=False)
 
 
 @dataclass
@@ -217,12 +270,13 @@ def _update(
     signs: np.ndarray,
     signs_proj: np.ndarray,
     step_index: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """h + (alpha/t)(sp Phi - s), built in place in the sp Phi buffer.
 
     Bit-identical to h - (alpha/t)(s - sp Phi): negation is exact.
     """
-    a = signs_proj @ model.phi
+    a = np.matmul(signs_proj, model.phi, out=out)
     a -= signs
     a *= model.alpha / step_index
     a += h_batch
@@ -244,40 +298,54 @@ def decoder_update(
 
 
 def forward(
-    model: UnrolledAutoencoder, h_batch: np.ndarray, mode: Mode = Mode.TRAIN
+    model: UnrolledAutoencoder,
+    h_batch: np.ndarray,
+    mode: Mode = Mode.TRAIN,
+    reuse: ForwardTrace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Full reconstruction pass; Train mode updates BN running statistics."""
+    """Full reconstruction pass; Train mode updates BN running statistics.
+
+    reuse takes the trace of an earlier call.  When its buffers hold this
+    batch (same model shape, at least as many rows) they are overwritten
+    in place, the leading rows for a smaller batch, so the returned
+    output and trace share memory with reuse and every array read from
+    reuse before the call now holds this batch's values.  h_batch must
+    not share memory with those buffers.
+    """
     h_batch = np.asarray(h_batch, dtype=float)
-    y = encode(model, h_batch)
+    if h_batch.ndim != 2 or h_batch.shape[1] != model.width:
+        raise ValueError(f"expected (batch, {model.width}), got {h_batch.shape}")
+    rows = h_batch.shape[0]
+    buf = None if reuse is None else reuse.buffers
+    if buf is None or not buf.holds(model, rows):
+        buf = _Buffers.allocate(model, rows)
+    x_hat = buf.x_hat[:, :rows]
+    signs = buf.signs[:, :rows]
+    signs_proj = buf.signs_proj[:, :rows]
+    z = buf.post_bn[:rows]
 
-    post_bn: list[np.ndarray] = []
-    caches: list[tuple[np.ndarray, np.ndarray]] = []
-    signs: list[np.ndarray] = []
-    signs_proj: list[np.ndarray] = []
-
-    z, cache = model.bn_layers[0].forward(decoder_init(model, y), mode)
-    post_bn.append(z)
-    caches.append(cache)
-
+    # Each layer's update is built in its x_hat block, which batch norm
+    # then normalizes in place, writing its output over z.
+    y = np.matmul(h_batch, model.phi.T, out=buf.measurements[:rows])
+    a = np.matmul(y, model.phi, out=x_hat[0])
+    caches = [model.bn_layers[0].forward(a, mode, x_hat=a, out=z)[1]]
     for t in range(1, model.num_updates + 1):
-        s = np.sign(z)
-        sp = s @ model.phi.T
-        signs.append(s)
-        signs_proj.append(sp)
-        z, cache = model.bn_layers[t].forward(_update(model, z, s, sp, t), mode)
-        post_bn.append(z)
-        caches.append(cache)
+        s = np.sign(z, out=signs[t - 1])
+        sp = np.matmul(s, model.phi.T, out=signs_proj[t - 1])
+        a = _update(model, z, s, sp, t, out=x_hat[t])
+        caches.append(model.bn_layers[t].forward(a, mode, x_hat=a, out=z)[1])
 
-    output = np.maximum(z, 0.0)
+    output = np.maximum(z, 0.0, out=buf.output[:rows])
     trace = ForwardTrace(
         mode=mode,
         inputs=h_batch,
         measurements=y,
-        post_bn=post_bn,
+        post_bn=z,
         bn_caches=caches,
         signs=signs,
         signs_proj=signs_proj,
         output=output,
+        buffers=buf,
     )
     return output, trace
 
@@ -316,14 +384,21 @@ def backward(
     d_gammas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
     d_betas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
 
-    g = trace.output - h_batch
+    # The gradient alternates between two buffers of the trace's storage;
+    # the forward intermediates are only read.
+    buf = trace.buffers
+    if buf.grads is None:
+        buf.grads = np.empty((2,) + buf.output.shape)
+    g, spare = buf.grads[0, :batch], buf.grads[1, :batch]
+    np.subtract(trace.output, h_batch, out=g)
     g *= 2.0 / batch
-    g *= trace.post_bn[-1] > 0  # ReLU'(x) = 0 for x <= 0
+    g *= trace.post_bn > 0  # ReLU'(x) = 0 for x <= 0
 
     for t in range(model.num_updates, 0, -1):
-        g, d_gammas[t], d_betas[t] = model.bn_layers[t].backward(
-            g, trace.bn_caches[t], trace.mode
+        grad_x, d_gammas[t], d_betas[t] = model.bn_layers[t].backward(
+            g, trace.bn_caches[t], trace.mode, out=spare
         )
+        g, spare = grad_x, g
         s = trace.signs[t - 1]
         sp = trace.signs_proj[t - 1]
         gp = g @ phi.T
@@ -333,7 +408,7 @@ def backward(
         # dL/d post_bn[t-1] equals g: the sign branch is locally constant.
 
     g, d_gammas[0], d_betas[0] = model.bn_layers[0].backward(
-        g, trace.bn_caches[0], trace.mode
+        g, trace.bn_caches[0], trace.mode, out=spare
     )
     # First layer a = y Phi with y = h Phi^T: direct term plus the
     # dependence through the encoder.

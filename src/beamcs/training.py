@@ -23,7 +23,6 @@ from .network import (
     UnrolledAutoencoder,
     backward,
     forward,
-    mse_loss,
 )
 
 # Philox stream tags under the run seed; length-2 keys cannot collide
@@ -150,17 +149,25 @@ def _check_finite(model: UnrolledAutoencoder, epoch: int) -> None:
         )
 
 
+def _squared_error(h_batch: np.ndarray, h_hat: np.ndarray, out: np.ndarray) -> float:
+    """sum((h - h_hat)^2) in mse_loss's order, with out as scratch; out
+    may be h_hat itself."""
+    np.subtract(h_batch, h_hat, out=out)
+    np.multiply(out, out, out=out)
+    return float(np.sum(out))
+
+
 def dev_loss(model: UnrolledAutoencoder, samples: np.ndarray) -> float:
     """Inference-mode reconstruction loss, chunked; exact because
     inference outputs are batch-independent."""
     if samples.shape[0] == 0:
         raise ValueError("empty evaluation split")
     total = 0.0
+    trace = None
     for start in range(0, samples.shape[0], _DEV_CHUNK):
         block = samples[start : start + _DEV_CHUNK]
-        out, _ = forward(model, block, Mode.INFER)
-        diff = block - out
-        total += float(np.sum(diff * diff))
+        out, trace = forward(model, block, Mode.INFER, reuse=trace)
+        total += _squared_error(block, out, out)
     return total / samples.shape[0]
 
 
@@ -193,7 +200,11 @@ def train(
     evals_since_best = 0
     stopped_early = False
 
+    # Every step overwrites the same batch, error and trace buffers.
     n_train = train_x.shape[0]
+    batch_buf = np.empty((min(cfg.batch_size, n_train), dataset.width))
+    error_buf = np.empty_like(batch_buf)
+    trace = None
     for epoch in range(1, cfg.max_epochs + 1):
         tic = time.perf_counter()
         perm = shuffle_rng.permutation(n_train)
@@ -203,9 +214,12 @@ def train(
             idx = perm[start : start + cfg.batch_size]
             if idx.shape[0] < 2:
                 break  # train-mode BN cannot take a singleton batch
-            batch = train_x[idx]
-            out, trace = forward(model, batch, Mode.TRAIN)
-            loss = mse_loss(batch, out)
+            rows = idx.shape[0]
+            # idx is a permutation slice, always in range; mode="clip"
+            # writes straight into out, where "raise" would buffer a copy
+            batch = np.take(train_x, idx, axis=0, out=batch_buf[:rows], mode="clip")
+            out, trace = forward(model, batch, Mode.TRAIN, reuse=trace)
+            loss = _squared_error(batch, out, error_buf[:rows]) / rows
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}, "
@@ -217,8 +231,8 @@ def train(
             for layer, dg, db in zip(model.bn_layers, grads.d_gammas, grads.d_betas):
                 layer.gamma -= cfg.learning_rate * dg
                 layer.beta -= cfg.learning_rate * db
-            loss_sum += loss * idx.shape[0]
-            used += idx.shape[0]
+            loss_sum += loss * rows
+            used += rows
         _check_finite(model, epoch)
         train_losses.append(loss_sum / used)
         epoch_seconds.append(time.perf_counter() - tic)

@@ -8,6 +8,7 @@ from beamcs import (
     MatrixSpec,
     MetricConfig,
     RecoveryConfig,
+    SolverKind,
     effective_rate,
     exact_recovery_rate,
     generate_baseline,
@@ -117,6 +118,18 @@ def test_recover_all_validates(tiny_dataset):
         recover_all(mat, np.ones((3, 9)), RECOVERY)
     with pytest.raises(ValueError):
         recover_all(mat, tiny_dataset.test, RECOVERY, workers=0)
+
+
+def test_recover_all_rejects_a_solver_it_does_not_run(tiny_dataset):
+    # the LP is the only solver recover_all runs; another one in the
+    # config would be echoed beside LP numbers
+    cfg = RecoveryConfig(solver=SolverKind.PROJECTED_SUBGRADIENT)
+    mat = generate_baseline(MatrixKind.GAUSSIAN, 4, 16, seed=0)
+    with pytest.raises(ValueError, match="basis_pursuit_lp"):
+        recover_all(mat, tiny_dataset.test, cfg)
+    with pytest.raises(ValueError, match="basis_pursuit_lp"):
+        run_sweep(tiny_dataset, [MatrixSpec(kind=MatrixKind.GAUSSIAN, seed=1)],
+                  (4,), cfg, METRIC)
 
 
 def _sweep(tiny_dataset, kinds, learned=None, m_values=(4, 8)):

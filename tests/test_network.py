@@ -172,11 +172,12 @@ def test_forward_trace_contents(rng):
     model = make_model(width=6, m=2, num_updates=3)
     h = rng.standard_normal((5, 6))
     out, trace = forward(model, h, Mode.INFER)
-    assert out.shape == (5, 6)
-    assert len(trace.post_bn) == len(trace.bn_caches) == 4
-    assert len(trace.signs) == len(trace.signs_proj) == 3
+    assert out.shape == trace.post_bn.shape == (5, 6)
+    assert len(trace.bn_caches) == 4
+    assert trace.signs.shape == (3, 5, 6)
+    assert trace.signs_proj.shape == (3, 5, 2)
     assert np.array_equal(trace.measurements, encode(model, h))
-    assert np.array_equal(out, np.maximum(trace.post_bn[-1], 0.0))
+    assert np.array_equal(out, np.maximum(trace.post_bn, 0.0))
     assert (out >= 0.0).all()
 
 
@@ -212,8 +213,9 @@ def test_zero_updates_model(rng):
     model = make_model(num_updates=0)
     h = rng.standard_normal((3, 6))
     out, trace = forward(model, h, Mode.INFER)
-    assert len(trace.post_bn) == len(trace.bn_caches) == 1
-    assert len(trace.signs) == 0
+    assert trace.post_bn.shape == (3, 6)
+    assert len(trace.bn_caches) == 1
+    assert len(trace.signs) == len(trace.signs_proj) == 0
     z, _ = model.bn_layers[0].forward(decoder_init(model, encode(model, h)), Mode.INFER)
     assert np.allclose(out, np.maximum(z, 0.0), atol=1e-14)
 
@@ -331,6 +333,57 @@ def test_backward_relu_gate(rng):
     assert np.array_equal(grads.d_phi, np.zeros_like(model.phi))
 
 
+def _grads_equal(a, b):
+    return (
+        np.array_equal(a.d_phi, b.d_phi)
+        and a.d_alpha == b.d_alpha
+        and all(map(np.array_equal, a.d_gammas, b.d_gammas))
+        and all(map(np.array_equal, a.d_betas, b.d_betas))
+    )
+
+
+def test_forward_backward_reuse_matches_fresh_calls():
+    # one trace carried across batch sizes and modes, as train and
+    # dev_loss carry it, against fresh traces on a twin model
+    reused = make_model(width=16, m=4, num_updates=3, seed=7)
+    fresh = copy.deepcopy(reused)
+    rng = np.random.default_rng(8)
+    first = trace = None
+    for rows, mode in [
+        (128, Mode.TRAIN), (64, Mode.TRAIN), (128, Mode.TRAIN),
+        (128, Mode.INFER), (64, Mode.INFER), (128, Mode.TRAIN),
+    ]:
+        h = rng.uniform(0.0, 1.0, (rows, 16))
+        want_out, want_trace = forward(fresh, h, mode)
+        want = backward(fresh, want_trace, h)
+        out, trace = forward(reused, h, mode, reuse=trace)
+        got = backward(reused, trace, h)
+        if first is None:
+            first = trace
+
+        assert np.array_equal(out, want_out)
+        for a, b in zip(reused.bn_layers, fresh.bn_layers):
+            assert np.array_equal(a.running_mean, b.running_mean)
+            assert np.array_equal(a.running_var, b.running_var)
+        assert _grads_equal(got, want)
+        # backward only reads the trace: a second call gives the same
+        assert _grads_equal(backward(reused, trace, h), got)
+        # every array lives in the first trace's buffers
+        assert trace.buffers is first.buffers
+        for array, owner in [
+            (out, first.output), (trace.post_bn, first.post_bn),
+            (trace.measurements, first.measurements), (trace.signs, first.signs),
+            (trace.signs_proj, first.signs_proj),
+        ] + [(x_hat, first.buffers.x_hat) for x_hat, _ in trace.bn_caches]:
+            assert np.shares_memory(array, owner)
+
+    # a batch larger than the buffers gets new ones and leaves the old
+    h = rng.uniform(0.0, 1.0, (200, 16))
+    out, _ = forward(reused, h, Mode.INFER, reuse=trace)
+    assert np.array_equal(out, forward(fresh, h, Mode.INFER)[0])
+    assert not np.shares_memory(out, first.buffers.output)
+
+
 # ------------------------------------------ textbook reference, paper shape
 #
 # forward/backward and the batch-norm layer fold their batch sums and
@@ -431,8 +484,11 @@ def test_forward_backward_match_textbook_at_paper_shape(mode):
     out, trace = forward(model, h, mode)
 
     assert _rel(out, np.maximum(ref[1][-1], 0.0)) <= 1e-12
-    for got, want in zip(trace.post_bn, ref[1]):
-        assert _rel(got, want) <= 1e-12
+    assert _rel(trace.post_bn, ref[1][-1]) <= 1e-12
+    assert len(trace.bn_caches) == len(ref[2])
+    for (x_hat, inv_std), (want_x_hat, want_inv_std) in zip(trace.bn_caches, ref[2]):
+        assert _rel(x_hat, want_x_hat) <= 1e-12
+        assert _rel(inv_std, want_inv_std) <= 1e-12
     for layer, ref_layer in zip(model.bn_layers, reference.bn_layers):
         assert _rel(layer.running_mean, ref_layer.running_mean) <= 1e-12
         assert _rel(layer.running_var, ref_layer.running_var) <= 1e-12

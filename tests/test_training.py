@@ -7,6 +7,7 @@ from beamcs import (
     Mode,
     TrainConfig,
     TrainingDivergedError,
+    backward,
     extract_matrix,
     forward,
     generate_dataset,
@@ -14,6 +15,7 @@ from beamcs import (
     mse_loss,
     train,
 )
+from beamcs import training
 from beamcs.training import dev_loss
 
 FAST = TrainConfig(
@@ -165,6 +167,35 @@ def test_dev_loss_matches_unchunked(tiny_dataset):
     split = tiny_dataset.dev
     out, _ = forward(model, split, Mode.INFER)
     assert dev_loss(model, split) == pytest.approx(mse_loss(split, out), rel=1e-12)
+
+
+def test_train_calls_forward_and_backward_once_per_step(tiny_dataset, monkeypatch):
+    # per-step timing from outside the package wraps training.forward
+    # and training.backward, so train must go through those names
+    calls = {"backward": 0, Mode.TRAIN: 0, Mode.INFER: 0}
+
+    def counted_forward(model, h_batch, mode, **kwargs):
+        calls[mode] += 1
+        return forward(model, h_batch, mode, **kwargs)
+
+    def counted_backward(*args):
+        calls["backward"] += 1
+        return backward(*args)
+
+    monkeypatch.setattr(training, "_DEV_CHUNK", 4)  # a short last chunk too
+    monkeypatch.setattr(training, "forward", counted_forward)
+    monkeypatch.setattr(training, "backward", counted_backward)
+    cfg = TrainConfig(
+        learning_rate=0.01, batch_size=20, max_epochs=3, num_updates=1,
+        seed=0, dev_eval_every=2,
+    )
+    _, report = train(tiny_dataset, 4, cfg)
+    full, rest = divmod(tiny_dataset.num_train, 20)
+    steps = 3 * (full + (rest >= 2))
+    assert calls["backward"] == calls[Mode.TRAIN] == steps
+    chunks = -(-tiny_dataset.num_dev // 4)
+    assert chunks >= 2
+    assert calls[Mode.INFER] == chunks * len(report.dev_epochs)
 
 
 def test_train_config_validation():
