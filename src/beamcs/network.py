@@ -195,6 +195,7 @@ class _Buffers:
     post_bn: np.ndarray  # (rows, width)
     output: np.ndarray  # (rows, width)
     grads: np.ndarray | None = None  # (2, rows, width), made by the first backward
+    generation: int = 0  # forward calls written so far; a trace keeps its own
 
     @classmethod
     def allocate(cls, model: UnrolledAutoencoder, rows: int) -> "_Buffers":
@@ -222,7 +223,8 @@ class ForwardTrace:
     """Intermediates recorded by forward() for the backward pass.
 
     The arrays are leading-row views of buffers that the next
-    forward(..., reuse=this trace) overwrites.
+    forward(..., reuse=this trace) overwrites; backward() then rejects
+    this trace, as its generation no longer matches the buffers'.
     """
 
     mode: Mode
@@ -233,6 +235,7 @@ class ForwardTrace:
     signs: np.ndarray  # (L, batch, width)
     signs_proj: np.ndarray  # (L, batch, m), sign @ Phi^T
     output: np.ndarray
+    generation: int
     buffers: _Buffers = field(repr=False)
 
 
@@ -246,22 +249,29 @@ class Gradients:
     d_betas: list[np.ndarray]
 
 
-def encode(model: UnrolledAutoencoder, h_batch: np.ndarray) -> np.ndarray:
-    """Linear compression of a (batch, width) block: row i maps to Phi h_i."""
+def encode(
+    model: UnrolledAutoencoder, h_batch: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Linear compression of a (batch, width) block: row i maps to Phi h_i.
+
+    Written into out when given.
+    """
     h_batch = np.asarray(h_batch, dtype=float)
     if h_batch.ndim != 2 or h_batch.shape[1] != model.width:
         raise ValueError(f"expected (batch, {model.width}), got {h_batch.shape}")
-    return h_batch @ model.phi.T
+    return np.matmul(h_batch, model.phi.T, out=out)
 
 
-def decoder_init(model: UnrolledAutoencoder, y_batch: np.ndarray) -> np.ndarray:
-    """First decoder layer: Phi^T y per sample."""
+def decoder_init(
+    model: UnrolledAutoencoder, y_batch: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """First decoder layer: Phi^T y per sample, written into out when given."""
     y_batch = np.asarray(y_batch, dtype=float)
     if y_batch.ndim != 2 or y_batch.shape[1] != model.num_measurements:
         raise ValueError(
             f"expected (batch, {model.num_measurements}), got {y_batch.shape}"
         )
-    return y_batch @ model.phi
+    return np.matmul(y_batch, model.phi, out=out)
 
 
 def _update(
@@ -313,9 +323,7 @@ def forward(
     not share memory with those buffers.
     """
     h_batch = np.asarray(h_batch, dtype=float)
-    if h_batch.ndim != 2 or h_batch.shape[1] != model.width:
-        raise ValueError(f"expected (batch, {model.width}), got {h_batch.shape}")
-    rows = h_batch.shape[0]
+    rows = h_batch.shape[0] if h_batch.ndim == 2 else 0  # encode rejects the rest
     buf = None if reuse is None else reuse.buffers
     if buf is None or not buf.holds(model, rows):
         buf = _Buffers.allocate(model, rows)
@@ -326,8 +334,9 @@ def forward(
 
     # Each layer's update is built in its x_hat block, which batch norm
     # then normalizes in place, writing its output over z.
-    y = np.matmul(h_batch, model.phi.T, out=buf.measurements[:rows])
-    a = np.matmul(y, model.phi, out=x_hat[0])
+    y = encode(model, h_batch, out=buf.measurements[:rows])
+    buf.generation += 1
+    a = decoder_init(model, y, out=x_hat[0])
     caches = [model.bn_layers[0].forward(a, mode, x_hat=a, out=z)[1]]
     for t in range(1, model.num_updates + 1):
         s = np.sign(z, out=signs[t - 1])
@@ -345,21 +354,28 @@ def forward(
         signs=signs,
         signs_proj=signs_proj,
         output=output,
+        generation=buf.generation,
         buffers=buf,
     )
     return output, trace
 
 
-def mse_loss(h_batch: np.ndarray, h_hat_batch: np.ndarray) -> float:
-    """Mean over samples of the squared reconstruction 2-norm."""
+def mse_loss(
+    h_batch: np.ndarray, h_hat_batch: np.ndarray, out: np.ndarray | None = None
+) -> float:
+    """Mean over samples of the squared reconstruction 2-norm.
+
+    out, when given, holds the squared errors; it may be h_hat_batch.
+    """
     h_batch = np.asarray(h_batch, dtype=float)
     h_hat_batch = np.asarray(h_hat_batch, dtype=float)
     if h_batch.shape != h_hat_batch.shape:
         raise ValueError(
             f"shape mismatch: {h_batch.shape} vs {h_hat_batch.shape}"
         )
-    diff = h_batch - h_hat_batch
-    return float(np.sum(diff * diff) / h_batch.shape[0])
+    diff = np.subtract(h_batch, h_hat_batch, out=out)
+    diff *= diff
+    return float(np.sum(diff) / h_batch.shape[0])
 
 
 def backward(
@@ -372,6 +388,8 @@ def backward(
     sign path carries zero derivative.
     """
     h_batch = np.asarray(h_batch, dtype=float)
+    if trace.generation != trace.buffers.generation:
+        raise ValueError("trace was overwritten by a later forward(..., reuse=...)")
     if trace.inputs.shape != h_batch.shape or not np.array_equal(
         trace.inputs, h_batch
     ):

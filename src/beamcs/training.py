@@ -23,6 +23,7 @@ from .network import (
     UnrolledAutoencoder,
     backward,
     forward,
+    mse_loss,
 )
 
 # Philox stream tags under the run seed; length-2 keys cannot collide
@@ -149,14 +150,6 @@ def _check_finite(model: UnrolledAutoencoder, epoch: int) -> None:
         )
 
 
-def _squared_error(h_batch: np.ndarray, h_hat: np.ndarray, out: np.ndarray) -> float:
-    """sum((h - h_hat)^2) in mse_loss's order, with out as scratch; out
-    may be h_hat itself."""
-    np.subtract(h_batch, h_hat, out=out)
-    np.multiply(out, out, out=out)
-    return float(np.sum(out))
-
-
 def dev_loss(model: UnrolledAutoencoder, samples: np.ndarray) -> float:
     """Inference-mode reconstruction loss, chunked; exact because
     inference outputs are batch-independent."""
@@ -167,7 +160,9 @@ def dev_loss(model: UnrolledAutoencoder, samples: np.ndarray) -> float:
     for start in range(0, samples.shape[0], _DEV_CHUNK):
         block = samples[start : start + _DEV_CHUNK]
         out, trace = forward(model, block, Mode.INFER, reuse=trace)
-        total += _squared_error(block, out, out)
+        diff = np.subtract(block, out, out=out)
+        diff *= diff
+        total += float(np.sum(diff))
     return total / samples.shape[0]
 
 
@@ -219,7 +214,7 @@ def train(
             # writes straight into out, where "raise" would buffer a copy
             batch = np.take(train_x, idx, axis=0, out=batch_buf[:rows], mode="clip")
             out, trace = forward(model, batch, Mode.TRAIN, reuse=trace)
-            loss = _squared_error(batch, out, error_buf[:rows]) / rows
+            loss = mse_loss(batch, out, out=error_buf[:rows])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}, "

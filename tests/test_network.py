@@ -249,6 +249,10 @@ def test_mse_loss():
     b = np.array([[1.0, 0.0], [0.0, 4.0]])
     # (4 + 9) / 2
     assert mse_loss(a, b) == pytest.approx(6.5)
+    # out may be the reconstruction itself and then holds the squared errors
+    out = b.copy()
+    assert mse_loss(a, out, out=out) == mse_loss(a, b)
+    assert np.array_equal(out, (a - b) ** 2)
     with pytest.raises(ValueError):
         mse_loss(a, np.ones((3, 2)))
 
@@ -349,6 +353,7 @@ def test_forward_backward_reuse_matches_fresh_calls():
     fresh = copy.deepcopy(reused)
     rng = np.random.default_rng(8)
     first = trace = None
+    stale = None
     for rows, mode in [
         (128, Mode.TRAIN), (64, Mode.TRAIN), (128, Mode.TRAIN),
         (128, Mode.INFER), (64, Mode.INFER), (128, Mode.TRAIN),
@@ -360,6 +365,12 @@ def test_forward_backward_reuse_matches_fresh_calls():
         got = backward(reused, trace, h)
         if first is None:
             first = trace
+        if stale is not None:
+            # the previous trace still names its own inputs, but its
+            # buffers now hold this batch
+            with pytest.raises(ValueError, match="overwritten"):
+                backward(reused, *stale)
+        stale = (trace, h)
 
         assert np.array_equal(out, want_out)
         for a, b in zip(reused.bn_layers, fresh.bn_layers):
@@ -382,6 +393,11 @@ def test_forward_backward_reuse_matches_fresh_calls():
     out, _ = forward(reused, h, Mode.INFER, reuse=trace)
     assert np.array_equal(out, forward(fresh, h, Mode.INFER)[0])
     assert not np.shares_memory(out, first.buffers.output)
+    assert _grads_equal(backward(reused, *stale), got)
+    # a rejected input writes nothing, so the trace stays usable
+    with pytest.raises(ValueError):
+        forward(reused, np.ones((5, 15)), Mode.TRAIN, reuse=stale[0])
+    assert _grads_equal(backward(reused, *stale), got)
 
 
 # ------------------------------------------ textbook reference, paper shape
