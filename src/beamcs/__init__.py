@@ -40,10 +40,8 @@ from .fileio import (
     FileFormatError,
     load_checkpoint,
     load_dataset,
-    load_matrix,
     save_checkpoint,
     save_dataset,
-    save_matrix,
 )
 from .matrices import MatrixKind, MeasurementMatrix, generate_baseline, measure
 from .network import (
@@ -65,11 +63,9 @@ from .recovery import (
     RecoveryConfig,
     RecoveryResult,
     RecoveryStatus,
-    SolverKind,
     basis_pursuit,
     oracle_sparse_recover,
     projected_subgradient,
-    recover,
 )
 from .training import (
     TrainConfig,
@@ -104,7 +100,6 @@ __all__ = [
     "RecoveryConfig",
     "RecoveryResult",
     "RecoveryStatus",
-    "SolverKind",
     "SpatialChannel",
     "SweepReport",
     "SweepRow",
@@ -131,7 +126,6 @@ __all__ = [
     "load_checkpoint",
     "load_dataset",
     "load_experiment",
-    "load_matrix",
     "mean_nrse",
     "measure",
     "mse_loss",
@@ -139,11 +133,9 @@ __all__ = [
     "preprocess",
     "profile_defaults",
     "projected_subgradient",
-    "recover",
     "run_sweep",
     "save_checkpoint",
     "save_dataset",
-    "save_matrix",
     "stack_real",
     "steering_vector",
     "to_beamspace",

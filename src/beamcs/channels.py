@@ -23,7 +23,8 @@ class AngleMode(enum.Enum):
     ON_GRID samples directions from the DFT grid without replacement,
     which makes the beamspace vector exactly sparse.  OFF_GRID samples
     continuous directions; the beamspace vector then has full support
-    (leakage), which is incompatible with the exact-recovery metric.
+    (leakage), which is incompatible with the exact-recovery metric, so
+    run_sweep rejects it.
     """
 
     ON_GRID = "on_grid"
@@ -39,11 +40,14 @@ class GainModel(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Physical parameters of the synthetic channel generator."""
+    """Physical parameters of the synthetic channel generator.
+
+    The array is a half-wavelength ULA; that spacing is built into the
+    steering and grid formulas.
+    """
 
     num_antennas: int
     num_paths: int
-    antenna_spacing_ratio: float = 0.5
     angle_mode: AngleMode = AngleMode.ON_GRID
     gain_model: GainModel = GainModel.COMPLEX_GAUSSIAN
     seed: int = 0
@@ -55,9 +59,6 @@ class ChannelConfig:
             raise ValueError(
                 f"num_paths must be in [1, {self.num_antennas}], got {self.num_paths}"
             )
-        # Half-wavelength spacing is baked into the steering/grid formulas.
-        if self.antenna_spacing_ratio != 0.5:
-            raise ValueError("antenna_spacing_ratio is fixed at 0.5")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

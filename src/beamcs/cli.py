@@ -28,7 +28,6 @@ from .fileio import (
     FileFormatError,
     export_checkpoint_json,
     export_dataset_csv,
-    export_matrix_csv,
     load_checkpoint,
     load_dataset,
     save_checkpoint,
@@ -150,16 +149,28 @@ def cmd_sweep(args) -> int:
             path = os.path.join(ckpt_dir, checkpoint_name(m))
             if os.path.exists(path):
                 model, _ = load_checkpoint(path)
+                if model.phi.shape != (m, dataset.width):
+                    raise FileFormatError(
+                        f"{path} holds a Phi of shape {model.phi.shape}; "
+                        f"m={m} on this dataset needs {(m, dataset.width)}"
+                    )
                 learned[m] = extract_matrix(model)
-    report = run_sweep(
-        dataset,
-        specs,
-        cfg.m_values,
-        cfg.recovery,
-        cfg.metric,
-        learned=learned,
-        workers=_workers(),
-    )
+    try:
+        report = run_sweep(
+            dataset,
+            specs,
+            cfg.m_values,
+            cfg.recovery,
+            cfg.metric,
+            learned=learned,
+            workers=_workers(),
+        )
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        # run_sweep's checks of the dataset against the config (off-grid
+        # data, m too large for the width) are input errors
+        raise ConfigError(str(exc)) from exc
     save_report_csv(os.path.join(cfg.out_dir, "report.csv"), report)
     save_report_json(
         os.path.join(cfg.out_dir, "report.json"), report, config_echo(cfg)
@@ -188,11 +199,7 @@ def cmd_export(args) -> int:
 
     kind = sniff_format(args.input)
     fmt = args.format
-    if kind == "matrix":
-        if fmt != "csv":
-            raise ConfigError("matrix files export to --format csv")
-        export_matrix_csv(args.input, args.output)
-    elif kind == "checkpoint":
+    if kind == "checkpoint":
         if fmt != "json":
             raise ConfigError("checkpoint files export to --format json")
         export_checkpoint_json(args.input, args.output)

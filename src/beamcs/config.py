@@ -4,7 +4,8 @@ A config document is plain JSON with sections channel / data / train /
 recovery / metric plus sweep-level keys.  Documents start from a named
 profile's defaults ("paper" = full scale, "ci" = desk scale) and
 override fields; CLI flags override last.  The global seed cascades into
-any section seed the document leaves unset.
+any section seed the document leaves unset.  A key that no profile
+holds (other than a channel or train seed) is an error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .channels import AngleMode, ChannelConfig, GainModel
 from .evaluate import MetricConfig
 from .matrices import MatrixKind
-from .recovery import RecoveryConfig, SolverKind
+from .recovery import RecoveryConfig
 from .training import TrainConfig
 
 
@@ -57,7 +58,6 @@ _PROFILES: dict[str, dict] = {
             "feas_tol": 1e-10,
             "opt_tol": 1e-9,
             "max_iters": 200,
-            "solver": "basis_pursuit_lp",
         },
         "metric": {"exact_tol": 1e-8, "block_length": 200, "base_rate": 1.0},
         "m_values": [20, 25, 30, 35, 40],
@@ -94,7 +94,6 @@ _PROFILES: dict[str, dict] = {
             "feas_tol": 1e-10,
             "opt_tol": 1e-9,
             "max_iters": 200,
-            "solver": "basis_pursuit_lp",
         },
         "metric": {"exact_tol": 1e-8, "block_length": 200, "base_rate": 1.0},
         "m_values": [8, 12, 16],
@@ -186,10 +185,28 @@ def load_document(
     return merged
 
 
-def _section(doc: dict, name: str) -> dict:
+def _profile_keys(section: str | None = None) -> set[str]:
+    """Keys the profile documents hold at the top level or in a section."""
+    return set().union(
+        *(p if section is None else p[section] for p in _PROFILES.values())
+    )
+
+
+def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(
+            "unknown config key: " + ", ".join(f"{prefix}{k}" for k in unknown)
+        )
+
+
+def _section(doc: dict, name: str, seeded: bool = False) -> dict:
+    """The named section; seeded sections may also set their own seed."""
     sec = doc.get(name, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"section {name!r} must be an object")
+    known = _profile_keys(name) | ({"seed"} if seeded else set())
+    _reject_unknown(sec, known, f"{name}.")
     return sec
 
 
@@ -208,12 +225,12 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     bad input to one exit code.
     """
     try:
+        _reject_unknown(doc, _profile_keys())
         seed = int(doc.get("seed", 0))
-        ch = _section(doc, "channel")
+        ch = _section(doc, "channel", seeded=True)
         channel = ChannelConfig(
             num_antennas=int(ch["num_antennas"]),
             num_paths=int(ch["num_paths"]),
-            antenna_spacing_ratio=float(ch.get("antenna_spacing_ratio", 0.5)),
             angle_mode=_enum(AngleMode, ch.get("angle_mode", "on_grid"), "angle_mode"),
             gain_model=_enum(
                 GainModel, ch.get("gain_model", "complex_gaussian"), "gain_model"
@@ -226,7 +243,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
         if len(ratios_raw) != 3:
             raise ConfigError("ratios must have exactly 3 entries")
         ratios = tuple(float(r) for r in ratios_raw)
-        tr = _section(doc, "train")
+        tr = _section(doc, "train", seeded=True)
         stddev = tr.get("init_stddev")
         train = TrainConfig(
             learning_rate=float(tr.get("learning_rate", 0.01)),
@@ -240,19 +257,10 @@ def build_experiment(doc: dict) -> ExperimentConfig:
             early_stop_patience=int(tr.get("early_stop_patience", 0)),
         )
         rc = _section(doc, "recovery")
-        solver = _enum(SolverKind, rc.get("solver", "basis_pursuit_lp"), "solver")
-        if solver is not SolverKind.BASIS_PURSUIT_LP:
-            # recover_all always solves the LP; echoing another solver
-            # into report.json would misstate how the numbers were made
-            raise ConfigError(
-                f"solver {solver.value!r} is not supported by the sweep; "
-                "use basis_pursuit_lp"
-            )
         recovery = RecoveryConfig(
             feas_tol=float(rc.get("feas_tol", 1e-10)),
             opt_tol=float(rc.get("opt_tol", 1e-9)),
             max_iters=int(rc.get("max_iters", 200)),
-            solver=solver,
         )
         mc = _section(doc, "metric")
         metric = MetricConfig(
@@ -302,7 +310,6 @@ def config_echo(cfg: ExperimentConfig) -> dict:
         "channel": {
             "num_antennas": cfg.channel.num_antennas,
             "num_paths": cfg.channel.num_paths,
-            "antenna_spacing_ratio": cfg.channel.antenna_spacing_ratio,
             "angle_mode": cfg.channel.angle_mode.value,
             "gain_model": cfg.channel.gain_model.value,
             "seed": cfg.channel.seed,
@@ -328,7 +335,6 @@ def config_echo(cfg: ExperimentConfig) -> dict:
             "feas_tol": cfg.recovery.feas_tol,
             "opt_tol": cfg.recovery.opt_tol,
             "max_iters": cfg.recovery.max_iters,
-            "solver": cfg.recovery.solver.value,
         },
         "metric": {
             "exact_tol": cfg.metric.exact_tol,

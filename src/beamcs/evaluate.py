@@ -14,14 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import ChannelDataset
+from .channels import AngleMode, ChannelDataset
 from .matrices import COMPLEX_KINDS, MatrixKind, MeasurementMatrix, generate_baseline
-from .recovery import (
-    BasisPursuitSolver,
-    RecoveryConfig,
-    RecoveryStatus,
-    SolverKind,
-)
+from .recovery import BasisPursuitSolver, RecoveryConfig, RecoveryStatus
 
 _FAILURE_NOTE_THRESHOLD = 0.5
 
@@ -162,13 +157,8 @@ def recover_all(
 
     Returns (estimates, num_non_optimal).  workers > 1 splits the rows
     over processes; chunks are reassembled in order, so the result is
-    identical to the serial path.  cfg.solver must be the LP, the only
-    solver this runs.
+    identical to the serial path.
     """
-    if cfg.solver is not SolverKind.BASIS_PURSUIT_LP:
-        raise ValueError(
-            f"recover_all runs basis_pursuit_lp, not {cfg.solver.value}"
-        )
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != matrix.num_columns:
         raise ValueError(
@@ -222,9 +212,16 @@ def run_sweep(
     rather than a silent omission or an abort; a cell whose solver
     reports non-optimal on more than half the samples gets a diagnostic
     note.  Deterministic given seeds (wall-clock lives only in `seconds`).
+    Off-grid datasets are rejected: their vectors are not sparse, so the
+    exact-recovery rate would read 0 whatever the matrix.
     """
     import time
 
+    if dataset.config.angle_mode is not AngleMode.ON_GRID:
+        raise ValueError(
+            f"{dataset.config.angle_mode.value} data has no sparse ground "
+            "truth for exact recovery; sweep needs on_grid data"
+        )
     test = dataset.test
     if test.shape[0] == 0:
         raise ValueError("dataset has an empty test split")

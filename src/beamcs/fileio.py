@@ -1,13 +1,10 @@
-"""Binary containers and text exports for datasets, matrices, checkpoints.
+"""Binary containers and text exports for datasets and checkpoints.
 
 Layouts (all integers and floats little-endian):
 
   BCSL dataset     magic "BCSL", u32 version, u64 x6 (N, P, n, n_train,
                    n_dev, n_test), samples n x 2N f64 row-major, params
                    n x 4 f64, JSON echo trailer, u64 trailer length.
-  BCSM matrix      magic "BCSM", u32 version, u32 kind tag, u64 m, u64 n,
-                   i64 seed, u32 quantized-angle count (0 if unused),
-                   entries m x n f64, JSON echo trailer, u64 length.
   BCSW checkpoint  magic "BCSW", u32 version, u64 x3 (m, width, L),
                    f64 x3 (alpha, bn eps, bn momentum), Phi m x width f64,
                    then gamma/beta/running-mean/running-var per layer,
@@ -28,18 +25,15 @@ import numpy as np
 
 from .channels import AngleMode, ChannelConfig, ChannelDataset, GainModel
 from .evaluate import SweepReport, figure_table
-from .matrices import KIND_TAGS, KINDS_BY_TAG, MeasurementMatrix
 from .network import BatchNormLayer, UnrolledAutoencoder
 from .training import TrainConfig, TrainReport
 
 DATASET_MAGIC = b"BCSL"
-MATRIX_MAGIC = b"BCSM"
 CHECKPOINT_MAGIC = b"BCSW"
 FORMAT_VERSION = 1
 
 _PREFIX = struct.Struct("<4sI")  # magic, version
 _DATASET_FIXED = struct.Struct("<6Q")  # N, P, n, train, dev, test
-_MATRIX_FIXED = struct.Struct("<IQQqI")  # tag, m, n, seed, num_angles
 _CHECKPOINT_FIXED = struct.Struct("<QQQddd")  # m, width, L, alpha, eps, mom
 _TRAILER_LEN = struct.Struct("<Q")
 
@@ -107,14 +101,10 @@ def _take(payload: bytes, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarr
 
 
 def sniff_format(path: str) -> str:
-    """Returns 'dataset', 'matrix', or 'checkpoint' from the file magic."""
+    """Returns 'dataset' or 'checkpoint' from the file magic."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    names = {
-        DATASET_MAGIC: "dataset",
-        MATRIX_MAGIC: "matrix",
-        CHECKPOINT_MAGIC: "checkpoint",
-    }
+    names = {DATASET_MAGIC: "dataset", CHECKPOINT_MAGIC: "checkpoint"}
     if magic not in names:
         raise FileFormatError(f"unrecognized magic {magic!r}")
     return names[magic]
@@ -139,7 +129,6 @@ def save_dataset(
         "angle_mode": cfg.angle_mode.value,
         "gain_model": cfg.gain_model.value,
         "seed": cfg.seed,
-        "antenna_spacing_ratio": cfg.antenna_spacing_ratio,
         "ratios": list(dataset.ratios),
         "floor": dataset.floor,
         "zero_tol": dataset.zero_tol,
@@ -159,7 +148,6 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
         cfg = ChannelConfig(
             num_antennas=int(num_antennas),
             num_paths=int(num_paths),
-            antenna_spacing_ratio=float(echo.get("antenna_spacing_ratio", 0.5)),
             angle_mode=AngleMode(echo["angle_mode"]),
             gain_model=GainModel(echo["gain_model"]),
             seed=int(echo["seed"]),
@@ -185,38 +173,6 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
         zero_tol=zero_tol,
     )
     return dataset, echo
-
-
-# ---------------------------------------------------------------- matrices
-
-
-def save_matrix(path: str, matrix: MeasurementMatrix) -> None:
-    fixed = _MATRIX_FIXED.pack(
-        KIND_TAGS[matrix.kind],
-        matrix.num_measurements,
-        matrix.num_columns,
-        matrix.seed,
-        matrix.num_angles,
-    )
-    echo = {"kind": matrix.kind.value, "seed": matrix.seed}
-    _write_file(path, MATRIX_MAGIC, fixed, [matrix.data], echo)
-
-
-def load_matrix(path: str) -> tuple[MeasurementMatrix, dict]:
-    fields, payload, echo = _read_file(path, MATRIX_MAGIC, _MATRIX_FIXED)
-    tag, m, n, seed, num_angles = fields
-    if tag not in KINDS_BY_TAG:
-        raise FileFormatError(f"unknown matrix kind tag {tag}")
-    data, off = _take(payload, 0, (int(m), int(n)))
-    if off != len(payload):
-        raise FileFormatError("trailing bytes after matrix payload")
-    matrix = MeasurementMatrix(
-        data=data,
-        kind=KINDS_BY_TAG[tag],
-        seed=int(seed),
-        num_angles=int(num_angles),
-    )
-    return matrix, echo
 
 
 # -------------------------------------------------------------- checkpoints
@@ -355,7 +311,6 @@ def save_report_json(path: str, report: SweepReport, config_echo: dict) -> None:
             "feas_tol": report.recovery_cfg.feas_tol,
             "opt_tol": report.recovery_cfg.opt_tol,
             "max_iters": report.recovery_cfg.max_iters,
-            "solver": report.recovery_cfg.solver.value,
         },
         "num_test_samples": report.num_test_samples,
         "rows": [{c: getattr(r, c) for c in _REPORT_COLUMNS} for r in report.rows],
@@ -395,11 +350,6 @@ def save_figure_csvs(prefix: str, report: SweepReport) -> list[str]:
 
 
 # ---------------------------------------------------------------- exporters
-
-
-def export_matrix_csv(path_in: str, path_out: str) -> None:
-    matrix, _ = load_matrix(path_in)
-    np.savetxt(path_out, matrix.data, delimiter=",", fmt="%.17g")
 
 
 def export_checkpoint_json(path_in: str, path_out: str) -> None:

@@ -24,7 +24,7 @@ class MatrixKind(enum.Enum):
     PHASE_SHIFTER = "phase_shifter"
 
 
-# Stable numeric tags, used for RNG stream separation and in the file format.
+# Stable numeric tags that separate the RNG streams of the kinds.
 KIND_TAGS: dict[MatrixKind, int] = {
     MatrixKind.LEARNED: 0,
     MatrixKind.GAUSSIAN: 1,
@@ -33,7 +33,6 @@ KIND_TAGS: dict[MatrixKind, int] = {
     MatrixKind.SELECTION: 4,
     MatrixKind.PHASE_SHIFTER: 5,
 }
-KINDS_BY_TAG = {tag: kind for kind, tag in KIND_TAGS.items()}
 
 # Kinds built from a complex (m/2) x n matrix; they require even m.
 COMPLEX_KINDS = (MatrixKind.PARTIAL_FOURIER, MatrixKind.PHASE_SHIFTER)

@@ -21,11 +21,6 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 
-class SolverKind(enum.Enum):
-    BASIS_PURSUIT_LP = "basis_pursuit_lp"
-    PROJECTED_SUBGRADIENT = "projected_subgradient"
-
-
 class RecoveryStatus(enum.Enum):
     OPTIMAL = "optimal"
     MAX_ITERS = "max_iters"
@@ -37,7 +32,6 @@ class RecoveryConfig:
     feas_tol: float = 1e-10
     opt_tol: float = 1e-9
     max_iters: int = 200
-    solver: SolverKind = SolverKind.BASIS_PURSUIT_LP
 
     def __post_init__(self) -> None:
         if self.feas_tol <= 0 or self.opt_tol <= 0:
@@ -373,14 +367,3 @@ def oracle_sparse_recover(
             break
     return OracleRecovery(h_hat=best_vec, objective=best_obj, unique=unique)
 
-
-def recover(
-    phi: np.ndarray,
-    y: np.ndarray,
-    cfg: RecoveryConfig,
-    alpha0: float = 1.0,
-) -> RecoveryResult:
-    """Dispatch on cfg.solver."""
-    if cfg.solver is SolverKind.BASIS_PURSUIT_LP:
-        return basis_pursuit(phi, y, cfg)
-    return projected_subgradient(phi, y, alpha0=alpha0, cfg=cfg)

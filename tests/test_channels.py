@@ -269,8 +269,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ChannelConfig(num_antennas=4, num_paths=5)
     with pytest.raises(ValueError):
-        ChannelConfig(num_antennas=4, num_paths=1, antenna_spacing_ratio=0.3)
-    with pytest.raises(ValueError):
         ChannelConfig(num_antennas=4, num_paths=1, seed=-1)
     with pytest.raises(ValueError):
         generate_dataset(ChannelConfig(num_antennas=4, num_paths=1), 5)

@@ -106,15 +106,19 @@ def test_usage_errors(run_dir, tmp_path):
 
 
 def test_unsupported_solver_is_a_usage_error(tmp_path, capsys):
-    # the sweep always solves the LP, so no other solver may reach report.json
+    # a key the config does not read fails loudly instead of being dropped
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps({**CFG, "recovery": {"solver": "projected_subgradient"}})
-    )
     out = str(tmp_path / "out")
-    for command in ("gen-data", "train", "sweep"):
-        assert main([command, "--config", str(cfg), "--out", out]) == EXIT_USAGE
-        assert "projected_subgradient" in capsys.readouterr().err
+    for extra, key in [
+        ({"recovery": {"solver": "basis_pursuit_lp"}}, "recovery.solver"),
+        ({"channel": {**CFG["channel"], "antenna_spacing_ratio": 0.5}},
+         "channel.antenna_spacing_ratio"),
+        ({"train": {**CFG["train"], "learning_rat": 0.5}}, "train.learning_rat"),
+    ]:
+        cfg.write_text(json.dumps({**CFG, **extra}))
+        for command in ("gen-data", "train", "sweep"):
+            assert main([command, "--config", str(cfg), "--out", out]) == EXIT_USAGE
+            assert f"error: unknown config key: {key}\n" == capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -176,6 +180,40 @@ def test_sweep_missing_checkpoints(run_dir, tmp_path, capsys):
     doc = json.loads(open(os.path.join(str(tmp_path), "report.json")).read())
     gaps = [r for r in doc["rows"] if r["note"] == "missing checkpoint"]
     assert len(gaps) == 2
+
+
+def test_sweep_rejects_off_grid_data(tmp_path, capsys):
+    # exact recovery cannot score off-grid data: no 0% report, one error line
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        **CFG,
+        "channel": {**CFG["channel"], "angle_mode": "off_grid"},
+        "kinds": ["gaussian"],
+    }))
+    out = str(tmp_path / "out")
+    assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "off_grid" in err
+    assert err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_sweep_checkpoint_of_another_width_is_a_file_error(run_dir, tmp_path, capsys):
+    root, out = run_dir
+    cfg = tmp_path / "cfg.json"
+    # N=16 gives width 32; the run_dir checkpoints were trained at width 16
+    cfg.write_text(json.dumps({**CFG, "channel": {"num_antennas": 16, "num_paths": 2}}))
+    wide = str(tmp_path / "wide")
+    assert main(["gen-data", "--config", str(cfg), "--out", wide]) == EXIT_OK
+    capsys.readouterr()
+    code = main(["sweep", "--config", str(cfg), "--out", wide, "--checkpoints", out])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert "checkpoint_m4.bcsw holds a Phi of shape (4, 16)" in err
+    assert not os.path.exists(os.path.join(wide, "report.json"))
 
 
 def test_gen_data_is_deterministic(run_dir, tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -124,12 +125,22 @@ def test_explicit_section_seed_wins():
         ({"kinds": ["gaussian", "gaussian"]}, "distinct"),
         ({"kinds": ["rademacher"]}, "matrix kind must be one of"),
         ({"channel": {"angle_mode": "diagonal"}}, "angle_mode must be one of"),
-        ({"recovery": {"solver": "simplex"}}, "solver must be one of"),
+        ({"recovery": {"solver": "basis_pursuit_lp"}}, "unknown config key: recovery.solver"),
         ({"data": {"ratios": [0.5, 0.5]}}, "exactly 3"),
         ({"data": {"floor": 1.0}}, "floor"),
         ({"data": {"floor": -0.2}}, "floor"),
         ({"train": {"batch_size": 1}}, "invalid configuration"),
         ({"channel": {"num_antennas": -4}}, "invalid configuration"),
+        # a key the config does not read, misspelled or unsupported
+        ({"channel": {"antenna_spacing_ratio": 0.5}}, "channel.antenna_spacing_ratio"),
+        ({"channel": {"num_path": 3}}, "unknown config key: channel.num_path$"),
+        ({"data": {"ratio": [0.8, 0.1, 0.1]}}, "unknown config key: data.ratio$"),
+        ({"data": {"seed": 4}}, "unknown config key: data.seed$"),
+        ({"train": {"learning_rat": 0.5}}, "unknown config key: train.learning_rat$"),
+        ({"recovery": {"max_iter": 50}}, "unknown config key: recovery.max_iter$"),
+        ({"metric": {"exact_tol_": 1e-6}}, "unknown config key: metric.exact_tol_$"),
+        ({"m_value": [8]}, "unknown config key: m_value$"),
+        ({"sed": 1, "kind": []}, "unknown config key: kind, sed$"),
     ],
 )
 def test_build_experiment_rejects(overrides, message):
@@ -149,6 +160,68 @@ def test_section_must_be_object():
     doc["train"] = "fast"
     with pytest.raises(ConfigError, match="must be an object"):
         build_experiment(doc)
+
+
+# A second valid value for every leaf of the echo, different from its value
+# in both profiles.
+ECHO_ALTERNATIVES = {
+    ("channel", "num_antennas"): 40,
+    ("channel", "num_paths"): 1,
+    ("channel", "angle_mode"): "off_grid",
+    ("channel", "gain_model"): "unit",
+    ("channel", "seed"): 7,
+    ("data", "num_samples"): 300,
+    ("data", "ratios"): [0.6, 0.2, 0.2],
+    ("data", "floor"): 0.25,
+    ("data", "zero_tol"): 1e-9,
+    ("train", "learning_rate"): 0.5,
+    ("train", "batch_size"): 32,
+    ("train", "max_epochs"): 3,
+    ("train", "init_stddev"): 0.1,
+    ("train", "num_updates"): 4,
+    ("train", "alpha_init"): 0.5,
+    ("train", "seed"): 8,
+    ("train", "dev_eval_every"): 2,
+    ("train", "early_stop_patience"): 10,
+    ("recovery", "feas_tol"): 1e-8,
+    ("recovery", "opt_tol"): 1e-7,
+    ("recovery", "max_iters"): 50,
+    ("metric", "exact_tol"): 1e-6,
+    ("metric", "block_length"): 100,
+    ("metric", "base_rate"): 2.0,
+    ("m_values",): [10, 30],
+    ("kinds",): ["gaussian", "learned"],
+    ("seed",): 9,
+}
+
+
+def _leaves(doc, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _with(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("profile", PROFILE_NAMES)
+def test_config_echo_round_trips_and_every_key_is_read(profile):
+    echo = config_echo(build_experiment(profile_defaults(profile)))
+    assert config_echo(build_experiment(copy.deepcopy(echo))) == echo
+    assert set(_leaves(echo)) == set(ECHO_ALTERNATIVES)
+    for path, value in ECHO_ALTERNATIVES.items():
+        expected = _with(echo, path, value)
+        assert expected != echo, path
+        # the changed leaf, and only that leaf, reaches the rebuilt echo
+        assert config_echo(build_experiment(expected)) == expected, path
 
 
 def test_config_echo_omits_out_dir():

@@ -4,14 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from beamcs import (
+    AngleMode,
+    ChannelConfig,
     MatrixKind,
     MatrixSpec,
     MetricConfig,
     RecoveryConfig,
-    SolverKind,
     effective_rate,
     exact_recovery_rate,
     generate_baseline,
+    generate_dataset,
     mean_nrse,
     run_sweep,
 )
@@ -120,18 +122,6 @@ def test_recover_all_validates(tiny_dataset):
         recover_all(mat, tiny_dataset.test, RECOVERY, workers=0)
 
 
-def test_recover_all_rejects_a_solver_it_does_not_run(tiny_dataset):
-    # the LP is the only solver recover_all runs; another one in the
-    # config would be echoed beside LP numbers
-    cfg = RecoveryConfig(solver=SolverKind.PROJECTED_SUBGRADIENT)
-    mat = generate_baseline(MatrixKind.GAUSSIAN, 4, 16, seed=0)
-    with pytest.raises(ValueError, match="basis_pursuit_lp"):
-        recover_all(mat, tiny_dataset.test, cfg)
-    with pytest.raises(ValueError, match="basis_pursuit_lp"):
-        run_sweep(tiny_dataset, [MatrixSpec(kind=MatrixKind.GAUSSIAN, seed=1)],
-                  (4,), cfg, METRIC)
-
-
 def _sweep(tiny_dataset, kinds, learned=None, m_values=(4, 8)):
     specs = [MatrixSpec(kind=k, seed=1) for k in kinds]
     return run_sweep(tiny_dataset, specs, m_values, RECOVERY, METRIC, learned=learned)
@@ -220,6 +210,10 @@ def test_run_sweep_validates(tiny_dataset):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN], m_values=(4, 16))
     with pytest.raises(ValueError, match="nonempty"):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN], m_values=())
+    # off-grid vectors are not sparse, so every cell would score 0% exact
+    cfg = ChannelConfig(num_antennas=8, num_paths=2, angle_mode=AngleMode.OFF_GRID)
+    with pytest.raises(ValueError, match="off_grid"):
+        _sweep(generate_dataset(cfg, 60), [MatrixKind.GAUSSIAN])
 
 
 def test_run_sweep_deterministic(tiny_dataset):

@@ -4,27 +4,17 @@ import struct
 import numpy as np
 import pytest
 
-from beamcs import (
-    MatrixKind,
-    MetricConfig,
-    RecoveryConfig,
-    TrainConfig,
-    generate_baseline,
-    train,
-)
+from beamcs import MatrixKind, MetricConfig, RecoveryConfig, TrainConfig, train
 from beamcs.evaluate import MatrixSpec, run_sweep
 from beamcs.fileio import (
     FileFormatError,
     export_checkpoint_json,
     export_dataset_csv,
-    export_matrix_csv,
     load_checkpoint,
     load_dataset,
-    load_matrix,
     save_checkpoint,
     save_dataset,
     save_figure_csvs,
-    save_matrix,
     save_report_csv,
     save_report_json,
     save_training_csv,
@@ -74,17 +64,6 @@ def test_dataset_write_is_byte_stable(tmp_path, trained):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_matrix_round_trip(tmp_path):
-    mat = generate_baseline(MatrixKind.PHASE_SHIFTER, 6, 16, seed=9, num_angles=8)
-    path = tmp_path / "m.bcsm"
-    save_matrix(str(path), mat)
-    loaded, _ = load_matrix(str(path))
-    assert np.array_equal(loaded.data, mat.data)
-    assert loaded.kind is MatrixKind.PHASE_SHIFTER
-    assert loaded.seed == 9
-    assert loaded.num_angles == 8
-
-
 def test_checkpoint_round_trip(tmp_path, trained):
     _, model, _ = trained
     path = tmp_path / "c.bcsw"
@@ -118,65 +97,51 @@ def test_checkpoint_usable_after_load(tmp_path, trained):
 def test_sniff_format(tmp_path, trained):
     dataset, model, _ = trained
     save_dataset(str(tmp_path / "d.bcsl"), dataset)
-    save_matrix(
-        str(tmp_path / "m.bcsm"), generate_baseline(MatrixKind.GAUSSIAN, 4, 16)
-    )
     save_checkpoint(str(tmp_path / "c.bcsw"), model)
     assert sniff_format(str(tmp_path / "d.bcsl")) == "dataset"
-    assert sniff_format(str(tmp_path / "m.bcsm")) == "matrix"
     assert sniff_format(str(tmp_path / "c.bcsw")) == "checkpoint"
     (tmp_path / "junk").write_bytes(b"ZZZZ....")
     with pytest.raises(FileFormatError):
         sniff_format(str(tmp_path / "junk"))
 
 
-def test_corrupt_files_raise(tmp_path):
-    mat = generate_baseline(MatrixKind.GAUSSIAN, 4, 16, seed=0)
-    path = tmp_path / "m.bcsm"
-    save_matrix(str(path), mat)
-    blob = path.read_bytes()
+def test_corrupt_files_raise(tmp_path, trained):
+    dataset, model, _ = trained
+    save_dataset(str(tmp_path / "d.bcsl"), dataset)
+    save_checkpoint(str(tmp_path / "c.bcsw"), model, TRAIN_CFG)
+    for name, load, other_load in [
+        ("d.bcsl", load_dataset, load_checkpoint),
+        ("c.bcsw", load_checkpoint, load_dataset),
+    ]:
+        blob = (tmp_path / name).read_bytes()
+        trailer_len = struct.unpack("<Q", blob[-8:])[0]
+        payload_end = len(blob) - 8 - trailer_len
+        bad = tmp_path / f"bad_{name}"
 
-    bad_magic = tmp_path / "bad_magic.bcsm"
-    bad_magic.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(FileFormatError, match="magic"):
-        load_matrix(str(bad_magic))
+        bad.write_bytes(b"XXXX" + blob[4:])
+        with pytest.raises(FileFormatError, match="magic"):
+            load(str(bad))
 
-    bad_version = tmp_path / "bad_version.bcsm"
-    bad_version.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
-    with pytest.raises(FileFormatError, match="version"):
-        load_matrix(str(bad_version))
+        bad.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
+        with pytest.raises(FileFormatError, match="version"):
+            load(str(bad))
 
-    truncated = tmp_path / "trunc.bcsm"
-    truncated.write_bytes(blob[:-24])
-    with pytest.raises(FileFormatError):
-        load_matrix(str(truncated))
+        bad.write_bytes(blob[:-24])  # cut into the trailer
+        with pytest.raises(FileFormatError):
+            load(str(bad))
 
-    # extra payload bytes between the entries and the trailer
-    fixed = struct.calcsize("<4sI") + struct.calcsize("<IQQqI")
-    trailer_len = struct.unpack("<Q", blob[-8:])[0]
-    padded = tmp_path / "padded.bcsm"
-    padded.write_bytes(
-        blob[:-8 - trailer_len] + b"\0" * 16 + blob[-8 - trailer_len :]
-    )
-    assert fixed < len(blob)
-    with pytest.raises(FileFormatError, match="trailing"):
-        load_matrix(str(padded))
+        # 16 array bytes short, trailer intact
+        bad.write_bytes(blob[: payload_end - 16] + blob[payload_end:])
+        with pytest.raises(FileFormatError, match="incomplete array payload"):
+            load(str(bad))
 
-    wrong_loader = tmp_path / "w.bcsl"
-    wrong_loader.write_bytes(blob)
-    with pytest.raises(FileFormatError, match="magic"):
-        load_dataset(str(wrong_loader))
+        # extra payload bytes between the arrays and the trailer
+        bad.write_bytes(blob[:payload_end] + b"\0" * 16 + blob[payload_end:])
+        with pytest.raises(FileFormatError, match="trailing"):
+            load(str(bad))
 
-
-def test_matrix_rejects_unknown_tag(tmp_path):
-    mat = generate_baseline(MatrixKind.GAUSSIAN, 4, 16, seed=0)
-    path = tmp_path / "m.bcsm"
-    save_matrix(str(path), mat)
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<I", blob, 8, 77)  # kind tag field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(FileFormatError, match="kind tag"):
-        load_matrix(str(path))
+        with pytest.raises(FileFormatError, match="magic"):
+            other_load(str(tmp_path / name))
 
 
 def test_training_csv(tmp_path, trained):
@@ -240,7 +205,7 @@ def test_report_json(tmp_path, trained):
     assert doc["config"] == {"profile": "test"}
     assert doc["m_values"] == [4, 8]
     assert doc["num_test_samples"] == 6
-    assert doc["recovery"]["solver"] == "basis_pursuit_lp"
+    assert doc["recovery"] == {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200}
     gap = next(r for r in doc["rows"] if r["note"] == "missing checkpoint")
     assert gap["exact_rate"] is None  # NaN must not leak into JSON
     filled = next(r for r in doc["rows"] if r["kind"] == "learned" and r["m"] == 4)
@@ -271,15 +236,6 @@ def test_figure_csvs(tmp_path, trained):
     assert lines[0] == "m,learned,gaussian"
     assert lines[1].startswith("4,")
     assert lines[2].split(",")[1] == ""  # the m=8 learned gap is blank
-
-
-def test_export_matrix_csv(tmp_path):
-    mat = generate_baseline(MatrixKind.BERNOULLI, 4, 16, seed=3)
-    src, out = tmp_path / "m.bcsm", tmp_path / "m.csv"
-    save_matrix(str(src), mat)
-    export_matrix_csv(str(src), str(out))
-    back = np.loadtxt(str(out), delimiter=",")
-    assert np.array_equal(back, mat.data)  # %.17g is lossless for f64
 
 
 def test_export_dataset_csv(tmp_path, trained):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from beamcs import MatrixKind, MeasurementMatrix, generate_baseline, measure
-from beamcs.matrices import COMPLEX_KINDS, KIND_TAGS, KINDS_BY_TAG, realify_rows
+from beamcs.matrices import COMPLEX_KINDS, KIND_TAGS, realify_rows
 
 BASELINES = [k for k in MatrixKind if k is not MatrixKind.LEARNED]
 
 
 def test_kind_tags_bijective():
+    # one distinct tag per kind: each kind draws from its own RNG stream
+    assert set(KIND_TAGS) == set(MatrixKind)
     assert sorted(KIND_TAGS.values()) == list(range(6))
-    assert all(KINDS_BY_TAG[tag] is kind for kind, tag in KIND_TAGS.items())
 
 
 @pytest.mark.parametrize("kind", BASELINES)

@@ -5,11 +5,9 @@ from beamcs import (
     BasisPursuitSolver,
     RecoveryConfig,
     RecoveryStatus,
-    SolverKind,
     basis_pursuit,
     oracle_sparse_recover,
     projected_subgradient,
-    recover,
 )
 
 
@@ -126,16 +124,6 @@ def test_projected_subgradient_feasible_iterates(rng):
     phi, _, y = sparse_instance(rng, m=6, n=18, k=2)
     res = projected_subgradient(phi, y, cfg=RecoveryConfig(max_iters=100))
     assert np.linalg.norm(phi @ res.h_hat - y) <= 1e-9
-
-
-def test_recover_dispatch(rng):
-    phi, _, y = sparse_instance(rng)
-    lp = recover(phi, y, RecoveryConfig(solver=SolverKind.BASIS_PURSUIT_LP))
-    sub = recover(
-        phi, y, RecoveryConfig(solver=SolverKind.PROJECTED_SUBGRADIENT, max_iters=50)
-    )
-    assert np.array_equal(lp.h_hat, basis_pursuit(phi, y).h_hat)
-    assert sub.iterations == 50
 
 
 def test_oracle_finds_sparsest(rng):
