@@ -300,7 +300,7 @@ class ChannelDataset:
 
 def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
     """Deterministic train/dev/test sizes; remainder goes to the test split."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     if any(r < 0 for r in ratios):
         raise ValueError("split ratios must be nonnegative")

@@ -14,7 +14,7 @@ import copy
 import json
 from dataclasses import dataclass
 
-from .channels import AngleMode, ChannelConfig, GainModel
+from .channels import AngleMode, ChannelConfig, GainModel, split_sizes
 from .evaluate import MetricConfig
 from .matrices import MatrixKind
 from .recovery import RecoveryConfig
@@ -141,6 +141,14 @@ class ExperimentConfig:
             raise ConfigError("kinds must be distinct")
         if not 0.0 <= self.floor < 1.0:
             raise ConfigError("floor must lie in [0, 1)")
+        if not self.zero_tol >= 0.0:
+            raise ConfigError("zero_tol must be nonnegative")
+        if self.num_samples < 10:
+            raise ConfigError("num_samples must be at least 10")
+        try:
+            split_sizes(self.num_samples, self.ratios)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def profile_defaults(name: str) -> dict:
@@ -226,59 +234,56 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     """
     try:
         _reject_unknown(doc, _profile_keys())
-        seed = int(doc.get("seed", 0))
+        seed = int(doc["seed"])
         ch = _section(doc, "channel", seeded=True)
         channel = ChannelConfig(
             num_antennas=int(ch["num_antennas"]),
             num_paths=int(ch["num_paths"]),
-            angle_mode=_enum(AngleMode, ch.get("angle_mode", "on_grid"), "angle_mode"),
-            gain_model=_enum(
-                GainModel, ch.get("gain_model", "complex_gaussian"), "gain_model"
-            ),
+            angle_mode=_enum(AngleMode, ch["angle_mode"], "angle_mode"),
+            gain_model=_enum(GainModel, ch["gain_model"], "gain_model"),
             seed=int(ch.get("seed", seed)),
         )
         data = _section(doc, "data")
         num_samples = int(data["num_samples"])
-        ratios_raw = data.get("ratios", [0.8, 0.1, 0.1])
+        ratios_raw = data["ratios"]
         if len(ratios_raw) != 3:
             raise ConfigError("ratios must have exactly 3 entries")
         ratios = tuple(float(r) for r in ratios_raw)
         tr = _section(doc, "train", seeded=True)
         stddev = tr.get("init_stddev")
         train = TrainConfig(
-            learning_rate=float(tr.get("learning_rate", 0.01)),
-            batch_size=int(tr.get("batch_size", 128)),
-            max_epochs=int(tr.get("max_epochs", 1000)),
+            learning_rate=float(tr["learning_rate"]),
+            batch_size=int(tr["batch_size"]),
+            max_epochs=int(tr["max_epochs"]),
             init_stddev=None if stddev is None else float(stddev),
-            num_updates=int(tr.get("num_updates", 9)),
-            alpha_init=float(tr.get("alpha_init", 1.0)),
+            num_updates=int(tr["num_updates"]),
+            alpha_init=float(tr["alpha_init"]),
             seed=int(tr.get("seed", seed)),
-            dev_eval_every=int(tr.get("dev_eval_every", 5)),
-            early_stop_patience=int(tr.get("early_stop_patience", 0)),
+            dev_eval_every=int(tr["dev_eval_every"]),
+            early_stop_patience=int(tr["early_stop_patience"]),
         )
         rc = _section(doc, "recovery")
         recovery = RecoveryConfig(
-            feas_tol=float(rc.get("feas_tol", 1e-10)),
-            opt_tol=float(rc.get("opt_tol", 1e-9)),
-            max_iters=int(rc.get("max_iters", 200)),
+            feas_tol=float(rc["feas_tol"]),
+            opt_tol=float(rc["opt_tol"]),
+            max_iters=int(rc["max_iters"]),
         )
         mc = _section(doc, "metric")
         metric = MetricConfig(
-            exact_tol=float(mc.get("exact_tol", 1e-8)),
-            block_length=int(mc.get("block_length", 200)),
-            base_rate=float(mc.get("base_rate", 1.0)),
+            exact_tol=float(mc["exact_tol"]),
+            block_length=int(mc["block_length"]),
+            base_rate=float(mc["base_rate"]),
         )
-        m_values = tuple(int(m) for m in doc.get("m_values", []))
-        kinds = tuple(
-            _enum(MatrixKind, k, "matrix kind") for k in doc.get("kinds", [])
-        )
+        m_values = tuple(int(m) for m in doc["m_values"])
+        kinds = tuple(_enum(MatrixKind, k, "matrix kind") for k in doc["kinds"])
+        # Config echoes leave out_dir out, so a rebuilt echo needs the fallback.
         out_dir = str(doc.get("out_dir", "runs/out"))
         return ExperimentConfig(
             channel=channel,
             num_samples=num_samples,
             ratios=ratios,  # type: ignore[arg-type]
-            floor=float(data.get("floor", 0.1)),
-            zero_tol=float(data.get("zero_tol", 1e-12)),
+            floor=float(data["floor"]),
+            zero_tol=float(data["zero_tol"]),
             train=train,
             recovery=recovery,
             metric=metric,

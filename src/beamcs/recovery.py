@@ -2,8 +2,11 @@
 
 basis_pursuit solves min ||h||_1 s.t. Phi h = y through a Mehrotra
 predictor-corrector interior-point method on the equivalent LP
-min 1'z s.t. [Phi, -Phi] z = y, z >= 0.  The normal-equations matrix is
-only m x m, so one solve costs O(m^2 n) regardless of the signal length.
+min 1'z s.t. A z = y, z >= 0 with A = [Phi, -Phi] and z = [h+; h-].
+A is never formed: every product goes through Phi alone, A v =
+Phi (v+ - v-), A^T lam = [Phi^T lam; -Phi^T lam], and the normal matrix
+A diag(d) A^T = Phi diag(d+ + d-) Phi^T.  That matrix is only m x m, so
+one solve costs O(m^2 n) regardless of the signal length.
 
 projected_subgradient iterates h <- P[h - (a/t) sign(h)] where P is the
 Euclidean projection onto the affine solution set, and
@@ -74,22 +77,42 @@ def project_feasible(phi, gram_chol, y, x) -> np.ndarray:
 
 def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     """Largest alpha with v + alpha*dv >= 0, given v > 0."""
-    neg = dv < 0
-    if not neg.any():
-        return np.inf
-    return float(np.min(-v[neg] / dv[neg]))
+    ratios = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
+    return float(ratios.min())
 
 
 def _regularized_cho_factor(mat: np.ndarray):
     """Cholesky with escalating diagonal regularization on failure."""
-    scale = max(float(np.trace(mat)) / mat.shape[0], 1.0)
-    reg = 0.0
-    for _ in range(8):
+    try:
+        return cho_factor(mat, lower=True)
+    except LinAlgError:
+        pass
+    eye = np.eye(mat.shape[0])
+    reg = 1e-14 * max(float(np.trace(mat)) / mat.shape[0], 1.0)
+    for _ in range(7):
         try:
-            return cho_factor(mat + reg * np.eye(mat.shape[0]), lower=True)
+            return cho_factor(mat + reg * eye, lower=True)
         except LinAlgError:
-            reg = max(reg * 100.0, 1e-14 * scale)
+            reg *= 100.0
     raise np.linalg.LinAlgError("normal-equations matrix is not factorizable")
+
+
+def _split_matvec(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for A = [Phi, -Phi]."""
+    n = phi.shape[1]
+    return phi @ (v[:n] - v[n:])
+
+
+def _split_rmatvec(phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A^T lam for A = [Phi, -Phi]."""
+    g = phi.T @ lam
+    return np.concatenate((g, -g))
+
+
+def _split_normal(phi: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A diag(d) A^T for A = [Phi, -Phi]."""
+    n = phi.shape[1]
+    return (phi * (d[:n] + d[n:])) @ phi.T
 
 
 class BasisPursuitSolver:
@@ -121,7 +144,6 @@ class BasisPursuitSolver:
             self._row_basis = svd_u[:, :rank].T
             self._phi_work = self._row_basis @ phi
         self._gram_chol = gram_cholesky(self._phi_work)
-        self._A = np.hstack([self._phi_work, -self._phi_work])
 
     def _reduce(self, y: np.ndarray) -> np.ndarray:
         return y if self._row_basis is None else self._row_basis @ y
@@ -175,34 +197,28 @@ class BasisPursuitSolver:
 
     def _mehrotra(self, b: np.ndarray) -> tuple[np.ndarray, int, bool]:
         cfg = self.cfg
-        A = self._A
-        n2 = A.shape[1]
-        c = np.ones(n2)
-
-        def aat_solve(v):
-            # A A^T = 2 Phi Phi^T for the sign-split constraint matrix.
-            return cho_solve(self._gram_chol, v) / 2.0
+        phi = self._phi_work
+        n2 = 2 * phi.shape[1]
 
         # Starting point heuristic: least-norm primal, least-squares dual,
-        # shifted into the positive orthant.
-        x = A.T @ aat_solve(b)
-        lam = aat_solve(A @ c)
-        s = c - A.T @ lam
+        # shifted into the positive orthant.  A A^T = 2 Phi Phi^T, and the
+        # cost c = 1 gives A c = 0, so the dual starts at lam = 0, s = c.
+        x = _split_rmatvec(phi, cho_solve(self._gram_chol, b) / 2.0)
+        lam = np.zeros(b.shape[0])
+        s = np.ones(n2)
         dx = max(-1.5 * float(x.min()), 0.0)
-        ds = max(-1.5 * float(s.min()), 0.0)
         x = x + dx
-        s = s + ds
         xs = float(x @ s)
         x = x + 0.5 * xs / float(s.sum())
         s = s + 0.5 * xs / float(x.sum())
 
         b_scale = 1.0 + float(np.linalg.norm(b))
-        c_scale = 1.0 + float(np.linalg.norm(c))
+        c_scale = 1.0 + np.sqrt(n2)  # 1 + ||c||
         iterations = 0
         for iterations in range(1, cfg.max_iters + 1):
-            rb = A @ x - b
-            rc = A.T @ lam + s - c
-            obj = float(c @ x)
+            rb = _split_matvec(phi, x) - b
+            rc = _split_rmatvec(phi, lam) + s - 1.0
+            obj = float(x.sum())
             gap = obj - float(b @ lam)
             if (
                 np.linalg.norm(rb) / b_scale <= cfg.feas_tol
@@ -213,12 +229,13 @@ class BasisPursuitSolver:
 
             mu = float(x @ s) / n2
             d = np.minimum(x / s, 1e16)
-            m_chol = _regularized_cho_factor((A * d) @ A.T)
+            m_chol = _regularized_cho_factor(_split_normal(phi, d))
+            d_rc = d * rc
 
             def newton(r_xs):
-                rhs = -rb - A @ (r_xs / s) - A @ (d * rc)
+                rhs = -rb - _split_matvec(phi, r_xs / s + d_rc)
                 dlam = cho_solve(m_chol, rhs)
-                ds_ = -rc - A.T @ dlam
+                ds_ = -rc - _split_rmatvec(phi, dlam)
                 dx_ = (r_xs - x * ds_) / s
                 return dx_, dlam, ds_
 

@@ -122,6 +122,17 @@ def test_unsupported_solver_is_a_usage_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_bad_data_section_is_a_usage_error(tmp_path, capsys):
+    # caught when the config is built, not as a traceback from gen-data
+    cfg = tmp_path / "cfg.json"
+    out = str(tmp_path / "out")
+    cfg.write_text(json.dumps({**CFG, "data": {"ratios": [0.5, 0.3, 0.3]}}))
+    assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: split ratios must sum to 1") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 def test_bad_workers_env(run_dir, monkeypatch, tmp_path):
     root, out = run_dir
     cfg = str(root / "cfg.json")

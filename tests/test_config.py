@@ -141,6 +141,12 @@ def test_explicit_section_seed_wins():
         ({"metric": {"exact_tol_": 1e-6}}, "unknown config key: metric.exact_tol_$"),
         ({"m_value": [8]}, "unknown config key: m_value$"),
         ({"sed": 1, "kind": []}, "unknown config key: kind, sed$"),
+        # the data section is checked here, not later by generate_dataset
+        ({"data": {"ratios": [0.5, 0.3, 0.3]}}, "ratios must sum to 1"),
+        ({"data": {"ratios": [1.2, -0.1, -0.1]}}, "ratios must be nonnegative"),
+        ({"data": {"ratios": [float("nan"), 0.0, 1.0]}}, "ratios must sum to 1"),
+        ({"data": {"zero_tol": -1}}, "zero_tol must be nonnegative"),
+        ({"data": {"num_samples": 3}}, "num_samples must be at least 10"),
     ],
 )
 def test_build_experiment_rejects(overrides, message):
@@ -222,6 +228,33 @@ def test_config_echo_round_trips_and_every_key_is_read(profile):
         assert expected != echo, path
         # the changed leaf, and only that leaf, reaches the rebuilt echo
         assert config_echo(build_experiment(expected)) == expected, path
+
+
+# Profile keys a document may leave out: init_stddev falls back to the
+# width-scaled init, and config echoes omit out_dir.
+OPTIONAL_KEYS = {("train", "init_stddev"), ("out_dir",)}
+
+
+def _without(doc, path):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("profile", PROFILE_NAMES)
+def test_every_other_profile_key_is_required(profile):
+    # build_experiment keeps no second copy of the profile defaults
+    full = profile_defaults(profile)
+    for path in _leaves(full):
+        doc = _without(full, path)
+        if path in OPTIONAL_KEYS:
+            build_experiment(doc)
+        else:
+            with pytest.raises(ConfigError, match="invalid configuration"):
+                build_experiment(doc)
 
 
 def test_config_echo_omits_out_dir():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
+import beamcs.recovery as recovery
 from beamcs import (
     BasisPursuitSolver,
     RecoveryConfig,
@@ -162,3 +164,65 @@ def test_oracle_zero_measurement(rng):
     res = oracle_sparse_recover(phi, np.zeros(4), k_max=1)
     assert res.objective == 0.0
     assert np.array_equal(res.h_hat, np.zeros(10))
+
+
+def test_step_to_boundary_unbounded_without_a_decreasing_entry():
+    v = np.array([1.0, 2.0, 3.0])
+    assert recovery._step_to_boundary(v, np.array([0.0, 1.0, 2.0])) == np.inf
+
+
+def test_step_to_boundary_matches_masked_ratio(rng):
+    for _ in range(20):
+        v = rng.uniform(1e-6, 10.0, 1024)
+        dv = rng.standard_normal(1024) * 10.0 ** rng.uniform(-6, 6, 1024)
+        neg = dv < 0
+        assert recovery._step_to_boundary(v, dv) == float(np.min(-v[neg] / dv[neg]))
+
+
+def test_regularized_cho_factor_leaves_definite_matrix_alone(rng):
+    b = rng.standard_normal((6, 9))
+    mat = b @ b.T
+    c, lower = recovery._regularized_cho_factor(mat)
+    assert lower and np.array_equal(c, cho_factor(mat, lower=True)[0])
+
+
+def test_regularized_cho_factor_first_regularization():
+    mat = 4.0 * np.ones((2, 2))  # singular PSD, scale = trace / 2 = 4
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(mat, lower=True)
+    c, _ = recovery._regularized_cho_factor(mat)
+    expected, _ = cho_factor(mat + 4e-14 * np.eye(2), lower=True)
+    assert np.array_equal(c, expected)
+
+
+def test_regularized_cho_factor_gives_up_on_indefinite_matrix(monkeypatch):
+    regs = []
+    factor = recovery.cho_factor
+
+    def recording(a, **kwargs):
+        regs.append(a[0, 0])  # the regularization added to a zero diagonal
+        return factor(a, **kwargs)
+
+    monkeypatch.setattr(recovery, "cho_factor", recording)
+    with pytest.raises(np.linalg.LinAlgError, match="not factorizable"):
+        recovery._regularized_cho_factor(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # the plain factor, then 1e-14 * scale (scale 1 here) growing 100x
+    expected = [0.0] + [1e-14 * 100.0**k for k in range(7)]
+    np.testing.assert_allclose(regs, expected, rtol=1e-12, atol=0)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [20, 40])
+def test_split_products_match_explicit_sign_split(rng, m):
+    n = 512
+    phi = rng.standard_normal((m, n)) / np.sqrt(m)
+    a = np.hstack([phi, -phi])
+    d = 10.0 ** rng.uniform(-8, 8, 2 * n)
+    v = rng.standard_normal(2 * n)
+    lam = rng.standard_normal(m)
+    assert _rel(recovery._split_normal(phi, d), (a * d) @ a.T) <= 1e-12
+    assert _rel(recovery._split_matvec(phi, v), a @ v) <= 1e-12
+    assert _rel(recovery._split_rmatvec(phi, lam), a.T @ lam) <= 1e-12
