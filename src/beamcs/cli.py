@@ -3,8 +3,7 @@
 Every command is deterministic given its config and seeds; data outputs
 are byte-identical across reruns (wall-clock lives only in log columns
 and stdout).  Exit codes: 0 success, 1 usage or config error, 2
-numerical failure, 3 I/O error.  BEAMCS_WORKERS sets recovery
-parallelism (default 1).
+numerical failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -82,17 +81,6 @@ def _experiment(args) -> "tuple":
     return cfg
 
 
-def _workers() -> int:
-    raw = os.environ.get("BEAMCS_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"BEAMCS_WORKERS must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError("BEAMCS_WORKERS must be >= 1")
-    return workers
-
-
 def cmd_gen_data(args) -> int:
     cfg = _experiment(args)
     dataset = generate_dataset(
@@ -163,7 +151,6 @@ def cmd_sweep(args) -> int:
             cfg.recovery,
             cfg.metric,
             learned=learned,
-            workers=_workers(),
         )
     except np.linalg.LinAlgError:
         raise

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .channels import AngleMode, ChannelConfig, GainModel, split_sizes
 from .evaluate import MetricConfig
@@ -325,27 +325,9 @@ def config_echo(cfg: ExperimentConfig) -> dict:
             "floor": cfg.floor,
             "zero_tol": cfg.zero_tol,
         },
-        "train": {
-            "learning_rate": cfg.train.learning_rate,
-            "batch_size": cfg.train.batch_size,
-            "max_epochs": cfg.train.max_epochs,
-            "init_stddev": cfg.train.init_stddev,
-            "num_updates": cfg.train.num_updates,
-            "alpha_init": cfg.train.alpha_init,
-            "seed": cfg.train.seed,
-            "dev_eval_every": cfg.train.dev_eval_every,
-            "early_stop_patience": cfg.train.early_stop_patience,
-        },
-        "recovery": {
-            "feas_tol": cfg.recovery.feas_tol,
-            "opt_tol": cfg.recovery.opt_tol,
-            "max_iters": cfg.recovery.max_iters,
-        },
-        "metric": {
-            "exact_tol": cfg.metric.exact_tol,
-            "block_length": cfg.metric.block_length,
-            "base_rate": cfg.metric.base_rate,
-        },
+        "train": asdict(cfg.train),
+        "recovery": asdict(cfg.recovery),
+        "metric": asdict(cfg.metric),
         "m_values": list(cfg.m_values),
         "kinds": [k.value for k in cfg.kinds],
         "seed": cfg.seed,

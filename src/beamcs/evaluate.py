@@ -8,7 +8,6 @@ pursuit, and computes all three metrics from that single solver pass.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -123,59 +122,27 @@ def effective_rate(p: float, m: int, block_length: int, base_rate: float) -> flo
     return base_rate * (1.0 - m / block_length) * p
 
 
-def _solve_block(
-    solver: BasisPursuitSolver, block: np.ndarray
-) -> tuple[np.ndarray, int]:
-    estimates = np.empty_like(block)
-    failures = 0
-    for i in range(block.shape[0]):
-        res = solver.solve(solver.phi @ block[i])
-        estimates[i] = res.h_hat
-        if res.status is not RecoveryStatus.OPTIMAL:
-            failures += 1
-    return estimates, failures
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(phi: np.ndarray, cfg: RecoveryConfig) -> None:
-    _POOL_STATE["solver"] = BasisPursuitSolver(phi, cfg)
-
-
-def _pool_solve(block: np.ndarray) -> tuple[np.ndarray, int]:
-    return _solve_block(_POOL_STATE["solver"], block)
-
-
 def recover_all(
-    matrix: MeasurementMatrix,
-    samples: np.ndarray,
-    cfg: RecoveryConfig,
-    workers: int = 1,
+    matrix: MeasurementMatrix, samples: np.ndarray, cfg: RecoveryConfig
 ) -> tuple[np.ndarray, int]:
     """Basis-pursuit recovery of every row of samples measured by matrix.
 
-    Returns (estimates, num_non_optimal).  workers > 1 splits the rows
-    over processes; chunks are reassembled in order, so the result is
-    identical to the serial path.
+    Returns (estimates, num_non_optimal).  One solver shares the
+    factorizations of the matrix across every row.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != matrix.num_columns:
         raise ValueError(
             f"expected (samples, {matrix.num_columns}), got {samples.shape}"
         )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or samples.shape[0] < 2 * workers:
-        solver = BasisPursuitSolver(matrix.data, cfg)
-        return _solve_block(solver, samples)
-    blocks = np.array_split(samples, workers * 4)
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(matrix.data, cfg)
-    ) as pool:
-        results = list(pool.map(_pool_solve, blocks))
-    estimates = np.vstack([r[0] for r in results])
-    failures = sum(r[1] for r in results)
+    solver = BasisPursuitSolver(matrix.data, cfg)
+    estimates = np.empty_like(samples)
+    failures = 0
+    for i in range(samples.shape[0]):
+        res = solver.solve(solver.phi @ samples[i])
+        estimates[i] = res.h_hat
+        if res.status is not RecoveryStatus.OPTIMAL:
+            failures += 1
     return estimates, failures
 
 
@@ -204,7 +171,6 @@ def run_sweep(
     recovery_cfg: RecoveryConfig,
     metric_cfg: MetricConfig,
     learned: Mapping[int, MeasurementMatrix] | None = None,
-    workers: int = 1,
 ) -> SweepReport:
     """Evaluates every (matrix kind, m) cell on the dataset's test split.
 
@@ -274,7 +240,7 @@ def run_sweep(
                 matrix = sweep_baseline(spec.kind, m, dataset.width, spec.seed)
                 seed = spec.seed
             tic = time.perf_counter()
-            estimates, failures = recover_all(matrix, test, recovery_cfg, workers)
+            estimates, failures = recover_all(matrix, test, recovery_cfg)
             seconds = time.perf_counter() - tic
             p = exact_recovery_rate(test, estimates, metric_cfg.exact_tol)
             nrse, excluded = mean_nrse(test, estimates)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
@@ -178,20 +179,6 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
 # -------------------------------------------------------------- checkpoints
 
 
-def _train_cfg_echo(cfg: TrainConfig) -> dict:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "max_epochs": cfg.max_epochs,
-        "init_stddev": cfg.init_stddev,
-        "num_updates": cfg.num_updates,
-        "alpha_init": cfg.alpha_init,
-        "seed": cfg.seed,
-        "dev_eval_every": cfg.dev_eval_every,
-        "early_stop_patience": cfg.early_stop_patience,
-    }
-
-
 def save_checkpoint(
     path: str, model: UnrolledAutoencoder, train_cfg: TrainConfig | None = None
 ) -> None:
@@ -208,7 +195,7 @@ def save_checkpoint(
     for layer in model.bn_layers:
         arrays += [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
     echo = {
-        "train_config": _train_cfg_echo(train_cfg) if train_cfg else None,
+        "train_config": asdict(train_cfg) if train_cfg else None,
         "seed": train_cfg.seed if train_cfg else None,
     }
     _write_file(path, CHECKPOINT_MAGIC, fixed, arrays, echo)
@@ -302,16 +289,8 @@ def save_report_json(path: str, report: SweepReport, config_echo: dict) -> None:
         "config": config_echo,
         "m_values": list(report.m_values),
         "kinds": list(report.kinds),
-        "metric": {
-            "exact_tol": report.metric_cfg.exact_tol,
-            "block_length": report.metric_cfg.block_length,
-            "base_rate": report.metric_cfg.base_rate,
-        },
-        "recovery": {
-            "feas_tol": report.recovery_cfg.feas_tol,
-            "opt_tol": report.recovery_cfg.opt_tol,
-            "max_iters": report.recovery_cfg.max_iters,
-        },
+        "metric": asdict(report.metric_cfg),
+        "recovery": asdict(report.recovery_cfg),
         "num_test_samples": report.num_test_samples,
         "rows": [{c: getattr(r, c) for c in _REPORT_COLUMNS} for r in report.rows],
         "notes": report.notes,

@@ -118,8 +118,7 @@ def _split_normal(phi: np.ndarray, d: np.ndarray) -> np.ndarray:
 class BasisPursuitSolver:
     """Shares the row-space factorizations of one Phi across many solves.
 
-    Immutable after construction; solve() is pure, so one solver instance
-    can serve parallel recoveries.
+    Immutable after construction; solve() is pure.
     """
 
     def __init__(self, phi: np.ndarray, cfg: RecoveryConfig | None = None):

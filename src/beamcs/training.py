@@ -96,7 +96,6 @@ class TrainReport:
     best_epoch: int
     best_dev_loss: float
     stopped_early: bool
-    model: UnrolledAutoencoder
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
@@ -260,7 +259,6 @@ def train(
         best_epoch=best_epoch,
         best_dev_loss=best_loss,
         stopped_early=stopped_early,
-        model=best,
     )
     return best, report
 

@@ -1,9 +1,10 @@
 """Acceptance gates for the whole package.
 
 Each test here is one pass/fail verdict.  The three full-scale gates read
-the artifacts of a completed paper-profile run (roughly two hours of CPU;
-see the README) and skip with instructions when those artifacts are
-absent.  Everything else runs from scratch in minutes.
+the artifacts of a completed paper-profile run (about two and a half
+hours on one CPU core; see the README) and skip with instructions when
+those artifacts are absent.  Everything else runs from scratch in
+minutes.
 """
 
 import copy
@@ -80,7 +81,7 @@ def full_scale_report():
                 f"  python3 -m beamcs.cli gen-data --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
                 f"  python3 -m beamcs.cli train    --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
                 f"  python3 -m beamcs.cli sweep    --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
-                "(about five hours), point BEAMCS_PAPER_DIR at an existing run, "
+                "(about two and a half hours), point BEAMCS_PAPER_DIR at an existing run, "
                 "or set BEAMCS_RUN_FULL=1 to run it inside pytest"
             )
     with open(path) as fh:

@@ -82,6 +82,19 @@ def test_checkpoint_round_trip(tmp_path, trained):
     assert echo["seed"] == TRAIN_CFG.seed
 
 
+@pytest.mark.parametrize("profile", ["paper", "ci"])
+def test_checkpoint_train_config_matches_config_echo(tmp_path, trained, profile):
+    # checkpoints and the run config echo the same TrainConfig fields
+    from beamcs.config import config_echo, load_experiment
+
+    _, model, _ = trained
+    cfg = load_experiment(None, profile)
+    path = tmp_path / "c.bcsw"
+    save_checkpoint(str(path), model, cfg.train)
+    _, echo = load_checkpoint(str(path))
+    assert echo["train_config"] == config_echo(cfg)["train"]
+
+
 def test_checkpoint_usable_after_load(tmp_path, trained):
     from beamcs import Mode, forward
 
