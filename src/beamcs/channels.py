@@ -90,8 +90,8 @@ class PreprocessParams:
             raise ValueError("max_nz must be >= min_nz")
         if not 0.0 <= self.floor < 1.0:
             raise ValueError("floor must lie in [0, 1)")
-        if self.zero_tol < 0.0:
-            raise ValueError("zero_tol must be nonnegative")
+        if not 0.0 <= self.zero_tol < np.inf:
+            raise ValueError("zero_tol must be nonnegative and finite")
 
     @property
     def is_sentinel(self) -> bool:

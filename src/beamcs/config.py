@@ -4,17 +4,21 @@ A config document is plain JSON with sections channel / data / train /
 recovery / metric plus sweep-level keys.  Documents start from a named
 profile's defaults ("paper" = full scale, "ci" = desk scale) and
 override fields; CLI flags override last.  The global seed cascades into
-any section seed the document leaves unset.  A key that no profile
-holds (other than a channel or train seed) is an error.
+any section seed the document leaves unset.  Each section's dataclass
+declares its keys and their types: an undeclared key, or a value not of
+its field's JSON type, is an error.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
-from .channels import AngleMode, ChannelConfig, GainModel, split_sizes
+from .channels import ChannelConfig, split_sizes
 from .evaluate import MetricConfig
 from .matrices import MatrixKind
 from .recovery import RecoveryConfig
@@ -25,82 +29,58 @@ class ConfigError(Exception):
     """Invalid, unknown, or inconsistent configuration input."""
 
 
+def _deep_merge(base: dict, override: dict) -> dict:
+    out = dict(base)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = _deep_merge(out[key], value)
+        else:
+            out[key] = value
+    return out
+
+
+# Values both profiles share; each profile below adds its scale keys.
+_SHARED: dict = {
+    "channel": {"angle_mode": "on_grid", "gain_model": "complex_gaussian"},
+    "data": {"ratios": [0.8, 0.1, 0.1], "zero_tol": 1e-12},
+    "train": {
+        "init_stddev": None,
+        "num_updates": 9,
+        "alpha_init": 1.0,
+        "dev_eval_every": 5,
+        "early_stop_patience": 0,
+    },
+    "recovery": {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200},
+    "metric": {"exact_tol": 1e-8, "block_length": 200, "base_rate": 1.0},
+    "kinds": [k.value for k in MatrixKind],
+    "seed": 0,
+}
+
 _PROFILES: dict[str, dict] = {
-    # Full-scale profile: 256 antennas, 3 paths, 20k samples, the five
-    # compression sizes of the headline comparison.
-    "paper": {
-        "channel": {
-            "num_antennas": 256,
-            "num_paths": 3,
-            "angle_mode": "on_grid",
-            "gain_model": "complex_gaussian",
-        },
-        "data": {
-            "num_samples": 20000,
-            "ratios": [0.8, 0.1, 0.1],
+    name: _deep_merge(_SHARED, scale)
+    for name, scale in {
+        # Full-scale profile: 256 antennas, 3 paths, 20k samples, the five
+        # compression sizes of the headline comparison.
+        "paper": {
+            "channel": {"num_antennas": 256, "num_paths": 3},
             # Plain [0, 1] rescaling: the minimum nonzero of each sample
             # lands on exactly 0, so recovery sees one entry fewer.  The
             # headline percentages are only reached with this map.
-            "floor": 0.0,
-            "zero_tol": 1e-12,
+            "data": {"num_samples": 20000, "floor": 0.0},
+            "train": {"learning_rate": 0.01, "batch_size": 128, "max_epochs": 1000},
+            "m_values": [20, 25, 30, 35, 40],
+            "out_dir": "runs/paper",
         },
-        "train": {
-            "learning_rate": 0.01,
-            "batch_size": 128,
-            "max_epochs": 1000,
-            "init_stddev": None,
-            "num_updates": 9,
-            "alpha_init": 1.0,
-            "dev_eval_every": 5,
-            "early_stop_patience": 0,
+        # Desk-scale profile: small enough for a laptop CPU in minutes; the
+        # larger step size compensates for the tight epoch budget.
+        "ci": {
+            "channel": {"num_antennas": 32, "num_paths": 2},
+            "data": {"num_samples": 2000, "floor": 0.1},
+            "train": {"learning_rate": 0.02, "batch_size": 64, "max_epochs": 200},
+            "m_values": [8, 12, 16],
+            "out_dir": "runs/ci",
         },
-        "recovery": {
-            "feas_tol": 1e-10,
-            "opt_tol": 1e-9,
-            "max_iters": 200,
-        },
-        "metric": {"exact_tol": 1e-8, "block_length": 200, "base_rate": 1.0},
-        "m_values": [20, 25, 30, 35, 40],
-        "kinds": [k.value for k in MatrixKind],
-        "seed": 0,
-        "out_dir": "runs/paper",
-    },
-    # Desk-scale profile: small enough for a laptop CPU in minutes; the
-    # larger step size compensates for the tight epoch budget.
-    "ci": {
-        "channel": {
-            "num_antennas": 32,
-            "num_paths": 2,
-            "angle_mode": "on_grid",
-            "gain_model": "complex_gaussian",
-        },
-        "data": {
-            "num_samples": 2000,
-            "ratios": [0.8, 0.1, 0.1],
-            "floor": 0.1,
-            "zero_tol": 1e-12,
-        },
-        "train": {
-            "learning_rate": 0.02,
-            "batch_size": 64,
-            "max_epochs": 200,
-            "init_stddev": None,
-            "num_updates": 9,
-            "alpha_init": 1.0,
-            "dev_eval_every": 5,
-            "early_stop_patience": 0,
-        },
-        "recovery": {
-            "feas_tol": 1e-10,
-            "opt_tol": 1e-9,
-            "max_iters": 200,
-        },
-        "metric": {"exact_tol": 1e-8, "block_length": 200, "base_rate": 1.0},
-        "m_values": [8, 12, 16],
-        "kinds": [k.value for k in MatrixKind],
-        "seed": 0,
-        "out_dir": "runs/ci",
-    },
+    }.items()
 }
 
 PROFILE_NAMES = tuple(_PROFILES)
@@ -141,8 +121,8 @@ class ExperimentConfig:
             raise ConfigError("kinds must be distinct")
         if not 0.0 <= self.floor < 1.0:
             raise ConfigError("floor must lie in [0, 1)")
-        if not self.zero_tol >= 0.0:
-            raise ConfigError("zero_tol must be nonnegative")
+        if not 0.0 <= self.zero_tol < math.inf:
+            raise ConfigError("zero_tol must be nonnegative and finite")
         if self.num_samples < 10:
             raise ConfigError("num_samples must be at least 10")
         try:
@@ -158,16 +138,6 @@ def profile_defaults(name: str) -> dict:
             f"unknown profile {name!r}; available: {', '.join(PROFILE_NAMES)}"
         )
     return copy.deepcopy(_PROFILES[name])
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 def load_document(
@@ -193,13 +163,6 @@ def load_document(
     return merged
 
 
-def _profile_keys(section: str | None = None) -> set[str]:
-    """Keys the profile documents hold at the top level or in a section."""
-    return set().union(
-        *(p if section is None else p[section] for p in _PROFILES.values())
-    )
-
-
 def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
     unknown = sorted(set(doc) - known)
     if unknown:
@@ -208,93 +171,75 @@ def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
         )
 
 
-def _section(doc: dict, name: str, seeded: bool = False) -> dict:
-    """The named section; seeded sections may also set their own seed."""
-    sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    known = _profile_keys(name) | ({"seed"} if seeded else set())
-    _reject_unknown(sec, known, f"{name}.")
-    return sec
+# ExperimentConfig fields that the document holds in its data section.
+_DATA_KEYS = ("num_samples", "ratios", "floor", "zero_tol")
+# Keys a document may leave out: init_stddev falls back to the width-scaled
+# init, and config echoes omit out_dir.  A section seed falls back to the
+# global seed.
+_OPTIONAL = {"init_stddev": None, "out_dir": "runs/out"}
 
 
-def _enum(cls, value, what: str):
-    try:
-        return cls(value)
-    except ValueError as exc:
-        options = ", ".join(e.value for e in cls)
-        raise ConfigError(f"{what} must be one of: {options}") from exc
+def _typed(value, tp, key: str):
+    """value read as the declared type tp, from that type's JSON form only."""
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{key} must have exactly {len(args)} entries")
+        return tuple(_typed(v, args[0], key) for v in value)
+    if type(None) in args:
+        return None if value is None else _typed(value, args[0], key)
+    if issubclass(tp, Enum):
+        if value not in [e.value for e in tp]:
+            options = ", ".join(e.value for e in tp)
+            raise ConfigError(f"{key} must be one of: {options}")
+        return tp(value)
+    json_types = {int: int, float: (int, float), str: str}[tp]
+    if isinstance(value, bool) or not isinstance(value, json_types):
+        raise ConfigError(f"{key} must be of type {tp.__name__}, got {value!r}")
+    return tp(value)
+
+
+def _read(doc, cls, names, prefix="", defaults=_OPTIONAL, also=()) -> dict:
+    """The named fields of dataclass cls, read from doc with their types;
+    doc may hold no other keys than those and also."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"section {prefix[:-1]!r} must be an object")
+    _reject_unknown(doc, {*names, *also}, prefix)
+    hints = get_type_hints(cls)
+    out = {}
+    for name in names:
+        if name in doc:
+            out[name] = _typed(doc[name], hints[name], prefix + name)
+        elif name in defaults:
+            out[name] = defaults[name]
+        else:
+            raise ConfigError(f"invalid configuration: missing key {prefix}{name}")
+    return out
 
 
 def build_experiment(doc: dict) -> ExperimentConfig:
     """Validates a merged document into typed configs.
 
-    Wraps every constructor error in ConfigError so the CLI can map all
-    bad input to one exit code.
+    Every key is read as its dataclass field declares it; constructor
+    errors become ConfigError so the CLI maps all bad input to one exit
+    code.
     """
+    hints = get_type_hints(ExperimentConfig)
+    sections = {k: t for k, t in hints.items() if is_dataclass(t)}
+    top = [k for k in hints if k not in sections and k not in _DATA_KEYS]
     try:
-        _reject_unknown(doc, _profile_keys())
-        seed = int(doc["seed"])
-        ch = _section(doc, "channel", seeded=True)
-        channel = ChannelConfig(
-            num_antennas=int(ch["num_antennas"]),
-            num_paths=int(ch["num_paths"]),
-            angle_mode=_enum(AngleMode, ch["angle_mode"], "angle_mode"),
-            gain_model=_enum(GainModel, ch["gain_model"], "gain_model"),
-            seed=int(ch.get("seed", seed)),
-        )
-        data = _section(doc, "data")
-        num_samples = int(data["num_samples"])
-        ratios_raw = data["ratios"]
-        if len(ratios_raw) != 3:
-            raise ConfigError("ratios must have exactly 3 entries")
-        ratios = tuple(float(r) for r in ratios_raw)
-        tr = _section(doc, "train", seeded=True)
-        stddev = tr.get("init_stddev")
-        train = TrainConfig(
-            learning_rate=float(tr["learning_rate"]),
-            batch_size=int(tr["batch_size"]),
-            max_epochs=int(tr["max_epochs"]),
-            init_stddev=None if stddev is None else float(stddev),
-            num_updates=int(tr["num_updates"]),
-            alpha_init=float(tr["alpha_init"]),
-            seed=int(tr.get("seed", seed)),
-            dev_eval_every=int(tr["dev_eval_every"]),
-            early_stop_patience=int(tr["early_stop_patience"]),
-        )
-        rc = _section(doc, "recovery")
-        recovery = RecoveryConfig(
-            feas_tol=float(rc["feas_tol"]),
-            opt_tol=float(rc["opt_tol"]),
-            max_iters=int(rc["max_iters"]),
-        )
-        mc = _section(doc, "metric")
-        metric = MetricConfig(
-            exact_tol=float(mc["exact_tol"]),
-            block_length=int(mc["block_length"]),
-            base_rate=float(mc["base_rate"]),
-        )
-        m_values = tuple(int(m) for m in doc["m_values"])
-        kinds = tuple(_enum(MatrixKind, k, "matrix kind") for k in doc["kinds"])
-        # Config echoes leave out_dir out, so a rebuilt echo needs the fallback.
-        out_dir = str(doc.get("out_dir", "runs/out"))
-        return ExperimentConfig(
-            channel=channel,
-            num_samples=num_samples,
-            ratios=ratios,  # type: ignore[arg-type]
-            floor=float(data["floor"]),
-            zero_tol=float(data["zero_tol"]),
-            train=train,
-            recovery=recovery,
-            metric=metric,
-            m_values=m_values,
-            kinds=kinds,
-            seed=seed,
-            out_dir=out_dir,
-        )
+        kw = _read(doc, ExperimentConfig, top, also=("data", *sections))
+        kw.update(_read(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
+        for name, cls in sections.items():
+            names = [f.name for f in fields(cls)]
+            defaults = {**_OPTIONAL, "seed": kw["seed"]}
+            kw[name] = cls(**_read(doc.get(name, {}), cls, names, f"{name}.", defaults))
+        return ExperimentConfig(**kw)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
@@ -311,24 +256,18 @@ def config_echo(cfg: ExperimentConfig) -> dict:
     out_dir is deliberately omitted: it says where files land, not what
     they contain, and including it would break byte-identity of reruns
     pointed at different directories."""
-    return {
-        "channel": {
-            "num_antennas": cfg.channel.num_antennas,
-            "num_paths": cfg.channel.num_paths,
-            "angle_mode": cfg.channel.angle_mode.value,
-            "gain_model": cfg.channel.gain_model.value,
-            "seed": cfg.channel.seed,
-        },
-        "data": {
-            "num_samples": cfg.num_samples,
-            "ratios": list(cfg.ratios),
-            "floor": cfg.floor,
-            "zero_tol": cfg.zero_tol,
-        },
-        "train": asdict(cfg.train),
-        "recovery": asdict(cfg.recovery),
-        "metric": asdict(cfg.metric),
-        "m_values": list(cfg.m_values),
-        "kinds": [k.value for k in cfg.kinds],
-        "seed": cfg.seed,
-    }
+    flat = asdict(cfg, dict_factory=lambda kv: {k: _plain(v) for k, v in kv})
+    echo: dict = {}
+    for key, value in flat.items():
+        if key in _DATA_KEYS:
+            echo.setdefault("data", {})[key] = value
+        elif key != "out_dir":
+            echo[key] = value
+    return echo
+
+
+def _plain(value):
+    """A field value in JSON form: enums by value, tuples as lists."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value

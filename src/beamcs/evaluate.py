@@ -31,12 +31,12 @@ class MetricConfig:
     base_rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.exact_tol <= 0:
-            raise ValueError("exact_tol must be positive")
+        if not 0 < self.exact_tol < np.inf:
+            raise ValueError("exact_tol must be positive and finite")
         if self.block_length < 1:
             raise ValueError("block_length must be >= 1")
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
+        if not 0 < self.base_rate < np.inf:
+            raise ValueError("base_rate must be positive and finite")
 
 
 @dataclass(frozen=True)

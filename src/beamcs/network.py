@@ -78,7 +78,6 @@ class BatchNormLayer:
         self,
         x: np.ndarray,
         mode: Mode,
-        update_running: bool = True,
         *,
         x_hat: np.ndarray | None = None,
         out: np.ndarray | None = None,
@@ -86,8 +85,8 @@ class BatchNormLayer:
         """Normalize a (batch, width) block; returns (output, cache).
 
         cache = (x_hat, inv_std) feeds backward().  Train mode requires a
-        batch of at least 2 and by default folds the batch statistics into
-        the running statistics.  x_hat and out, when given, are written
+        batch of at least 2 and folds the batch statistics into the
+        running statistics.  x_hat and out, when given, are written
         and returned instead of fresh arrays; x_hat may be x itself, which
         then is normalized in place.
         """
@@ -99,13 +98,12 @@ class BatchNormLayer:
             mean = x.mean(axis=0)
             x_hat = np.subtract(x, mean, out=x_hat)
             var = np.einsum("ij,ij->j", x_hat, x_hat) / x.shape[0]
-            if update_running:
-                self.running_mean = (
-                    self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-                )
-                self.running_var = (
-                    self.momentum * self.running_var + (1.0 - self.momentum) * var
-                )
+            self.running_mean = (
+                self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+            )
+            self.running_var = (
+                self.momentum * self.running_var + (1.0 - self.momentum) * var
+            )
         else:
             x_hat = np.subtract(x, self.running_mean, out=x_hat)
             var = self.running_var

@@ -37,8 +37,10 @@ class RecoveryConfig:
     max_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.feas_tol < np.inf:
+            raise ValueError("feas_tol must be positive and finite")
+        if not 0 < self.opt_tol < np.inf:
+            raise ValueError("opt_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -177,7 +179,7 @@ class BasisPursuitSolver:
                 iterations=0,
             )
 
-        x, iterations, converged = self._mehrotra(b)
+        x, iterations, converged = self._mehrotra(b, h_ls)
         h = x[:n] - x[n:]
         # Exact feasibility polish; keeps Optimal => residual <= feas_tol
         # meaningful in absolute terms.
@@ -194,15 +196,19 @@ class BasisPursuitSolver:
             iterations=iterations,
         )
 
-    def _mehrotra(self, b: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    def _mehrotra(
+        self, b: np.ndarray, h_ls: np.ndarray
+    ) -> tuple[np.ndarray, int, bool]:
         cfg = self.cfg
         phi = self._phi_work
         n2 = 2 * phi.shape[1]
 
         # Starting point heuristic: least-norm primal, least-squares dual,
-        # shifted into the positive orthant.  A A^T = 2 Phi Phi^T, and the
-        # cost c = 1 gives A c = 0, so the dual starts at lam = 0, s = c.
-        x = _split_rmatvec(phi, cho_solve(self._gram_chol, b) / 2.0)
+        # shifted into the positive orthant.  A A^T = 2 Phi Phi^T, so the
+        # least-norm x is [h_ls; -h_ls] / 2 for the least-norm h_ls of
+        # Phi h = b; the cost c = 1 gives A c = 0, so the dual starts at
+        # lam = 0, s = c.
+        x = np.concatenate((h_ls, -h_ls)) / 2.0
         lam = np.zeros(b.shape[0])
         s = np.ones(n2)
         dx = max(-1.5 * float(x.min()), 0.0)

@@ -60,18 +60,18 @@ class TrainConfig:
     early_stop_patience: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.init_stddev is not None and self.init_stddev <= 0:
-            raise ValueError("init_stddev must be positive")
+        if self.init_stddev is not None and not 0 < self.init_stddev < np.inf:
+            raise ValueError("init_stddev must be positive and finite")
         if self.num_updates < 0:
             raise ValueError("num_updates must be nonnegative")
-        if self.alpha_init <= 0:
-            raise ValueError("alpha_init must be positive")
+        if not 0 < self.alpha_init < np.inf:
+            raise ValueError("alpha_init must be positive and finite")
         if self.dev_eval_every < 1:
             raise ValueError("dev_eval_every must be >= 1")
         if self.early_stop_patience < 0:

@@ -272,3 +272,11 @@ def test_config_validation():
         ChannelConfig(num_antennas=4, num_paths=1, seed=-1)
     with pytest.raises(ValueError):
         generate_dataset(ChannelConfig(num_antennas=4, num_paths=1), 5)
+    # a NaN tolerance would zero every sample, an infinite one too
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="zero_tol"):
+            PreprocessParams(-1.0, 1.0, 0.1, bad)
+        with pytest.raises(ValueError, match="zero_tol"):
+            generate_dataset(
+                ChannelConfig(num_antennas=4, num_paths=1), 20, zero_tol=bad
+            )

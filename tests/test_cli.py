@@ -136,6 +136,17 @@ def test_bad_data_section_is_a_usage_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
+    # 64.7 is not read as 64: an int key takes a JSON integer only
+    cfg = tmp_path / "cfg.json"
+    out = str(tmp_path / "out")
+    cfg.write_text(json.dumps({**CFG, "train": {**CFG["train"], "batch_size": 64.7}}))
+    assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: train.batch_size must be of type int, got 64.7\n"
+    assert not os.path.exists(out)
+
+
 def test_workers_env_is_ignored(run_dir, monkeypatch, tmp_path):
     # recovery has one serial path; a leftover BEAMCS_WORKERS changes nothing
     root, out = run_dir

@@ -1,5 +1,7 @@
 import copy
 import json
+import math
+import re
 
 import pytest
 
@@ -123,7 +125,7 @@ def test_explicit_section_seed_wins():
         ({"m_values": [8, 64]}, "stacked vector width"),
         ({"m_values": [8, 63], "metric": {"block_length": 50}}, "block_length"),
         ({"kinds": ["gaussian", "gaussian"]}, "distinct"),
-        ({"kinds": ["rademacher"]}, "matrix kind must be one of"),
+        ({"kinds": ["rademacher"]}, "kinds must be one of"),
         ({"channel": {"angle_mode": "diagonal"}}, "angle_mode must be one of"),
         ({"recovery": {"solver": "basis_pursuit_lp"}}, "unknown config key: recovery.solver"),
         ({"data": {"ratios": [0.5, 0.5]}}, "exactly 3"),
@@ -147,6 +149,8 @@ def test_explicit_section_seed_wins():
         ({"data": {"ratios": [float("nan"), 0.0, 1.0]}}, "ratios must sum to 1"),
         ({"data": {"zero_tol": -1}}, "zero_tol must be nonnegative"),
         ({"data": {"num_samples": 3}}, "num_samples must be at least 10"),
+        ({"data": {"zero_tol": float("inf")}}, "zero_tol must be nonnegative and finite"),
+        ({"metric": {"exact_tol": float("nan")}}, "exact_tol must be positive and finite"),
     ],
 )
 def test_build_experiment_rejects(overrides, message):
@@ -270,3 +274,37 @@ def test_config_echo_independent_of_out_dir():
     a = config_echo(load_experiment(None, "ci", overrides={"out_dir": "/a"}))
     b = config_echo(load_experiment(None, "ci", overrides={"out_dir": "/b"}))
     assert a == b
+
+
+def _wrong_values(value):
+    """Values of the wrong JSON type for a leaf whose profile value is value."""
+    if isinstance(value, list):
+        return [True, "x", *([w, *value[1:]] for w in _wrong_values(value[0]))]
+    if isinstance(value, str):
+        return [True, 3]
+    if isinstance(value, int):
+        return [True, "9", 64.7, 1e9]
+    # float leaves, and init_stddev, whose profile value is null
+    return [True, "0.5", math.nan, math.inf, -math.inf]
+
+
+def _with_section_seeds(profile):
+    doc = profile_defaults(profile)
+    doc["channel"]["seed"] = doc["train"]["seed"] = 0
+    return doc
+
+
+@pytest.mark.parametrize(
+    "profile, path",
+    [(p, path) for p in PROFILE_NAMES for path in _leaves(_with_section_seeds(p))],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else v,
+)
+def test_every_profile_key_rejects_wrong_types(profile, path):
+    # no bool, string or fractional number for an int, no NaN or infinity
+    doc = _with_section_seeds(profile)
+    node = doc
+    for key in path:
+        node = node[key]
+    for value in _wrong_values(node):
+        with pytest.raises(ConfigError, match=re.escape(path[-1])):
+            build_experiment(_with(doc, path, value))

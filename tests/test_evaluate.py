@@ -92,6 +92,11 @@ def test_metric_config_validation():
         MetricConfig(block_length=0)
     with pytest.raises(ValueError):
         MetricConfig(base_rate=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="exact_tol"):
+            MetricConfig(exact_tol=bad)
+        with pytest.raises(ValueError, match="base_rate"):
+            MetricConfig(base_rate=bad)
 
 
 def test_recover_all_on_easy_instance(tiny_dataset):

@@ -59,14 +59,6 @@ def test_bn_running_statistics_update(rng):
     )
 
 
-def test_bn_update_running_flag(rng):
-    layer = BatchNormLayer.identity(3)
-    x = rng.standard_normal((8, 3))
-    layer.forward(x, Mode.TRAIN, update_running=False)
-    assert np.array_equal(layer.running_mean, np.zeros(3))
-    assert np.array_equal(layer.running_var, np.ones(3))
-
-
 def test_bn_infer_uses_running_stats(rng):
     layer = BatchNormLayer(
         gamma=np.array([2.0, 1.0]),

@@ -101,6 +101,11 @@ def test_recovery_config_validation():
         RecoveryConfig(opt_tol=-1.0)
     with pytest.raises(ValueError):
         RecoveryConfig(max_iters=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="feas_tol"):
+            RecoveryConfig(feas_tol=bad)
+        with pytest.raises(ValueError, match="opt_tol"):
+            RecoveryConfig(opt_tol=bad)
 
 
 def test_max_iters_reported(rng):

@@ -215,6 +215,10 @@ def test_train_config_validation():
         TrainConfig(dev_eval_every=0)
     with pytest.raises(ValueError):
         TrainConfig(early_stop_patience=-1)
+    for bad in (float("nan"), float("inf")):
+        for key in ("learning_rate", "init_stddev", "alpha_init"):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: bad})
 
 
 def test_extract_matrix(tiny_dataset):
