@@ -11,7 +11,6 @@ from .channels import (
     AngleMode,
     ChannelConfig,
     ChannelDataset,
-    GainModel,
     PreprocessParams,
     SpatialChannel,
     dft_grid_matrix,
@@ -88,7 +87,6 @@ __all__ = [
     "ExperimentConfig",
     "FileFormatError",
     "ForwardTrace",
-    "GainModel",
     "Gradients",
     "MatrixKind",
     "MatrixSpec",

@@ -31,25 +31,18 @@ class AngleMode(enum.Enum):
     OFF_GRID = "off_grid"
 
 
-class GainModel(enum.Enum):
-    """Complex path gain distribution."""
-
-    COMPLEX_GAUSSIAN = "complex_gaussian"  # circularly symmetric, unit variance
-    UNIT = "unit"  # deterministic gain 1, for tests and debugging
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """Physical parameters of the synthetic channel generator.
 
     The array is a half-wavelength ULA; that spacing is built into the
-    steering and grid formulas.
+    steering and grid formulas.  Path gains are circularly symmetric
+    complex Gaussian with unit variance.
     """
 
     num_antennas: int
     num_paths: int
     angle_mode: AngleMode = AngleMode.ON_GRID
-    gain_model: GainModel = GainModel.COMPLEX_GAUSSIAN
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -152,11 +145,9 @@ def _draw_directions(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray
 
 
 def _draw_gains(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.gain_model is GainModel.COMPLEX_GAUSSIAN:
-        re = rng.standard_normal(cfg.num_paths)
-        im = rng.standard_normal(cfg.num_paths)
-        return (re + 1j * im) / math.sqrt(2.0)
-    return np.ones(cfg.num_paths, dtype=complex)
+    re = rng.standard_normal(cfg.num_paths)
+    im = rng.standard_normal(cfg.num_paths)
+    return (re + 1j * im) / math.sqrt(2.0)
 
 
 def generate_spatial_channel(

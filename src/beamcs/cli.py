@@ -9,6 +9,7 @@ numerical failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -66,6 +67,18 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
     return values
 
 
+@contextlib.contextmanager
+def _input_errors():
+    """The library's ValueErrors about its input become ConfigError;
+    LinAlgError, a ValueError subclass, stays a numerical failure."""
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _experiment(args) -> "tuple":
     overrides: dict = {}
     if args.seed is not None:
@@ -109,7 +122,8 @@ def cmd_train(args) -> int:
         if not m < dataset.width:
             raise ConfigError(f"m={m} must be < dataset width {dataset.width}")
         tic = time.perf_counter()
-        model, report = train(dataset, m, cfg.train)
+        with _input_errors():  # e.g. an empty train or dev split
+            model, report = train(dataset, m, cfg.train)
         seconds = time.perf_counter() - tic
         ckpt = os.path.join(cfg.out_dir, checkpoint_name(m))
         save_checkpoint(ckpt, model, cfg.train)
@@ -117,9 +131,7 @@ def cmd_train(args) -> int:
         save_training_csv(curve, report)
         print(
             f"m={m}: best dev loss {report.best_dev_loss:.6g} at epoch "
-            f"{report.best_epoch}"
-            + (" (early stop)" if report.stopped_early else "")
-            + f", {seconds:.1f}s; wrote {ckpt}"
+            f"{report.best_epoch}, {seconds:.1f}s; wrote {ckpt}"
         )
     return EXIT_OK
 
@@ -143,21 +155,12 @@ def cmd_sweep(args) -> int:
                         f"m={m} on this dataset needs {(m, dataset.width)}"
                     )
                 learned[m] = extract_matrix(model)
-    try:
+    # run_sweep checks the dataset against the config: off-grid data, or
+    # an m too large for the width
+    with _input_errors():
         report = run_sweep(
-            dataset,
-            specs,
-            cfg.m_values,
-            cfg.recovery,
-            cfg.metric,
-            learned=learned,
+            dataset, specs, cfg.m_values, cfg.recovery, cfg.metric, learned=learned
         )
-    except np.linalg.LinAlgError:
-        raise
-    except ValueError as exc:
-        # run_sweep's checks of the dataset against the config (off-grid
-        # data, m too large for the width) are input errors
-        raise ConfigError(str(exc)) from exc
     save_report_csv(os.path.join(cfg.out_dir, "report.csv"), report)
     save_report_json(
         os.path.join(cfg.out_dir, "report.json"), report, config_echo(cfg)

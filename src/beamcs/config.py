@@ -41,15 +41,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 # Values both profiles share; each profile below adds its scale keys.
 _SHARED: dict = {
-    "channel": {"angle_mode": "on_grid", "gain_model": "complex_gaussian"},
+    "channel": {"angle_mode": "on_grid"},
     "data": {"ratios": [0.8, 0.1, 0.1], "zero_tol": 1e-12},
-    "train": {
-        "init_stddev": None,
-        "num_updates": 9,
-        "alpha_init": 1.0,
-        "dev_eval_every": 5,
-        "early_stop_patience": 0,
-    },
+    "train": {"num_updates": 9, "alpha_init": 1.0, "dev_eval_every": 5},
     "recovery": {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200},
     "metric": {"exact_tol": 1e-8, "block_length": 200, "base_rate": 1.0},
     "kinds": [k.value for k in MatrixKind],
@@ -173,10 +167,9 @@ def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
 
 # ExperimentConfig fields that the document holds in its data section.
 _DATA_KEYS = ("num_samples", "ratios", "floor", "zero_tol")
-# Keys a document may leave out: init_stddev falls back to the width-scaled
-# init, and config echoes omit out_dir.  A section seed falls back to the
-# global seed.
-_OPTIONAL = {"init_stddev": None, "out_dir": "runs/out"}
+# Keys a document may leave out: config echoes omit out_dir.  A section
+# seed falls back to the global seed.
+_OPTIONAL = {"out_dir": "runs/out"}
 
 
 def _typed(value, tp, key: str):
@@ -188,8 +181,6 @@ def _typed(value, tp, key: str):
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{key} must have exactly {len(args)} entries")
         return tuple(_typed(v, args[0], key) for v in value)
-    if type(None) in args:
-        return None if value is None else _typed(value, args[0], key)
     if issubclass(tp, Enum):
         if value not in [e.value for e in tp]:
             options = ", ".join(e.value for e in tp)

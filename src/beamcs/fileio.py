@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .channels import AngleMode, ChannelConfig, ChannelDataset, GainModel
+from .channels import AngleMode, ChannelConfig, ChannelDataset
 from .evaluate import SweepReport, figure_table
 from .network import BatchNormLayer, UnrolledAutoencoder
 from .training import TrainConfig, TrainReport
@@ -128,7 +128,6 @@ def save_dataset(
     )
     echo = {
         "angle_mode": cfg.angle_mode.value,
-        "gain_model": cfg.gain_model.value,
         "seed": cfg.seed,
         "ratios": list(dataset.ratios),
         "floor": dataset.floor,
@@ -150,7 +149,6 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
             num_antennas=int(num_antennas),
             num_paths=int(num_paths),
             angle_mode=AngleMode(echo["angle_mode"]),
-            gain_model=GainModel(echo["gain_model"]),
             seed=int(echo["seed"]),
         )
         ratios = tuple(float(r) for r in echo["ratios"])
@@ -194,10 +192,7 @@ def save_checkpoint(
     arrays = [model.phi]
     for layer in model.bn_layers:
         arrays += [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
-    echo = {
-        "train_config": asdict(train_cfg) if train_cfg else None,
-        "seed": train_cfg.seed if train_cfg else None,
-    }
+    echo = {"train_config": asdict(train_cfg) if train_cfg else None}
     _write_file(path, CHECKPOINT_MAGIC, fixed, arrays, echo)
 
 
@@ -206,27 +201,28 @@ def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
     m, width, num_updates, alpha, eps, momentum = fields
     m, width, num_updates = int(m), int(width), int(num_updates)
     phi, off = _take(payload, 0, (m, width))
-    layers = []
-    for _ in range(num_updates + 1):
-        gamma, off = _take(payload, off, (width,))
-        beta, off = _take(payload, off, (width,))
-        rmean, off = _take(payload, off, (width,))
-        rvar, off = _take(payload, off, (width,))
-        layers.append(
-            BatchNormLayer(
-                gamma=gamma,
-                beta=beta,
-                running_mean=rmean,
-                running_var=rvar,
-                eps=float(eps),
-                momentum=float(momentum),
-            )
-        )
+    stats = []
+    for _ in range(4 * (num_updates + 1)):
+        vec, off = _take(payload, off, (width,))
+        stats.append(vec)
     if off != len(payload):
         raise FileFormatError("trailing bytes after checkpoint payload")
-    model = UnrolledAutoencoder(
-        phi=phi, alpha=float(alpha), num_updates=num_updates, bn_layers=layers
-    )
+    if not (
+        np.isfinite([alpha, eps, momentum]).all()
+        and np.isfinite(np.frombuffer(payload, dtype="<f8")).all()
+    ):
+        raise FileFormatError("checkpoint holds a non-finite value")
+    try:
+        # gamma, beta, running mean, running variance per layer
+        layers = [
+            BatchNormLayer(*stats[i : i + 4], eps=eps, momentum=momentum)
+            for i in range(0, len(stats), 4)
+        ]
+        model = UnrolledAutoencoder(
+            phi=phi, alpha=alpha, num_updates=num_updates, bn_layers=layers
+        )
+    except ValueError as exc:
+        raise FileFormatError(f"invalid checkpoint: {exc}") from exc
     return model, echo
 
 

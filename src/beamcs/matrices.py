@@ -99,9 +99,12 @@ def generate_baseline(
 
     Entry conventions: Gaussian entries are N(0, 1/m); Bernoulli entries
     are +-1/sqrt(m); selection entries are 0/1 equiprobable; partial
-    Fourier draws m/2 distinct rows of the unitary n-point DFT; phase
-    shifter entries are exp(j*xi)/sqrt(n) with xi uniform over num_angles
-    quantized phases.  Deterministic in (kind, m, n, seed, num_angles).
+    Fourier draws m/2 distinct rows k of the unitary n-point DFT from
+    1 <= k <= (n-1)/2, a set free of real rows (k = 0, n/2) and of
+    conjugate pairs (k, n-k), so its realified rows are orthogonal
+    (Phi Phi^T = I/2) and Phi has full rank m; phase shifter entries
+    are exp(j*xi)/sqrt(n) with xi uniform over num_angles quantized
+    phases.  Deterministic in (kind, m, n, seed, num_angles).
     """
     m, n = num_measurements, num_columns
     if kind is MatrixKind.LEARNED:
@@ -119,8 +122,8 @@ def generate_baseline(
     elif kind is MatrixKind.SELECTION:
         data = rng.integers(0, 2, size=(m, n)).astype(float)
     elif kind is MatrixKind.PARTIAL_FOURIER:
-        # m < n guarantees m/2 distinct rows exist in the n-point DFT
-        rows = rng.choice(n, size=m // 2, replace=False)
+        # m < n with m even gives m/2 <= (n-1)//2, so the draw always fits
+        rows = 1 + rng.choice((n - 1) // 2, size=m // 2, replace=False)
         cols = np.arange(n)
         dft_rows = np.exp(-2j * np.pi * np.outer(rows, cols) / n) / math.sqrt(n)
         data = realify_rows(dft_rows)

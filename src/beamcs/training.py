@@ -3,8 +3,8 @@
 Plain SGD (no momentum, no schedule) with one global learning rate for
 every parameter group, including the step-size scalar.  Model selection
 is by best dev loss; the dev split is scored in inference mode on a
-fixed schedule, with optional early stopping.  Runs are bit-reproducible
-functions of (dataset, config, seed).
+fixed schedule, and every run takes all max_epochs epochs.  Runs are
+bit-reproducible functions of (dataset, config, seed).
 """
 
 from __future__ import annotations
@@ -43,21 +43,18 @@ class TrainingDivergedError(RuntimeError):
 class TrainConfig:
     """Training hyperparameters.
 
-    init_stddev None means 1/sqrt(n_cols), so the initial rows keep
-    roughly unit norm at any width.  early_stop_patience counts
-    consecutive dev evaluations without improvement; 0 disables early
-    stopping.
+    Phi starts truncated-normal with stddev 1/sqrt(n_cols), so the
+    initial rows keep roughly unit norm at any width.  Training runs all
+    max_epochs epochs and keeps the snapshot with the best dev loss.
     """
 
     learning_rate: float = 0.01
     batch_size: int = 128
     max_epochs: int = 1000
-    init_stddev: float | None = None
     num_updates: int = 9
     alpha_init: float = 1.0
     seed: int = 0
     dev_eval_every: int = 1
-    early_stop_patience: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < np.inf:
@@ -66,23 +63,20 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.init_stddev is not None and not 0 < self.init_stddev < np.inf:
-            raise ValueError("init_stddev must be positive and finite")
         if self.num_updates < 0:
             raise ValueError("num_updates must be nonnegative")
         if not 0 < self.alpha_init < np.inf:
             raise ValueError("alpha_init must be positive and finite")
         if self.dev_eval_every < 1:
             raise ValueError("dev_eval_every must be >= 1")
-        if self.early_stop_patience < 0:
-            raise ValueError("early_stop_patience must be nonnegative")
 
 
 @dataclass
 class TrainReport:
     """Loss curves and selection outcome of one training run.
 
-    train_losses[i] is the sample-weighted mean batch loss of epoch i+1.
+    train_losses[i] is the sample-weighted mean batch loss of epoch i+1,
+    one entry per epoch of max_epochs, since every run takes them all.
     dev_epochs/dev_losses record the evaluation schedule; epoch 0 is the
     untrained model, so the best-checkpoint guarantee includes it.
     epoch_seconds is wall-clock and belongs in logs, never in
@@ -95,7 +89,6 @@ class TrainReport:
     epoch_seconds: np.ndarray
     best_epoch: int
     best_dev_loss: float
-    stopped_early: bool
 
 
 def _stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
@@ -121,9 +114,8 @@ def init_model(m: int, n_cols: int, cfg: TrainConfig) -> UnrolledAutoencoder:
     """Fresh model: truncated-normal Phi, alpha_init, identity BN layers."""
     if not 0 < m < n_cols:
         raise ValueError(f"need 0 < m < n_cols, got m={m}, n_cols={n_cols}")
-    stddev = cfg.init_stddev if cfg.init_stddev is not None else 1.0 / np.sqrt(n_cols)
     rng = _stream(cfg.seed, _INIT_STREAM)
-    phi = _truncated_normal(rng, (m, n_cols), stddev)
+    phi = _truncated_normal(rng, (m, n_cols), 1.0 / np.sqrt(n_cols))
     layers = [BatchNormLayer.identity(n_cols) for _ in range(cfg.num_updates + 1)]
     return UnrolledAutoencoder(
         phi=phi, alpha=cfg.alpha_init, num_updates=cfg.num_updates, bn_layers=layers
@@ -144,8 +136,7 @@ def _check_finite(model: UnrolledAutoencoder, epoch: int) -> None:
                 break
     if not ok:
         raise TrainingDivergedError(
-            f"non-finite parameter after epoch {epoch}; "
-            "lower the learning rate or the init scale"
+            f"non-finite parameter after epoch {epoch}; lower the learning rate"
         )
 
 
@@ -191,8 +182,6 @@ def train(
     dev_losses = [best_loss]
     train_losses: list[float] = []
     epoch_seconds: list[float] = []
-    evals_since_best = 0
-    stopped_early = False
 
     # Every step overwrites the same batch, error and trace buffers.
     n_train = train_x.shape[0]
@@ -241,15 +230,6 @@ def train(
                 best_loss = loss
                 best_epoch = epoch
                 best = copy.deepcopy(model)
-                evals_since_best = 0
-            else:
-                evals_since_best += 1
-                if (
-                    cfg.early_stop_patience
-                    and evals_since_best >= cfg.early_stop_patience
-                ):
-                    stopped_early = True
-                    break
 
     report = TrainReport(
         train_losses=np.array(train_losses),
@@ -258,7 +238,6 @@ def train(
         epoch_seconds=np.array(epoch_seconds),
         best_epoch=best_epoch,
         best_dev_loss=best_loss,
-        stopped_early=stopped_early,
     )
     return best, report
 

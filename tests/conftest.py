@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beamcs import AngleMode, ChannelConfig, GainModel, generate_dataset
+from beamcs import AngleMode, ChannelConfig, generate_dataset
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +11,6 @@ def tiny_dataset():
         num_antennas=8,
         num_paths=2,
         angle_mode=AngleMode.ON_GRID,
-        gain_model=GainModel.COMPLEX_GAUSSIAN,
         seed=11,
     )
     return generate_dataset(cfg, 60)

@@ -21,7 +21,6 @@ from beamcs import (
     BasisPursuitSolver,
     BatchNormLayer,
     ChannelConfig,
-    GainModel,
     MatrixKind,
     MatrixSpec,
     MetricConfig,
@@ -400,7 +399,6 @@ def test_small_scale_training_beats_gaussian_baseline():
                 num_antennas=32,
                 num_paths=2,
                 angle_mode=AngleMode.ON_GRID,
-                gain_model=GainModel.COMPLEX_GAUSSIAN,
                 seed=seed,
             ),
             2000,

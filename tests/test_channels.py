@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from beamcs import (
     AngleMode,
     ChannelConfig,
-    GainModel,
     PreprocessParams,
     dft_grid_matrix,
     generate_dataset,
@@ -92,12 +91,15 @@ def test_off_grid_channel_leaks():
 
 
 def test_channel_scale_unit_gain():
-    # single unit-gain path on the grid: beamspace peak is sqrt(N/P) exactly
-    cfg = ChannelConfig(num_antennas=16, num_paths=1, gain_model=GainModel.UNIT, seed=0)
+    # single path on the grid: beamspace peak is sqrt(N/P) * |gain| exactly
+    cfg = ChannelConfig(num_antennas=16, num_paths=1, seed=0)
     u = dft_grid_matrix(16)
     ch = generate_spatial_channel(cfg, sample_rng(cfg.seed, 0))
     beam = to_beamspace(ch.coeffs, u)
-    assert np.max(np.abs(beam)) == pytest.approx(math.sqrt(16.0), abs=1e-10)
+    ((gain, _),) = ch.paths
+    assert np.max(np.abs(beam)) == pytest.approx(
+        math.sqrt(16.0) * abs(gain), abs=1e-10
+    )
 
 
 def test_channel_paths_recorded():

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import struct
 from pathlib import Path
 
 import pytest
@@ -117,6 +119,11 @@ def test_unsupported_solver_is_a_usage_error(tmp_path, capsys):
         ({"channel": {**CFG["channel"], "antenna_spacing_ratio": 0.5}},
          "channel.antenna_spacing_ratio"),
         ({"train": {**CFG["train"], "learning_rat": 0.5}}, "train.learning_rat"),
+        ({"train": {**CFG["train"], "early_stop_patience": 0}},
+         "train.early_stop_patience"),
+        ({"train": {**CFG["train"], "init_stddev": None}}, "train.init_stddev"),
+        ({"channel": {**CFG["channel"], "gain_model": "complex_gaussian"}},
+         "channel.gain_model"),
     ]:
         cfg.write_text(json.dumps({**CFG, **extra}))
         for command in ("gen-data", "train", "sweep"):
@@ -250,3 +257,64 @@ def test_gen_data_is_deterministic(run_dir, tmp_path):
     assert main(["gen-data", "--config", cfg, "--seed", "0", "--out", again]) == EXIT_OK
     a = Path(out, "dataset.bcsl").read_bytes()
     assert a == Path(again, "dataset.bcsl").read_bytes()
+
+
+def test_train_on_an_empty_split_is_a_usage_error(tmp_path, capsys):
+    # the ratios pass config validation, but train needs a dev split
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "data": {"ratios": [1.0, 0.0, 0.0]}}))
+    out = str(tmp_path / "out")
+    assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: dataset must have nonempty train and dev splits\n"
+    assert not any(name.endswith(".bcsw") for name in os.listdir(out))
+
+
+# Byte offsets in the run_dir's checkpoint_m4.bcsw (m=4, width 16): an
+# 8-byte prefix, m, width, L as u64, then alpha, eps, momentum as f64, then
+# Phi and each layer's gamma, beta, running mean and running variance.
+_ALPHA, _EPS, _MOMENTUM, _PHI = 32, 40, 48, 56
+_RUNNING_VAR = _PHI + 8 * (4 * 16 + 3 * 16)  # layer 0
+
+CORRUPTIONS = {
+    "negative alpha": (_ALPHA, -1.0),
+    "nan alpha": (_ALPHA, math.nan),
+    "zero eps": (_EPS, 0.0),
+    "momentum 1": (_MOMENTUM, 1.0),
+    "nan in phi": (_PHI, math.nan),
+    "inf in phi": (_PHI, math.inf),
+    "negative running variance": (_RUNNING_VAR, -1.0),
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupt_checkpoint_is_a_file_error(run_dir, tmp_path, capsys, corruption):
+    root, out = run_dir
+    offset, value = CORRUPTIONS[corruption]
+    blob = bytearray(Path(out, checkpoint_name(4)).read_bytes())
+    struct.pack_into("<d", blob, offset, value)
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    bad = ckpts / checkpoint_name(4)
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+
+    exported = tmp_path / "m4.json"
+    code = main(["export", "--in", str(bad), "--format", "json", "--out", str(exported)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert not exported.exists()
+
+    sweep_out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--config", str(root / "cfg.json"), "--out", str(sweep_out),
+        "--data", os.path.join(out, "dataset.bcsl"), "--checkpoints", str(ckpts),
+        "--m", "4", "--kinds", "learned",
+    ])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert not (sweep_out / "report.json").exists()

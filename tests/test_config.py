@@ -34,9 +34,8 @@ def test_paper_profile_defaults():
     assert cfg.m_values == (20, 25, 30, 35, 40)
     assert cfg.kinds == tuple(MatrixKind)
     assert cfg.metric.block_length == 200
-    # the headline numbers need the plain [0, 1] map and the full epoch run
+    # the headline numbers need the plain [0, 1] map
     assert cfg.floor == 0.0
-    assert cfg.train.early_stop_patience == 0
 
 
 def test_ci_profile_defaults():
@@ -151,6 +150,10 @@ def test_explicit_section_seed_wins():
         ({"data": {"num_samples": 3}}, "num_samples must be at least 10"),
         ({"data": {"zero_tol": float("inf")}}, "zero_tol must be nonnegative and finite"),
         ({"metric": {"exact_tol": float("nan")}}, "exact_tol must be positive and finite"),
+        # deleted keys are unknown keys like any other
+        ({"train": {"early_stop_patience": 0}}, "unknown config key: train.early_stop_patience$"),
+        ({"train": {"init_stddev": None}}, "unknown config key: train.init_stddev$"),
+        ({"channel": {"gain_model": "complex_gaussian"}}, "unknown config key: channel.gain_model$"),
     ],
 )
 def test_build_experiment_rejects(overrides, message):
@@ -178,7 +181,6 @@ ECHO_ALTERNATIVES = {
     ("channel", "num_antennas"): 40,
     ("channel", "num_paths"): 1,
     ("channel", "angle_mode"): "off_grid",
-    ("channel", "gain_model"): "unit",
     ("channel", "seed"): 7,
     ("data", "num_samples"): 300,
     ("data", "ratios"): [0.6, 0.2, 0.2],
@@ -187,12 +189,10 @@ ECHO_ALTERNATIVES = {
     ("train", "learning_rate"): 0.5,
     ("train", "batch_size"): 32,
     ("train", "max_epochs"): 3,
-    ("train", "init_stddev"): 0.1,
     ("train", "num_updates"): 4,
     ("train", "alpha_init"): 0.5,
     ("train", "seed"): 8,
     ("train", "dev_eval_every"): 2,
-    ("train", "early_stop_patience"): 10,
     ("recovery", "feas_tol"): 1e-8,
     ("recovery", "opt_tol"): 1e-7,
     ("recovery", "max_iters"): 50,
@@ -234,9 +234,8 @@ def test_config_echo_round_trips_and_every_key_is_read(profile):
         assert config_echo(build_experiment(expected)) == expected, path
 
 
-# Profile keys a document may leave out: init_stddev falls back to the
-# width-scaled init, and config echoes omit out_dir.
-OPTIONAL_KEYS = {("train", "init_stddev"), ("out_dir",)}
+# Profile keys a document may leave out: config echoes omit out_dir.
+OPTIONAL_KEYS = {("out_dir",)}
 
 
 def _without(doc, path):
@@ -284,7 +283,7 @@ def _wrong_values(value):
         return [True, 3]
     if isinstance(value, int):
         return [True, "9", 64.7, 1e9]
-    # float leaves, and init_stddev, whose profile value is null
+    # float leaves
     return [True, "0.5", math.nan, math.inf, -math.inf]
 
 

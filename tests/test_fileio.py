@@ -28,13 +28,12 @@ TRAIN_CFG = TrainConfig(
 
 @pytest.fixture(scope="module")
 def trained():
-    from beamcs import AngleMode, ChannelConfig, GainModel, generate_dataset
+    from beamcs import AngleMode, ChannelConfig, generate_dataset
 
     cfg = ChannelConfig(
         num_antennas=8,
         num_paths=2,
         angle_mode=AngleMode.ON_GRID,
-        gain_model=GainModel.COMPLEX_GAUSSIAN,
         seed=11,
     )
     dataset = generate_dataset(cfg, 60)
@@ -54,6 +53,25 @@ def test_dataset_round_trip(tmp_path, trained):
     assert (loaded.num_train, loaded.num_dev, loaded.num_test) == (48, 6, 6)
     assert loaded.floor == dataset.floor and loaded.zero_tol == dataset.zero_tol
     assert echo["config"] == {"profile": "test"}
+
+
+def test_dataset_with_a_gain_model_entry_loads(tmp_path, trained):
+    # older .bcsl trailers record gain_model; no code reads it
+    dataset, _, _ = trained
+    path = tmp_path / "d.bcsl"
+    save_dataset(str(path), dataset)
+    blob = path.read_bytes()
+    trailer_len = struct.unpack("<Q", blob[-8:])[0]
+    head = blob[: len(blob) - 8 - trailer_len]
+    echo = json.loads(blob[len(head) : -8])
+    assert "gain_model" not in echo
+    echo["gain_model"] = "complex_gaussian"
+    trailer = json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(head + trailer + struct.pack("<Q", len(trailer)))
+    loaded, loaded_echo = load_dataset(str(path))
+    assert loaded_echo["gain_model"] == "complex_gaussian"
+    assert np.array_equal(loaded.samples, dataset.samples)
+    assert loaded.config == dataset.config
 
 
 def test_dataset_write_is_byte_stable(tmp_path, trained):
@@ -79,7 +97,8 @@ def test_checkpoint_round_trip(tmp_path, trained):
         assert np.array_equal(a.running_var, b.running_var)
         assert a.eps == b.eps and a.momentum == b.momentum
     assert echo["train_config"]["learning_rate"] == TRAIN_CFG.learning_rate
-    assert echo["seed"] == TRAIN_CFG.seed
+    assert echo["train_config"]["seed"] == TRAIN_CFG.seed
+    assert "seed" not in echo  # one seed per trailer
 
 
 @pytest.mark.parametrize("profile", ["paper", "ci"])

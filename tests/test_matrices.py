@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beamcs import MatrixKind, MeasurementMatrix, generate_baseline, measure
+from beamcs.evaluate import sweep_baseline
 from beamcs.matrices import COMPLEX_KINDS, KIND_TAGS, realify_rows
 
 BASELINES = [k for k in MatrixKind if k is not MatrixKind.LEARNED]
@@ -61,6 +62,18 @@ def test_partial_fourier_rows():
     # distinct rows: pairwise orthogonal
     gram = complex_rows @ complex_rows.conj().T
     assert np.allclose(gram, np.eye(4), atol=1e-10)
+    # rows k in 1..(n-1)/2 hold no real row and no conjugate pair, so the
+    # realified rows are orthogonal too
+    assert np.allclose(mat.data @ mat.data.T, np.eye(8) / 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, m_values", [(512, range(20, 41)), (64, range(8, 17))])
+def test_partial_fourier_full_rank(n, m_values):
+    # the paper and ci widths, odd m through the sweep's truncated draw
+    for m in m_values:
+        for seed in range(20):
+            data = sweep_baseline(MatrixKind.PARTIAL_FOURIER, m, n, seed).data
+            assert np.linalg.matrix_rank(data) == m, (m, seed)
 
 
 def test_phase_shifter_entries():
