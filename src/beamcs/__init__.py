@@ -26,7 +26,6 @@ from .channels import (
 )
 from .config import ConfigError, ExperimentConfig, load_experiment, profile_defaults
 from .evaluate import (
-    MatrixSpec,
     MetricConfig,
     SweepReport,
     SweepRow,
@@ -89,7 +88,6 @@ __all__ = [
     "ForwardTrace",
     "Gradients",
     "MatrixKind",
-    "MatrixSpec",
     "MeasurementMatrix",
     "MetricConfig",
     "Mode",

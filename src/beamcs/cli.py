@@ -23,7 +23,7 @@ from .config import (
     config_echo,
     load_experiment,
 )
-from .evaluate import MatrixSpec, run_sweep
+from .evaluate import run_sweep
 from .fileio import (
     FileFormatError,
     export_checkpoint_json,
@@ -142,7 +142,6 @@ def cmd_sweep(args) -> int:
     dataset, _ = load_dataset(data_path)
     ckpt_dir = args.checkpoints or cfg.out_dir
 
-    specs = [MatrixSpec(kind=k, seed=cfg.seed) for k in cfg.kinds]
     learned = {}
     if any(k is MatrixKind.LEARNED for k in cfg.kinds):
         for m in cfg.m_values:
@@ -159,7 +158,13 @@ def cmd_sweep(args) -> int:
     # an m too large for the width
     with _input_errors():
         report = run_sweep(
-            dataset, specs, cfg.m_values, cfg.recovery, cfg.metric, learned=learned
+            dataset,
+            cfg.kinds,
+            cfg.m_values,
+            cfg.recovery,
+            cfg.metric,
+            learned=learned,
+            seed=cfg.seed,
         )
     save_report_csv(os.path.join(cfg.out_dir, "report.csv"), report)
     save_report_json(

@@ -39,18 +39,6 @@ class MetricConfig:
             raise ValueError("base_rate must be positive and finite")
 
 
-@dataclass(frozen=True)
-class MatrixSpec:
-    """One sweep participant: a matrix family and its generation seed.
-
-    Learned matrices are trained elsewhere and passed in as checkpoints,
-    so their seed here is ignored.
-    """
-
-    kind: MatrixKind
-    seed: int = 0
-
-
 @dataclass
 class SweepRow:
     kind: str
@@ -160,24 +148,27 @@ def sweep_baseline(
     """
     if kind in COMPLEX_KINDS and m % 2 != 0:
         full = generate_baseline(kind, m + 1, n, seed)
-        return MeasurementMatrix(full.data[:m], kind, seed, full.num_angles)
+        return MeasurementMatrix(full.data[:m], kind)
     return generate_baseline(kind, m, n, seed)
 
 
 def run_sweep(
     dataset: ChannelDataset,
-    specs: Sequence[MatrixSpec],
+    kinds: Sequence[MatrixKind],
     m_values: Sequence[int],
     recovery_cfg: RecoveryConfig,
     metric_cfg: MetricConfig,
     learned: Mapping[int, MeasurementMatrix] | None = None,
+    seed: int = 0,
 ) -> SweepReport:
     """Evaluates every (matrix kind, m) cell on the dataset's test split.
 
-    A learned checkpoint missing for some m produces an explicit gap row
-    rather than a silent omission or an abort; a cell whose solver
-    reports non-optimal on more than half the samples gets a diagnostic
-    note.  Deterministic given seeds (wall-clock lives only in `seconds`).
+    Every baseline kind is drawn from the one seed, each kind from its
+    own stream; learned matrices come in as checkpoints.  A learned
+    checkpoint missing for some m produces an explicit gap row rather
+    than a silent omission or an abort; a cell whose solver reports
+    non-optimal on more than half the samples gets a diagnostic note.
+    Deterministic given the seed (wall-clock lives only in `seconds`).
     Off-grid datasets are rejected: their vectors are not sparse, so the
     exact-recovery rate would read 0 whatever the matrix.
     """
@@ -200,23 +191,22 @@ def run_sweep(
         raise ValueError("every m must be smaller than the vector width")
     if m_values[-1] >= metric_cfg.block_length:
         raise ValueError("block_length must exceed every swept m")
-    seen = set()
-    for spec in specs:
-        if spec.kind in seen:
-            raise ValueError(f"duplicate matrix kind {spec.kind.value}")
-        seen.add(spec.kind)
+    kinds = tuple(kinds)
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise ValueError(f"duplicate matrix kind {kind.value}")
 
     learned = dict(learned) if learned else {}
     rows: list[SweepRow] = []
     notes: list[str] = []
-    for spec in specs:
+    for kind in kinds:
         for m in m_values:
-            if spec.kind is MatrixKind.LEARNED:
+            if kind is MatrixKind.LEARNED:
                 matrix = learned.get(m)
                 if matrix is None:
                     rows.append(
                         SweepRow(
-                            kind=spec.kind.value,
+                            kind=kind.value,
                             m=m,
                             exact_rate=np.nan,
                             mean_nrse=np.nan,
@@ -235,10 +225,8 @@ def run_sweep(
                         f"checkpoint for m={m} has shape "
                         f"{matrix.data.shape}, dataset width {dataset.width}"
                     )
-                seed: int | None = None
             else:
-                matrix = sweep_baseline(spec.kind, m, dataset.width, spec.seed)
-                seed = spec.seed
+                matrix = sweep_baseline(kind, m, dataset.width, seed)
             tic = time.perf_counter()
             estimates, failures = recover_all(matrix, test, recovery_cfg)
             seconds = time.perf_counter() - tic
@@ -247,10 +235,10 @@ def run_sweep(
             note = ""
             if failures > _FAILURE_NOTE_THRESHOLD * test.shape[0]:
                 note = f"solver non-optimal on {failures}/{test.shape[0]} samples"
-                notes.append(f"{spec.kind.value} m={m}: {note}")
+                notes.append(f"{kind.value} m={m}: {note}")
             rows.append(
                 SweepRow(
-                    kind=spec.kind.value,
+                    kind=kind.value,
                     m=m,
                     exact_rate=p,
                     mean_nrse=nrse,
@@ -259,7 +247,7 @@ def run_sweep(
                         p, m, metric_cfg.block_length, metric_cfg.base_rate
                     ),
                     num_samples=test.shape[0],
-                    seed=seed,
+                    seed=None if kind is MatrixKind.LEARNED else seed,
                     solver_failures=failures,
                     note=note,
                     seconds=seconds,
@@ -269,7 +257,7 @@ def run_sweep(
     report = SweepReport(
         rows=rows,
         m_values=m_values,
-        kinds=tuple(s.kind.value for s in specs),
+        kinds=tuple(k.value for k in kinds),
         metric_cfg=metric_cfg,
         recovery_cfg=recovery_cfg,
         num_test_samples=test.shape[0],

@@ -37,15 +37,16 @@ KIND_TAGS: dict[MatrixKind, int] = {
 # Kinds built from a complex (m/2) x n matrix; they require even m.
 COMPLEX_KINDS = (MatrixKind.PARTIAL_FOURIER, MatrixKind.PHASE_SHIFTER)
 
+# Quantized phase-shifter levels: xi is drawn from 2*pi*k/PHASE_LEVELS.
+PHASE_LEVELS = 4
+
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """Immutable real m x n linear map with its provenance."""
+    """Immutable real m x n linear map and the family it belongs to."""
 
     data: np.ndarray
     kind: MatrixKind
-    seed: int = 0
-    num_angles: int = 0  # phase-shifter quantization levels; 0 elsewhere
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
@@ -57,8 +58,6 @@ class MeasurementMatrix:
             )
         if not np.isfinite(data).all():
             raise ValueError("matrix entries must be finite")
-        if self.kind is MatrixKind.PHASE_SHIFTER and self.num_angles < 1:
-            raise ValueError("phase-shifter matrices need num_angles >= 1")
         data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -93,7 +92,6 @@ def generate_baseline(
     num_measurements: int,
     num_columns: int,
     seed: int = 0,
-    num_angles: int = 4,
 ) -> MeasurementMatrix:
     """Construct one of the five random baseline matrices.
 
@@ -103,8 +101,8 @@ def generate_baseline(
     1 <= k <= (n-1)/2, a set free of real rows (k = 0, n/2) and of
     conjugate pairs (k, n-k), so its realified rows are orthogonal
     (Phi Phi^T = I/2) and Phi has full rank m; phase shifter entries
-    are exp(j*xi)/sqrt(n) with xi uniform over num_angles quantized
-    phases.  Deterministic in (kind, m, n, seed, num_angles).
+    are exp(j*xi)/sqrt(n) with xi uniform over PHASE_LEVELS quantized
+    phases.  Deterministic in (kind, m, n, seed).
     """
     m, n = num_measurements, num_columns
     if kind is MatrixKind.LEARNED:
@@ -128,17 +126,12 @@ def generate_baseline(
         dft_rows = np.exp(-2j * np.pi * np.outer(rows, cols) / n) / math.sqrt(n)
         data = realify_rows(dft_rows)
     elif kind is MatrixKind.PHASE_SHIFTER:
-        xi = rng.integers(0, num_angles, size=(m // 2, n)) * (2.0 * np.pi / num_angles)
+        xi = rng.integers(0, PHASE_LEVELS, (m // 2, n)) * (2 * np.pi / PHASE_LEVELS)
         data = realify_rows(np.exp(1j * xi) / math.sqrt(n))
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown kind {kind}")
 
-    return MeasurementMatrix(
-        data=data,
-        kind=kind,
-        seed=seed,
-        num_angles=num_angles if kind is MatrixKind.PHASE_SHIFTER else 0,
-    )
+    return MeasurementMatrix(data=data, kind=kind)
 
 
 def measure(matrix: MeasurementMatrix, values: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 class RecoveryStatus(enum.Enum):
     OPTIMAL = "optimal"
     MAX_ITERS = "max_iters"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class RecoveryConfig:
 class RecoveryResult:
     h_hat: np.ndarray
     status: RecoveryStatus
-    residual: float  # ||Phi h_hat - y||_2 against the original system
+    residual: float  # ||Phi h_hat - y||_2
     objective: float  # ||h_hat||_1
     iterations: int
 
@@ -62,14 +61,17 @@ class OracleRecovery:
 
 
 def gram_cholesky(phi: np.ndarray):
-    """Cholesky factor of Phi Phi^T, reusable across many recoveries."""
+    """Cholesky factor of Phi Phi^T, reusable across many recoveries.
+
+    Rejects a Phi whose m rows are fewer than m independent measurements.
+    """
     phi = np.asarray(phi, dtype=float)
+    if (rank := np.linalg.matrix_rank(phi)) < phi.shape[0]:
+        raise LinAlgError(f"Phi {phi.shape} is rank-deficient: rank {rank}")
     try:
         return cho_factor(phi @ phi.T, lower=True)
     except LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "Phi Phi^T is singular (rank-deficient measurement matrix)"
-        ) from exc
+        raise LinAlgError(f"Phi Phi^T is singular for Phi {phi.shape}") from exc
 
 
 def project_feasible(phi, gram_chol, y, x) -> np.ndarray:
@@ -118,7 +120,7 @@ def _split_normal(phi: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 class BasisPursuitSolver:
-    """Shares the row-space factorizations of one Phi across many solves.
+    """Shares the Cholesky factor of Phi Phi^T across many solves.
 
     Immutable after construction; solve() is pure.
     """
@@ -131,23 +133,7 @@ class BasisPursuitSolver:
             raise ValueError("Phi entries must be finite")
         self.cfg = cfg if cfg is not None else RecoveryConfig()
         self.phi = phi
-        m, n = phi.shape
-
-        # Rank-deficient rows are compressed onto an orthonormal row basis
-        # so the interior-point normal equations stay positive definite.
-        svd_u, svd_s, _ = np.linalg.svd(phi, full_matrices=False)
-        tol = max(m, n) * np.finfo(float).eps * (svd_s[0] if svd_s.size else 0.0)
-        rank = int(np.sum(svd_s > tol))
-        if rank == m:
-            self._row_basis = None
-            self._phi_work = phi
-        else:
-            self._row_basis = svd_u[:, :rank].T
-            self._phi_work = self._row_basis @ phi
-        self._gram_chol = gram_cholesky(self._phi_work)
-
-    def _reduce(self, y: np.ndarray) -> np.ndarray:
-        return y if self._row_basis is None else self._row_basis @ y
+        self._gram_chol = gram_cholesky(phi)
 
     def solve(self, y: np.ndarray) -> RecoveryResult:
         cfg = self.cfg
@@ -167,23 +153,13 @@ class BasisPursuitSolver:
                 iterations=0,
             )
 
-        b = self._reduce(y)
-        h_ls = self._phi_work.T @ cho_solve(self._gram_chol, b)
-        ls_resid = float(np.linalg.norm(phi @ h_ls - y))
-        if ls_resid > cfg.feas_tol * (1.0 + float(np.linalg.norm(y))):
-            return RecoveryResult(
-                h_hat=h_ls,
-                status=RecoveryStatus.INFEASIBLE,
-                residual=ls_resid,
-                objective=float(np.abs(h_ls).sum()),
-                iterations=0,
-            )
-
-        x, iterations, converged = self._mehrotra(b, h_ls)
+        # Phi has full row rank, so every y is feasible.
+        h_ls = phi.T @ cho_solve(self._gram_chol, y)
+        x, iterations, converged = self._mehrotra(y, h_ls)
         h = x[:n] - x[n:]
         # Exact feasibility polish; keeps Optimal => residual <= feas_tol
         # meaningful in absolute terms.
-        h = project_feasible(self._phi_work, self._gram_chol, b, h)
+        h = project_feasible(phi, self._gram_chol, y, h)
         residual = float(np.linalg.norm(phi @ h - y))
         status = RecoveryStatus.OPTIMAL if converged else RecoveryStatus.MAX_ITERS
         if status is RecoveryStatus.OPTIMAL and residual > cfg.feas_tol:
@@ -200,7 +176,7 @@ class BasisPursuitSolver:
         self, b: np.ndarray, h_ls: np.ndarray
     ) -> tuple[np.ndarray, int, bool]:
         cfg = self.cfg
-        phi = self._phi_work
+        phi = self.phi
         n2 = 2 * phi.shape[1]
 
         # Starting point heuristic: least-norm primal, least-squares dual,
@@ -298,16 +274,6 @@ def projected_subgradient(
         )
 
     h = phi.T @ cho_solve(chol, y)
-    ls_resid = float(np.linalg.norm(phi @ h - y))
-    if ls_resid > cfg.feas_tol * (1.0 + float(np.linalg.norm(y))):
-        return RecoveryResult(
-            h_hat=h,
-            status=RecoveryStatus.INFEASIBLE,
-            residual=ls_resid,
-            objective=float(np.abs(h).sum()),
-            iterations=0,
-        )
-
     best = h.copy()
     best_obj = float(np.abs(h).sum())
     history = [best_obj]

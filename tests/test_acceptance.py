@@ -22,7 +22,6 @@ from beamcs import (
     BatchNormLayer,
     ChannelConfig,
     MatrixKind,
-    MatrixSpec,
     MetricConfig,
     Mode,
     RecoveryConfig,
@@ -419,14 +418,12 @@ def test_small_scale_training_beats_gaussian_baseline():
             learned[m] = extract_matrix(model)
         report = run_sweep(
             dataset,
-            [
-                MatrixSpec(kind=MatrixKind.LEARNED, seed=seed),
-                MatrixSpec(kind=MatrixKind.GAUSSIAN, seed=seed),
-            ],
+            [MatrixKind.LEARNED, MatrixKind.GAUSSIAN],
             m_values,
             RecoveryConfig(),
             MetricConfig(),
             learned=learned,
+            seed=seed,
         )
         for row in report.rows:
             totals[row.kind][row.m] += row.exact_rate

@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from beamcs.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, checkpoint_name, main
+from beamcs.cli import (
+    EXIT_IO,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    checkpoint_name,
+    main,
+)
 
 CFG = {
     "profile": "ci",
@@ -317,4 +324,29 @@ def test_corrupt_checkpoint_is_a_file_error(run_dir, tmp_path, capsys, corruptio
     assert code == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1
+    assert not (sweep_out / "report.json").exists()
+
+
+def test_sweep_rank_deficient_phi_is_a_numerical_failure(run_dir, tmp_path, capsys):
+    # a Phi whose second row repeats its first spends 4 rows on 3
+    # measurements; scoring it at m=4 would flatter it
+    root, out = run_dir
+    blob = bytearray(Path(out, checkpoint_name(4)).read_bytes())
+    row = 8 * 16  # one Phi row of the width-16 checkpoint, in bytes
+    blob[_PHI + row : _PHI + 2 * row] = blob[_PHI : _PHI + row]
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    (ckpts / checkpoint_name(4)).write_bytes(bytes(blob))
+    capsys.readouterr()
+
+    sweep_out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--config", str(root / "cfg.json"), "--out", str(sweep_out),
+        "--data", os.path.join(out, "dataset.bcsl"), "--checkpoints", str(ckpts),
+        "--m", "4", "--kinds", "learned",
+    ])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "rank 3" in err
     assert not (sweep_out / "report.json").exists()

@@ -7,7 +7,7 @@ from beamcs import (
     AngleMode,
     ChannelConfig,
     MatrixKind,
-    MatrixSpec,
+    MeasurementMatrix,
     MetricConfig,
     RecoveryConfig,
     effective_rate,
@@ -117,8 +117,9 @@ def test_recover_all_validates(tiny_dataset):
 
 
 def _sweep(tiny_dataset, kinds, learned=None, m_values=(4, 8)):
-    specs = [MatrixSpec(kind=k, seed=1) for k in kinds]
-    return run_sweep(tiny_dataset, specs, m_values, RECOVERY, METRIC, learned=learned)
+    return run_sweep(
+        tiny_dataset, kinds, m_values, RECOVERY, METRIC, learned=learned, seed=1
+    )
 
 
 def test_run_sweep_baselines(tiny_dataset):
@@ -143,7 +144,6 @@ def test_sweep_baseline_odd_m_truncates_even_draw(kind):
     even = generate_baseline(kind, 26, 512, seed=3)
     assert odd.data.shape == (25, 512)
     assert np.array_equal(odd.data, even.data[:25])
-    assert odd.num_angles == even.num_angles
     # the 12 complete [Re; Im] pairs still have unit combined norm
     pair_norms = (odd.data[0:24:2] ** 2 + odd.data[1:25:2] ** 2).sum(axis=1)
     np.testing.assert_allclose(pair_norms, 1.0, atol=1e-12)
@@ -193,6 +193,13 @@ def test_run_sweep_rejects_wrong_checkpoint_shape(tiny_dataset):
     bad = generate_baseline(MatrixKind.GAUSSIAN, 4, 16, seed=0)
     with pytest.raises(ValueError, match="checkpoint"):
         _sweep(tiny_dataset, [MatrixKind.LEARNED], learned={8: bad})
+
+
+def test_run_sweep_rejects_rank_deficient_learned(tiny_dataset):
+    base = generate_baseline(MatrixKind.GAUSSIAN, 7, 16, seed=0).data
+    repeated = MeasurementMatrix(np.vstack([base, base[0]]), MatrixKind.LEARNED)
+    with pytest.raises(np.linalg.LinAlgError, match="rank 7"):
+        _sweep(tiny_dataset, [MatrixKind.LEARNED], learned={8: repeated})
 
 
 def test_run_sweep_validates(tiny_dataset):

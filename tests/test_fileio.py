@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beamcs import MatrixKind, MetricConfig, RecoveryConfig, TrainConfig, train
-from beamcs.evaluate import MatrixSpec, run_sweep
+from beamcs.evaluate import run_sweep
 from beamcs.fileio import (
     FileFormatError,
     export_checkpoint_json,
@@ -195,7 +195,7 @@ def _report(trained):
 
     return run_sweep(
         dataset,
-        [MatrixSpec(kind=MatrixKind.LEARNED), MatrixSpec(kind=MatrixKind.GAUSSIAN)],
+        [MatrixKind.LEARNED, MatrixKind.GAUSSIAN],
         (4, 8),
         RecoveryConfig(),
         MetricConfig(),

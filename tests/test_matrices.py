@@ -5,7 +5,7 @@ import pytest
 
 from beamcs import MatrixKind, MeasurementMatrix, generate_baseline, measure
 from beamcs.evaluate import sweep_baseline
-from beamcs.matrices import COMPLEX_KINDS, KIND_TAGS, realify_rows
+from beamcs.matrices import COMPLEX_KINDS, KIND_TAGS, PHASE_LEVELS, realify_rows
 
 BASELINES = [k for k in MatrixKind if k is not MatrixKind.LEARNED]
 
@@ -68,31 +68,26 @@ def test_partial_fourier_rows():
 
 
 @pytest.mark.parametrize("n, m_values", [(512, range(20, 41)), (64, range(8, 17))])
-def test_partial_fourier_full_rank(n, m_values):
-    # the paper and ci widths, odd m through the sweep's truncated draw
-    for m in m_values:
-        for seed in range(20):
-            data = sweep_baseline(MatrixKind.PARTIAL_FOURIER, m, n, seed).data
-            assert np.linalg.matrix_rank(data) == m, (m, seed)
+def test_baselines_full_rank(n, m_values):
+    # the paper and ci widths, odd m through the sweep's truncated draw;
+    # basis pursuit rejects a rank-deficient draw, failing the whole sweep
+    for kind in BASELINES:
+        for m in m_values:
+            for seed in range(20):
+                data = sweep_baseline(kind, m, n, seed).data
+                assert np.linalg.matrix_rank(data) == m, (kind, m, seed)
 
 
 def test_phase_shifter_entries():
-    n, levels = 20, 4
-    mat = generate_baseline(MatrixKind.PHASE_SHIFTER, 6, n, seed=7, num_angles=levels)
+    n = 20
+    mat = generate_baseline(MatrixKind.PHASE_SHIFTER, 6, n, seed=7)
     complex_rows = mat.data[0::2] + 1j * mat.data[1::2]
     assert np.allclose(np.abs(complex_rows), 1.0 / math.sqrt(n), atol=1e-12)
     phases = np.angle(complex_rows * math.sqrt(n))
-    allowed = 2.0 * np.pi * np.arange(levels) / levels
+    allowed = 2.0 * np.pi * np.arange(PHASE_LEVELS) / PHASE_LEVELS
     # compare on the unit circle to sidestep the -pi/pi wrap
     dist = np.abs(np.exp(1j * phases[..., None]) - np.exp(1j * allowed))
     assert dist.min(axis=-1).max() <= 1e-12
-    assert mat.num_angles == levels
-
-
-def test_phase_shifter_single_angle():
-    mat = generate_baseline(MatrixKind.PHASE_SHIFTER, 2, 8, seed=0, num_angles=1)
-    assert np.allclose(mat.data[0], 1.0 / math.sqrt(8))
-    assert np.allclose(mat.data[1], 0.0)
 
 
 def test_realify_rows_interleaves():
@@ -128,10 +123,6 @@ def test_matrix_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         MeasurementMatrix(data=bad, kind=MatrixKind.GAUSSIAN)
-    with pytest.raises(ValueError):
-        MeasurementMatrix(
-            data=np.ones((2, 4)), kind=MatrixKind.PHASE_SHIFTER, num_angles=0
-        )
 
 
 def test_matrix_data_read_only():

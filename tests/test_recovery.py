@@ -64,26 +64,18 @@ def test_solver_reuse_matches_one_shot(rng):
         assert a.status == b.status
 
 
-def test_rank_deficient_rows_consistent(rng):
-    # duplicated rows carry no new information but must not break anything
+def test_rank_deficient_rows_are_rejected(rng):
+    # a repeated row is no new measurement: 5 rows that measure only 4
+    # times must not be scored as m=5
     base = rng.standard_normal((4, 16))
     phi = np.vstack([base, base[0]])
-    h = np.zeros(16)
-    h[3] = 1.0
-    res = basis_pursuit(phi, phi @ h)
-    assert res.status is RecoveryStatus.OPTIMAL
-    assert res.residual <= 1e-10
-
-
-def test_rank_deficient_rows_inconsistent(rng):
-    base = rng.standard_normal((4, 16))
-    phi = np.vstack([base, base[0]])
-    y = np.ones(5)
-    y[4] = -1.0
-    y[0] = 1.0  # row 4 repeats row 0, so y[4] != y[0] is unsatisfiable
-    res = basis_pursuit(phi, y)
-    assert res.status is RecoveryStatus.INFEASIBLE
-    assert res.residual > 1e-6
+    y = phi @ np.eye(16)[3]
+    with pytest.raises(np.linalg.LinAlgError, match=r"\(5, 16\).*rank 4"):
+        BasisPursuitSolver(phi)
+    with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
+        basis_pursuit(phi, y)
+    with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
+        projected_subgradient(phi, y)
 
 
 def test_solve_validates_length(rng):
