@@ -64,14 +64,27 @@ def test_solver_reuse_matches_one_shot(rng):
         assert a.status == b.status
 
 
-def test_rank_deficient_rows_are_rejected(rng):
+def test_rank_deficient_rows_consistent(rng):
     # a repeated row is no new measurement: 5 rows that measure only 4
-    # times must not be scored as m=5
+    # times must not be scored as m=5, even when y is in their range
     base = rng.standard_normal((4, 16))
     phi = np.vstack([base, base[0]])
     y = phi @ np.eye(16)[3]
     with pytest.raises(np.linalg.LinAlgError, match=r"\(5, 16\).*rank 4"):
         BasisPursuitSolver(phi)
+    with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
+        basis_pursuit(phi, y)
+    with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
+        projected_subgradient(phi, y)
+
+
+def test_rank_deficient_rows_inconsistent(rng):
+    # row 4 repeats row 0, so y[4] != y[0] is unsatisfiable; Phi is
+    # rejected before y is read, so no infeasible status is ever reported
+    base = rng.standard_normal((4, 16))
+    phi = np.vstack([base, base[0]])
+    y = np.ones(5)
+    y[4] = -1.0
     with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
         basis_pursuit(phi, y)
     with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
