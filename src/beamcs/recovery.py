@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 class RecoveryStatus(enum.Enum):
@@ -60,18 +62,55 @@ class OracleRecovery:
     unique: bool  # False when a distinct solution ties the objective within 1e-9
 
 
+def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """scipy.linalg.cho_factor(a, lower=True), calling LAPACK dpotrf directly.
+
+    The same routine, so the same bits; at the m <= 40 of a sweep scipy's
+    checking wrapper costs several times the factorization.  a is copied,
+    never overwritten; the factor's upper triangle keeps a's entries.
+    """
+    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=0)
+    # Reference LAPACK stops at a NaN pivot; OpenBLAS carries on, and the
+    # NaN then reaches every later pivot, so the last one shows it.
+    if info > 0 or (c.size and math.isnan(c[-1, -1])):
+        raise LinAlgError("matrix is not positive definite")
+    return c, True
+
+
+def cho_solve(c_and_lower: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve for a cho_factor factor, via LAPACK dpotrs.
+
+    b is copied, never overwritten; nothing checks it for NaN or inf.
+    """
+    x, _ = dpotrs(c_and_lower[0], b, lower=1, overwrite_b=0)
+    return x
+
+
 def gram_cholesky(phi: np.ndarray):
     """Cholesky factor of Phi Phi^T, reusable across many recoveries.
 
-    Rejects a Phi whose m rows are fewer than m independent measurements.
+    Rejects a non-finite Phi, and a Phi whose m rows are fewer than m
+    independent measurements.
     """
     phi = np.asarray(phi, dtype=float)
+    if not np.isfinite(phi).all():
+        raise ValueError("Phi entries must be finite")
     if (rank := np.linalg.matrix_rank(phi)) < phi.shape[0]:
         raise LinAlgError(f"Phi {phi.shape} is rank-deficient: rank {rank}")
     try:
-        return cho_factor(phi @ phi.T, lower=True)
+        return cho_factor(phi @ phi.T)
     except LinAlgError as exc:
         raise LinAlgError(f"Phi Phi^T is singular for Phi {phi.shape}") from exc
+
+
+def _measurement(y, m: int) -> np.ndarray:
+    """y as a float vector, checked against Phi's m rows."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (m,):
+        raise ValueError(f"measurement length {y.shape} does not match Phi rows {m}")
+    if not np.isfinite(y).all():
+        raise ValueError("measurement y must be finite")
+    return y
 
 
 def project_feasible(phi, gram_chol, y, x) -> np.ndarray:
@@ -88,14 +127,14 @@ def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
 def _regularized_cho_factor(mat: np.ndarray):
     """Cholesky with escalating diagonal regularization on failure."""
     try:
-        return cho_factor(mat, lower=True)
+        return cho_factor(mat)
     except LinAlgError:
         pass
     eye = np.eye(mat.shape[0])
     reg = 1e-14 * max(float(np.trace(mat)) / mat.shape[0], 1.0)
     for _ in range(7):
         try:
-            return cho_factor(mat + reg * eye, lower=True)
+            return cho_factor(mat + reg * eye)
         except LinAlgError:
             reg *= 100.0
     raise np.linalg.LinAlgError("normal-equations matrix is not factorizable")
@@ -129,8 +168,6 @@ class BasisPursuitSolver:
         phi = np.asarray(phi, dtype=float)
         if phi.ndim != 2:
             raise ValueError("Phi must be a 2-D array")
-        if not np.isfinite(phi).all():
-            raise ValueError("Phi entries must be finite")
         self.cfg = cfg if cfg is not None else RecoveryConfig()
         self.phi = phi
         self._gram_chol = gram_cholesky(phi)
@@ -138,11 +175,7 @@ class BasisPursuitSolver:
     def solve(self, y: np.ndarray) -> RecoveryResult:
         cfg = self.cfg
         phi, n = self.phi, self.phi.shape[1]
-        y = np.asarray(y, dtype=float)
-        if y.shape != (phi.shape[0],):
-            raise ValueError(
-                f"measurement length {y.shape} does not match Phi rows {phi.shape[0]}"
-            )
+        y = _measurement(y, phi.shape[0])
 
         if np.linalg.norm(y) <= cfg.feas_tol:
             return RecoveryResult(
@@ -193,7 +226,7 @@ class BasisPursuitSolver:
         x = x + 0.5 * xs / float(s.sum())
         s = s + 0.5 * xs / float(x.sum())
 
-        b_scale = 1.0 + float(np.linalg.norm(b))
+        b_scale = 1.0 + math.sqrt(b @ b)
         c_scale = 1.0 + np.sqrt(n2)  # 1 + ||c||
         iterations = 0
         for iterations in range(1, cfg.max_iters + 1):
@@ -202,8 +235,8 @@ class BasisPursuitSolver:
             obj = float(x.sum())
             gap = obj - float(b @ lam)
             if (
-                np.linalg.norm(rb) / b_scale <= cfg.feas_tol
-                and np.linalg.norm(rc) / c_scale <= cfg.feas_tol
+                math.sqrt(rb @ rb) / b_scale <= cfg.feas_tol
+                and math.sqrt(rc @ rc) / c_scale <= cfg.feas_tol
                 and abs(gap) / (1.0 + abs(obj)) <= cfg.opt_tol
             ):
                 return x, iterations - 1, True
@@ -260,9 +293,9 @@ def projected_subgradient(
     objective has stopped improving over the final 10% of iterations.
     """
     phi = np.asarray(phi, dtype=float)
-    y = np.asarray(y, dtype=float)
     cfg = cfg if cfg is not None else RecoveryConfig()
     chol = gram_cholesky(phi)
+    y = _measurement(y, phi.shape[0])
 
     if np.linalg.norm(y) <= cfg.feas_tol:
         return RecoveryResult(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 
 import beamcs.recovery as recovery
 from beamcs import (
@@ -51,6 +51,9 @@ def test_zero_measurement_shortcut():
     assert res.status is RecoveryStatus.OPTIMAL
     assert np.array_equal(res.h_hat, np.zeros(12))
     assert res.iterations == 0
+    empty = BasisPursuitSolver(np.ones((0, 12))).solve(np.zeros(0))
+    assert empty.status is RecoveryStatus.OPTIMAL
+    assert np.array_equal(empty.h_hat, np.zeros(12))
 
 
 def test_solver_reuse_matches_one_shot(rng):
@@ -97,6 +100,35 @@ def test_solve_validates_length(rng):
         BasisPursuitSolver(phi).solve(np.ones(3))
     with pytest.raises(ValueError):
         BasisPursuitSolver(np.ones((2, 2, 2)))
+
+
+def test_non_finite_measurement_rejected(rng):
+    phi, _, y = sparse_instance(rng)
+    solver = BasisPursuitSolver(phi)
+    for bad in (np.nan, np.inf, -np.inf):
+        y_bad = y.copy()
+        y_bad[3] = bad
+        with pytest.raises(ValueError, match="measurement") as exc:
+            solver.solve(y_bad)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+        with pytest.raises(ValueError, match="measurement"):
+            projected_subgradient(phi, y_bad)
+
+
+def test_non_finite_phi_rejected(rng):
+    # a LinAlgError (SVD did not converge) would read as a numerical failure
+    phi, _, y = sparse_instance(rng)
+    for bad in (np.nan, np.inf):
+        phi_bad = phi.copy()
+        phi_bad[2, 5] = bad
+        for call in (
+            lambda: recovery.gram_cholesky(phi_bad),
+            lambda: BasisPursuitSolver(phi_bad),
+            lambda: projected_subgradient(phi_bad, y),
+        ):
+            with pytest.raises(ValueError, match="Phi entries must be finite") as exc:
+                call()
+            assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
 def test_recovery_config_validation():
@@ -219,6 +251,79 @@ def test_regularized_cho_factor_gives_up_on_indefinite_matrix(monkeypatch):
     # the plain factor, then 1e-14 * scale (scale 1 here) growing 100x
     expected = [0.0] + [1e-14 * 100.0**k for k in range(7)]
     np.testing.assert_allclose(regs, expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (3, 1), (5, 5)])
+def test_regularized_cho_factor_fails_numerically_on_nan(rng, where):
+    # a LinAlgError, not the ValueError the CLI reports as bad input
+    b = rng.standard_normal((6, 9))
+    mat = b @ b.T
+    mat[where] = mat[where[::-1]] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        recovery._regularized_cho_factor(mat)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 20, 40])
+def test_cholesky_helpers_match_scipy_bitwise(rng, m):
+    g = rng.standard_normal((m, 3 * m))
+    phi = rng.standard_normal((m, 128)) / np.sqrt(m)
+    # the IPM's normal matrices are symmetric only up to rounding
+    mats = [g @ g.T] + [
+        recovery._split_normal(phi, 10.0 ** rng.uniform(-8, 8, 256)) for _ in range(5)
+    ]
+    for a in mats:
+        b = rng.standard_normal(m)
+        a_before, b_before = a.copy(), b.copy()
+        c, lower = recovery.cho_factor(a)
+        want = cho_factor(a, lower=True)
+        assert lower is True and np.array_equal(c, want[0])
+        assert np.array_equal(recovery.cho_solve((c, lower), b), cho_solve(want, b))
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
+def test_cho_factor_rejects_indefinite_matrix():
+    for mat in (np.array([[0.0, 1.0], [1.0, 0.0]]), -np.eye(3), np.zeros((1, 1))):
+        with pytest.raises(np.linalg.LinAlgError):
+            recovery.cho_factor(mat)
+
+
+def test_solve_leaves_inputs_and_cached_factor_unchanged(rng):
+    phi, _, y = sparse_instance(rng)
+    solver = BasisPursuitSolver(phi)
+    phi_before, y_before = solver.phi.copy(), y.copy()
+    gram_before = solver._gram_chol[0].copy()
+    first = solver.solve(y)
+    second = solver.solve(y)
+    assert np.array_equal(solver.phi, phi_before)
+    assert np.array_equal(y, y_before)
+    assert np.array_equal(solver._gram_chol[0], gram_before)
+    assert np.array_equal(first.h_hat, second.h_hat)
+    assert first.residual == second.residual
+    assert first.iterations == second.iterations
+
+
+def test_solve_goes_through_the_module_cholesky_names(rng, monkeypatch):
+    # wrappers bound to recovery.cho_factor / cho_solve see every call, so
+    # per-call timings taken that way cannot silently read zero
+    calls = {"cho_factor": 0, "cho_solve": 0}
+
+    def counting(name):
+        original = getattr(recovery, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    phi, _, y = sparse_instance(rng)
+    solver = BasisPursuitSolver(phi)
+    for name in calls:
+        monkeypatch.setattr(recovery, name, counting(name))
+    res = solver.solve(y)
+    assert res.iterations >= 1
+    assert calls["cho_factor"] >= max(1, res.iterations)
+    assert calls["cho_solve"] >= 2 * res.iterations
 
 
 def _rel(got, want):
