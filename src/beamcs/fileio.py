@@ -8,7 +8,10 @@ Layouts (all integers and floats little-endian):
   BCSW checkpoint  magic "BCSW", u32 version, u64 x3 (m, width, L),
                    f64 x3 (alpha, bn eps, bn momentum), Phi m x width f64,
                    then gamma/beta/running-mean/running-var per layer,
-                   JSON echo trailer, u64 length.
+                   JSON echo trailer, u64 length.  Phi and the layer
+                   vectors are float32 values stored widened to f64,
+                   which is exact; loading narrows them back and rejects
+                   a value float32 cannot hold exactly.
 
 The trailer carries the full generating configuration in canonical JSON
 (sorted keys, compact separators), so every artifact names its exact
@@ -180,6 +183,14 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
 def save_checkpoint(
     path: str, model: UnrolledAutoencoder, train_cfg: TrainConfig | None = None
 ) -> None:
+    """Writes a float32 model; any other dtype is a ValueError, since
+    load_checkpoint could not narrow its values back exactly."""
+    arrays = [model.phi]
+    for layer in model.bn_layers:
+        arrays += [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
+    dtypes = sorted({str(arr.dtype) for arr in arrays})
+    if dtypes != ["float32"]:
+        raise ValueError(f"checkpoints hold float32 models, got {dtypes}")
     bn0 = model.bn_layers[0]
     fixed = _CHECKPOINT_FIXED.pack(
         model.num_measurements,
@@ -189,9 +200,6 @@ def save_checkpoint(
         bn0.eps,
         bn0.momentum,
     )
-    arrays = [model.phi]
-    for layer in model.bn_layers:
-        arrays += [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
     echo = {"train_config": asdict(train_cfg) if train_cfg else None}
     _write_file(path, CHECKPOINT_MAGIC, fixed, arrays, echo)
 
@@ -207,11 +215,15 @@ def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
         stats.append(vec)
     if off != len(payload):
         raise FileFormatError("trailing bytes after checkpoint payload")
-    if not (
-        np.isfinite([alpha, eps, momentum]).all()
-        and np.isfinite(np.frombuffer(payload, dtype="<f8")).all()
-    ):
+    values = np.frombuffer(payload, dtype="<f8")
+    if not (np.isfinite([alpha, eps, momentum]).all() and np.isfinite(values).all()):
         raise FileFormatError("checkpoint holds a non-finite value")
+    with np.errstate(over="ignore"):  # an overflow shows up as a mismatch
+        exact = np.array_equal(values.astype(np.float32), values)
+    if not exact:
+        raise FileFormatError("checkpoint holds a value that is not a float32")
+    phi = phi.astype(np.float32)
+    stats = [vec.astype(np.float32) for vec in stats]
     try:
         # gamma, beta, running mean, running variance per layer
         layers = [

@@ -15,6 +15,9 @@ per-sample cost at O(mNL).
 Gradients are hand-derived reverse-mode for this fixed graph (no autodiff
 framework): sign(.) is treated as locally constant, ReLU' is 0 at and
 below 0, and batch-norm backward includes the batch-statistics terms.
+
+Every pass runs in the dtype of the model's Phi: float32 for the models
+training builds, float64 for the finite-difference checks.
 """
 
 from __future__ import annotations
@@ -63,13 +66,17 @@ class BatchNormLayer:
 
     @classmethod
     def identity(
-        cls, width: int, eps: float = 1e-5, momentum: float = 0.99
+        cls,
+        width: int,
+        eps: float = 1e-5,
+        momentum: float = 0.99,
+        dtype: np.dtype | type = np.float64,
     ) -> "BatchNormLayer":
         return cls(
-            gamma=np.ones(width),
-            beta=np.zeros(width),
-            running_mean=np.zeros(width),
-            running_var=np.ones(width),
+            gamma=np.ones(width, dtype),
+            beta=np.zeros(width, dtype),
+            running_mean=np.zeros(width, dtype),
+            running_var=np.ones(width, dtype),
             eps=eps,
             momentum=momentum,
         )
@@ -148,7 +155,9 @@ class UnrolledAutoencoder:
 
     num_updates is the number L of subgradient updates; the decoder has
     L + 1 layers counting the initial Phi^T y, each followed by batch
-    norm, with ReLU after the last.
+    norm, with ReLU after the last.  The network computes in the dtype
+    of Phi, which every batch-norm array shares: inputs are cast to it,
+    and buffers and gradients are made in it.
     """
 
     phi: np.ndarray  # (m, width)
@@ -171,6 +180,9 @@ class UnrolledAutoencoder:
         for layer in self.bn_layers:
             if layer.gamma.shape[0] != self.width:
                 raise ValueError("batch-norm width must match Phi columns")
+            arrays = (layer.gamma, layer.beta, layer.running_mean, layer.running_var)
+            if any(a.dtype != self.phi.dtype for a in arrays):
+                raise ValueError("batch-norm parameters must share Phi's dtype")
 
     @property
     def num_measurements(self) -> int:
@@ -198,18 +210,20 @@ class _Buffers:
     @classmethod
     def allocate(cls, model: UnrolledAutoencoder, rows: int) -> "_Buffers":
         m, width, steps = model.num_measurements, model.width, model.num_updates
+        dtype = model.phi.dtype
         return cls(
-            measurements=np.empty((rows, m)),
-            x_hat=np.empty((steps + 1, rows, width)),
-            signs=np.empty((steps, rows, width)),
-            signs_proj=np.empty((steps, rows, m)),
-            post_bn=np.empty((rows, width)),
-            output=np.empty((rows, width)),
+            measurements=np.empty((rows, m), dtype),
+            x_hat=np.empty((steps + 1, rows, width), dtype),
+            signs=np.empty((steps, rows, width), dtype),
+            signs_proj=np.empty((steps, rows, m), dtype),
+            post_bn=np.empty((rows, width), dtype),
+            output=np.empty((rows, width), dtype),
         )
 
     def holds(self, model: UnrolledAutoencoder, rows: int) -> bool:
         return (
-            self.x_hat.shape[0] == model.num_updates + 1
+            self.x_hat.dtype == model.phi.dtype
+            and self.x_hat.shape[0] == model.num_updates + 1
             and self.x_hat.shape[1] >= rows
             and self.x_hat.shape[2] == model.width
             and self.measurements.shape[1] == model.num_measurements
@@ -254,7 +268,7 @@ def encode(
 
     Written into out when given.
     """
-    h_batch = np.asarray(h_batch, dtype=float)
+    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
     if h_batch.ndim != 2 or h_batch.shape[1] != model.width:
         raise ValueError(f"expected (batch, {model.width}), got {h_batch.shape}")
     return np.matmul(h_batch, model.phi.T, out=out)
@@ -264,7 +278,7 @@ def decoder_init(
     model: UnrolledAutoencoder, y_batch: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """First decoder layer: Phi^T y per sample, written into out when given."""
-    y_batch = np.asarray(y_batch, dtype=float)
+    y_batch = np.asarray(y_batch, dtype=model.phi.dtype)
     if y_batch.ndim != 2 or y_batch.shape[1] != model.num_measurements:
         raise ValueError(
             f"expected (batch, {model.num_measurements}), got {y_batch.shape}"
@@ -300,7 +314,7 @@ def decoder_update(
     """
     if step_index < 1:
         raise ValueError("step_index must be >= 1")
-    h_batch = np.asarray(h_batch, dtype=float)
+    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
     signs = np.sign(h_batch)
     return _update(model, h_batch, signs, signs @ model.phi.T, step_index)
 
@@ -320,7 +334,7 @@ def forward(
     reuse before the call now holds this batch's values.  h_batch must
     not share memory with those buffers.
     """
-    h_batch = np.asarray(h_batch, dtype=float)
+    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
     rows = h_batch.shape[0] if h_batch.ndim == 2 else 0  # encode rejects the rest
     buf = None if reuse is None else reuse.buffers
     if buf is None or not buf.holds(model, rows):
@@ -363,17 +377,18 @@ def mse_loss(
 ) -> float:
     """Mean over samples of the squared reconstruction 2-norm.
 
-    out, when given, holds the squared errors; it may be h_hat_batch.
+    The errors are summed in the dtype of h_hat_batch, the network's
+    output; out, when given, holds them and may be h_hat_batch.
     """
-    h_batch = np.asarray(h_batch, dtype=float)
-    h_hat_batch = np.asarray(h_hat_batch, dtype=float)
+    h_hat_batch = np.asarray(h_hat_batch)
+    h_batch = np.asarray(h_batch, dtype=h_hat_batch.dtype)
     if h_batch.shape != h_hat_batch.shape:
         raise ValueError(
             f"shape mismatch: {h_batch.shape} vs {h_hat_batch.shape}"
         )
     diff = np.subtract(h_batch, h_hat_batch, out=out)
     diff *= diff
-    return float(np.sum(diff) / h_batch.shape[0])
+    return float(np.sum(diff)) / h_batch.shape[0]
 
 
 def backward(
@@ -385,7 +400,7 @@ def backward(
     layer, and every (I - Phi^T Phi) term, always in factored form.  The
     sign path carries zero derivative.
     """
-    h_batch = np.asarray(h_batch, dtype=float)
+    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
     if trace.generation != trace.buffers.generation:
         raise ValueError("trace was overwritten by a later forward(..., reuse=...)")
     if trace.inputs.shape != h_batch.shape or not np.array_equal(
@@ -404,7 +419,7 @@ def backward(
     # the forward intermediates are only read.
     buf = trace.buffers
     if buf.grads is None:
-        buf.grads = np.empty((2,) + buf.output.shape)
+        buf.grads = np.empty((2,) + buf.output.shape, buf.output.dtype)
     g, spare = buf.grads[0, :batch], buf.grads[1, :batch]
     np.subtract(trace.output, h_batch, out=g)
     g *= 2.0 / batch

@@ -5,6 +5,10 @@ every parameter group, including the step-size scalar.  Model selection
 is by best dev loss; the dev split is scored in inference mode on a
 fixed schedule, and every run takes all max_epochs epochs.  Runs are
 bit-reproducible functions of (dataset, config, seed).
+
+Models train in float32: Phi is drawn in float64 and rounded once, and
+the network computes in the dtype of Phi.  The learned matrix is widened
+back to float64 for recovery.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .channels import ChannelDataset
 from .matrices import MatrixKind, MeasurementMatrix
 from .network import (
     BatchNormLayer,
+    ForwardTrace,
+    Gradients,
     Mode,
     UnrolledAutoencoder,
     backward,
@@ -111,12 +117,17 @@ def _truncated_normal(
 
 
 def init_model(m: int, n_cols: int, cfg: TrainConfig) -> UnrolledAutoencoder:
-    """Fresh model: truncated-normal Phi, alpha_init, identity BN layers."""
+    """Fresh float32 model: truncated-normal Phi, alpha_init, identity BN
+    layers."""
     if not 0 < m < n_cols:
         raise ValueError(f"need 0 < m < n_cols, got m={m}, n_cols={n_cols}")
     rng = _stream(cfg.seed, _INIT_STREAM)
     phi = _truncated_normal(rng, (m, n_cols), 1.0 / np.sqrt(n_cols))
-    layers = [BatchNormLayer.identity(n_cols) for _ in range(cfg.num_updates + 1)]
+    phi = phi.astype(np.float32)
+    layers = [
+        BatchNormLayer.identity(n_cols, dtype=np.float32)
+        for _ in range(cfg.num_updates + 1)
+    ]
     return UnrolledAutoencoder(
         phi=phi, alpha=cfg.alpha_init, num_updates=cfg.num_updates, bn_layers=layers
     )
@@ -140,20 +151,39 @@ def _check_finite(model: UnrolledAutoencoder, epoch: int) -> None:
         )
 
 
+def _sgd_step(
+    model: UnrolledAutoencoder, grads: Gradients, learning_rate: float
+) -> None:
+    """One plain SGD update of every parameter group, in place."""
+    model.phi -= learning_rate * grads.d_phi
+    model.alpha -= learning_rate * grads.d_alpha
+    for layer, dg, db in zip(model.bn_layers, grads.d_gammas, grads.d_betas):
+        layer.gamma -= learning_rate * dg
+        layer.beta -= learning_rate * db
+
+
 def dev_loss(model: UnrolledAutoencoder, samples: np.ndarray) -> float:
     """Inference-mode reconstruction loss, chunked; exact because
     inference outputs are batch-independent."""
+    return _dev_loss(model, samples, None)[0]
+
+
+def _dev_loss(
+    model: UnrolledAutoencoder, samples: np.ndarray, trace: ForwardTrace | None
+) -> tuple[float, ForwardTrace]:
+    """dev_loss, overwriting the buffers of trace; returns the loss and
+    the trace to pass to the next evaluation."""
     if samples.shape[0] == 0:
         raise ValueError("empty evaluation split")
+    samples = np.asarray(samples, dtype=model.phi.dtype)
     total = 0.0
-    trace = None
     for start in range(0, samples.shape[0], _DEV_CHUNK):
         block = samples[start : start + _DEV_CHUNK]
         out, trace = forward(model, block, Mode.INFER, reuse=trace)
         diff = np.subtract(block, out, out=out)
         diff *= diff
         total += float(np.sum(diff))
-    return total / samples.shape[0]
+    return total / samples.shape[0], trace
 
 
 def train(
@@ -174,18 +204,22 @@ def train(
 
     model = init_model(m, dataset.width, cfg)
     shuffle_rng = _stream(cfg.seed, _SHUFFLE_STREAM)
+    # Both splits are cast to the model's dtype once, not per batch.
+    train_x = train_x.astype(model.phi.dtype)
+    dev_x = dev_x.astype(model.phi.dtype)
 
     best = copy.deepcopy(model)
-    best_loss = dev_loss(model, dev_x)
+    best_loss, dev_trace = _dev_loss(model, dev_x, None)
     best_epoch = 0
     dev_epochs = [0]
     dev_losses = [best_loss]
     train_losses: list[float] = []
     epoch_seconds: list[float] = []
 
-    # Every step overwrites the same batch, error and trace buffers.
+    # Every step overwrites the same batch, error and trace buffers, and
+    # every dev evaluation those of dev_trace.
     n_train = train_x.shape[0]
-    batch_buf = np.empty((min(cfg.batch_size, n_train), dataset.width))
+    batch_buf = np.empty((min(cfg.batch_size, n_train), dataset.width), train_x.dtype)
     error_buf = np.empty_like(batch_buf)
     trace = None
     for epoch in range(1, cfg.max_epochs + 1):
@@ -208,12 +242,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            grads = backward(model, trace, batch)
-            model.phi -= cfg.learning_rate * grads.d_phi
-            model.alpha -= cfg.learning_rate * grads.d_alpha
-            for layer, dg, db in zip(model.bn_layers, grads.d_gammas, grads.d_betas):
-                layer.gamma -= cfg.learning_rate * dg
-                layer.beta -= cfg.learning_rate * db
+            _sgd_step(model, backward(model, trace, batch), cfg.learning_rate)
             loss_sum += loss * rows
             used += rows
         _check_finite(model, epoch)
@@ -221,7 +250,7 @@ def train(
         epoch_seconds.append(time.perf_counter() - tic)
 
         if epoch % cfg.dev_eval_every == 0 or epoch == cfg.max_epochs:
-            loss = dev_loss(model, dev_x)
+            loss, dev_trace = _dev_loss(model, dev_x, dev_trace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite dev loss at epoch {epoch}")
             dev_epochs.append(epoch)
@@ -243,5 +272,6 @@ def train(
 
 
 def extract_matrix(model: UnrolledAutoencoder) -> MeasurementMatrix:
-    """The trained compression matrix; the decoder is not needed to use it."""
+    """The trained compression matrix, widened to float64; the decoder is
+    not needed to use it."""
     return MeasurementMatrix(kind=MatrixKind.LEARNED, data=model.phi)

@@ -293,6 +293,8 @@ CORRUPTIONS = {
     "nan in phi": (_PHI, math.nan),
     "inf in phi": (_PHI, math.inf),
     "negative running variance": (_RUNNING_VAR, -1.0),
+    "phi entry not a float32": (_PHI, 0.1),
+    "running variance beyond float32": (_RUNNING_VAR, 1e300),
 }
 
 
@@ -350,3 +352,31 @@ def test_sweep_rank_deficient_phi_is_a_numerical_failure(run_dir, tmp_path, caps
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "rank 3" in err
     assert not (sweep_out / "report.json").exists()
+
+
+def test_train_is_byte_identical_across_processes(run_dir, tmp_path):
+    # two fresh interpreters, each with its own BLAS set-up, write the
+    # same checkpoint bytes as the in-process run
+    import subprocess
+    import sys
+
+    import beamcs
+
+    root, out = run_dir
+    env = dict(os.environ)
+    src = str(Path(beamcs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for dest in outs:
+        subprocess.run(
+            [
+                sys.executable, "-m", "beamcs.cli", "train",
+                "--config", str(root / "cfg.json"), "--seed", "0",
+                "--data", os.path.join(out, "dataset.bcsl"), "--out", str(dest),
+            ],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+    for m in CFG["m_values"]:
+        want = Path(out, checkpoint_name(m)).read_bytes()
+        for dest in outs:
+            assert (dest / checkpoint_name(m)).read_bytes() == want

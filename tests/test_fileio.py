@@ -292,3 +292,62 @@ def test_export_checkpoint_json(tmp_path, trained):
     assert len(doc["bn_layers"]) == 3
     assert np.array_equal(np.asarray(doc["phi"]), model.phi)
     assert doc["echo"]["train_config"]["batch_size"] == 16
+
+
+# ------------------------------------------------- float32 checkpoint values
+
+
+_PAYLOAD = 8 + 48  # prefix, then u64 x3 and f64 x3 before the arrays
+
+
+def test_checkpoint_round_trip_keeps_float32_bits(tmp_path, trained):
+    _, model, _ = trained
+    path = tmp_path / "c.bcsw"
+    save_checkpoint(str(path), model, TRAIN_CFG)
+    loaded, _ = load_checkpoint(str(path))
+    pairs = [(loaded.phi, model.phi)]
+    for a, b in zip(loaded.bn_layers, model.bn_layers):
+        pairs += [
+            (a.gamma, b.gamma), (a.beta, b.beta),
+            (a.running_mean, b.running_mean), (a.running_var, b.running_var),
+        ]
+    for got, want in pairs:
+        assert want.dtype == got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+    # stored widened to <f8, which is exact
+    blob = path.read_bytes()
+    stored = np.frombuffer(blob, "<f8", count=model.phi.size, offset=_PAYLOAD)
+    assert np.array_equal(stored, model.phi.ravel().astype(np.float64))
+
+
+@pytest.mark.parametrize("value", [0.1, 1e300, 1e-310])
+def test_checkpoint_value_that_is_not_a_float32_raises(tmp_path, trained, value):
+    # 0.1 rounds, 1e300 overflows and 1e-310 underflows in float32
+    _, model, _ = trained
+    path = tmp_path / "c.bcsw"
+    save_checkpoint(str(path), model, TRAIN_CFG)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, _PAYLOAD + 8 * 5, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError, match="float32"):
+        load_checkpoint(str(path))
+
+
+def test_save_checkpoint_rejects_a_float64_model(tmp_path, trained):
+    import copy
+
+    _, model, _ = trained
+    wide = copy.deepcopy(model)
+    wide.phi = wide.phi.astype(np.float64)
+    for layer in wide.bn_layers:
+        layer.running_var = layer.running_var.astype(np.float64)
+    path = tmp_path / "c.bcsw"
+    with pytest.raises(ValueError, match="float32"):
+        save_checkpoint(str(path), wide, TRAIN_CFG)
+    assert not path.exists()
+    # one wide array among float32 ones is refused too
+    wide = copy.deepcopy(model)
+    wide.bn_layers[-1].beta = wide.bn_layers[-1].beta.astype(np.float64)
+    with pytest.raises(ValueError, match="float64"):
+        save_checkpoint(str(path), wide, TRAIN_CFG)
+    assert not path.exists()

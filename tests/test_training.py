@@ -212,3 +212,44 @@ def test_extract_matrix(tiny_dataset):
     assert mat.kind is MatrixKind.LEARNED
     assert np.array_equal(mat.data, model.phi)
     assert mat.data.shape == (4, tiny_dataset.width)
+
+
+# ------------------------------------------------------------- dtype of Phi
+
+
+def test_train_returns_a_float32_model(tiny_dataset):
+    model, _ = train(tiny_dataset, 4, FAST)
+    assert model.phi.dtype == np.float32
+    for layer in model.bn_layers:
+        for arr in (layer.gamma, layer.beta, layer.running_mean, layer.running_var):
+            assert arr.dtype == np.float32
+    # recovery gets the learned matrix in float64
+    assert extract_matrix(model).data.dtype == np.float64
+
+
+def test_init_model_rounds_the_float64_draw_once():
+    cfg = TrainConfig(seed=9)
+    model = init_model(4, 16, cfg)
+    draw = training._truncated_normal(
+        training._stream(cfg.seed, training._INIT_STREAM), (4, 16), 1.0 / 4.0
+    )
+    assert np.array_equal(model.phi, draw.astype(np.float32))
+
+
+def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
+    # every dev evaluation of a train call overwrites the same buffers
+    buffers = []
+
+    def recording_forward(model, h_batch, mode, **kwargs):
+        out, trace = forward(model, h_batch, mode, **kwargs)
+        if mode is Mode.INFER:
+            buffers.append(trace.buffers)
+        return out, trace
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    cfg = TrainConfig(
+        learning_rate=0.01, batch_size=16, max_epochs=3, num_updates=1, seed=0
+    )
+    _, report = train(tiny_dataset, 4, cfg)
+    assert len(buffers) == len(report.dev_epochs) == 4
+    assert all(b is buffers[0] for b in buffers)
