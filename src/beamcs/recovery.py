@@ -8,6 +8,21 @@ Phi (v+ - v-), A^T lam = [Phi^T lam; -Phi^T lam], and the normal matrix
 A diag(d) A^T = Phi diag(d+ + d-) Phi^T.  That matrix is only m x m, so
 one solve costs O(m^2 n) regardless of the signal length.
 
+Every iteration also tries a crossover to an exact vertex (Ye 1992,
+finite termination of interior-point methods).  It guesses the support
+S = {i : max(x+_i / s+_i, x-_i / s-_i) > 1}; if 0 < |S| <= m it solves
+Phi_S h_S = y by a Cholesky factor of Phi_S^T Phi_S and projects the
+iterate's lam onto {Phi_S^T lam = sign(h_S)}.  The vertex, exactly zero
+off S, is returned as OPTIMAL only when the residual is within feas_tol,
+the signs match the iterate, Phi_S has full column rank (no tiny pivot)
+and ||Phi_{S^c}^T lam||_inf < 1 - 1e-6: then it is the unique minimizer
+(Fuchs 2004).  The 1e-6 margin sits far above the rounding in
+Phi^T lam, so a tie (an optimum that is not unique) is declined rather
+than scored by whichever vertex came first.  A declined or failed
+attempt costs one small factorization; the iteration then carries on,
+and the interior-point termination test, polish and max_iters exit are
+those of a solve without crossover.
+
 projected_subgradient iterates h <- P[h - (a/t) sign(h)] where P is the
 Euclidean projection onto the affine solution set, and
 oracle_sparse_recover brute-forces small instances by support
@@ -24,6 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
+
+
+# Crossover acceptance: Phi_S counts as full column rank when the smallest
+# pivot of its Gram factor exceeds this fraction of the largest, and the
+# dual certifies a unique optimum when max |Phi_j^T lam| off the support
+# stays below 1 by this margin, far above the rounding in Phi^T lam.
+_PIVOT_RATIO = 1e-6
+_UNIQUE_MARGIN = 1e-6
 
 
 class RecoveryStatus(enum.Enum):
@@ -188,11 +211,15 @@ class BasisPursuitSolver:
 
         # Phi has full row rank, so every y is feasible.
         h_ls = phi.T @ cho_solve(self._gram_chol, y)
-        x, iterations, converged = self._mehrotra(y, h_ls)
-        h = x[:n] - x[n:]
-        # Exact feasibility polish; keeps Optimal => residual <= feas_tol
-        # meaningful in absolute terms.
-        h = project_feasible(phi, self._gram_chol, y, h)
+        x, iterations, converged, vertex = self._mehrotra(y, h_ls)
+        if vertex is None:
+            # Exact feasibility polish; keeps Optimal => residual <= feas_tol
+            # meaningful in absolute terms.
+            h = project_feasible(phi, self._gram_chol, y, x[:n] - x[n:])
+        else:
+            support, h_s = vertex
+            h = np.zeros(n)
+            h[support] = h_s
         residual = float(np.linalg.norm(phi @ h - y))
         status = RecoveryStatus.OPTIMAL if converged else RecoveryStatus.MAX_ITERS
         if status is RecoveryStatus.OPTIMAL and residual > cfg.feas_tol:
@@ -205,9 +232,51 @@ class BasisPursuitSolver:
             iterations=iterations,
         )
 
+    def _crossover(
+        self, b: np.ndarray, x: np.ndarray, d: np.ndarray, lam: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(S, h_S) of the vertex on the iterate's support, if a dual
+        certifies it as the unique optimum; None otherwise (the IPM then
+        carries on).
+
+        d = x / s, so d > 1 is where x dominates its complementary slack.
+        Most attempts fail the residual test, so it comes first and the
+        rest runs only on a support that explains b.
+        """
+        phi = self.phi
+        m, n = phi.shape
+        support = np.flatnonzero(np.maximum(d[:n], d[n:]) > 1.0)
+        if not 0 < support.size <= m:
+            return None
+        cols = phi[:, support]
+        try:
+            chol = cho_factor(cols.T @ cols)
+        except LinAlgError:
+            return None
+        h_s = cho_solve(chol, cols.T @ b)
+        r = cols @ h_s - b
+        if math.sqrt(r @ r) > self.cfg.feas_tol:
+            return None
+        sign = np.sign(h_s)
+        if not np.array_equal(sign, np.sign(x[support] - x[n + support])):
+            return None
+        pivots = np.diagonal(chol[0])
+        if pivots.min() <= _PIVOT_RATIO * pivots.max():
+            return None  # Phi_S is numerically rank-deficient
+        # Fuchs: Phi_S injective, Phi_S^T lam = sign(h_S) and
+        # |Phi_j^T lam| < 1 off S make h the unique minimizer.
+        lam = lam + cols @ cho_solve(chol, sign - cols.T @ lam)
+        g = phi.T @ lam
+        g[support] = 0.0
+        if np.abs(g).max() >= 1.0 - _UNIQUE_MARGIN:
+            return None
+        return support, h_s
+
     def _mehrotra(
         self, b: np.ndarray, h_ls: np.ndarray
-    ) -> tuple[np.ndarray, int, bool]:
+    ) -> tuple[np.ndarray, int, bool, tuple[np.ndarray, np.ndarray] | None]:
+        """(x, iterations, converged, vertex): the last iterate, and the
+        crossover's (S, h_S) when it ended the solve."""
         cfg = self.cfg
         phi = self.phi
         n2 = 2 * phi.shape[1]
@@ -239,10 +308,13 @@ class BasisPursuitSolver:
                 and math.sqrt(rc @ rc) / c_scale <= cfg.feas_tol
                 and abs(gap) / (1.0 + abs(obj)) <= cfg.opt_tol
             ):
-                return x, iterations - 1, True
+                return x, iterations - 1, True, None
 
-            mu = float(x @ s) / n2
             d = np.minimum(x / s, 1e16)
+            vertex = self._crossover(b, x, d, lam)
+            if vertex is not None:
+                return x, iterations - 1, True, vertex
+            mu = float(x @ s) / n2
             m_chol = _regularized_cho_factor(_split_normal(phi, d))
             d_rc = d * rc
 
@@ -267,9 +339,9 @@ class BasisPursuitSolver:
             lam = lam + ad * dlam_
             s = s + ad * ds_
             if not (np.isfinite(x).all() and np.isfinite(s).all()):
-                return np.maximum(x, 0.0), iterations, False
+                return np.maximum(x, 0.0), iterations, False, None
 
-        return x, iterations, False
+        return x, iterations, False, None
 
 
 def basis_pursuit(

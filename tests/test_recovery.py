@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -302,9 +307,98 @@ def test_solve_leaves_inputs_and_cached_factor_unchanged(rng):
     assert first.iterations == second.iterations
 
 
-def test_solve_goes_through_the_module_cholesky_names(rng, monkeypatch):
+@pytest.fixture
+def vertices(monkeypatch):
+    """The (S, h_S) of every vertex the crossover accepts, in call order."""
+    accepted = []
+    crossover = BasisPursuitSolver._crossover
+
+    def recording(self, *args):
+        vertex = crossover(self, *args)
+        if vertex is not None:
+            accepted.append(vertex)
+        return vertex
+
+    monkeypatch.setattr(BasisPursuitSolver, "_crossover", recording)
+    return accepted
+
+
+def test_crossover_returns_an_exactly_sparse_vertex(rng, vertices):
+    for _ in range(5):
+        phi, _, y = sparse_instance(rng)
+        before = len(vertices)
+        res = BasisPursuitSolver(phi).solve(y)
+        assert len(vertices) == before + 1  # the solve ended by crossover
+        support, h_s = vertices[-1]
+        assert res.status is RecoveryStatus.OPTIMAL
+        assert np.array_equal(np.flatnonzero(res.h_hat), support)
+        assert np.array_equal(res.h_hat[support], h_s)
+        assert support.size <= phi.shape[0]
+        assert np.linalg.norm(phi @ res.h_hat - y) <= RecoveryConfig().feas_tol
+        # the oracle sees supports of size <= 3 only, so it bounds from above
+        assert res.objective <= oracle_sparse_recover(phi, y, 3).objective + 1e-9
+
+
+@pytest.mark.parametrize("tie", ["duplicate", "midpoint"])
+def test_crossover_declines_a_non_unique_optimum(rng, vertices, tie):
+    # duplicate: columns 0 and 1 are equal, so any split of h0 between
+    # them is optimal.  midpoint: column 0 is the mean of columns 1 and 2,
+    # so e0 and (e1 + e2) / 2 tie.  Either way no vertex is the unique
+    # minimizer, and the IPM's own termination has to end the solve.
+    phi = rng.standard_normal((6, 12)) / np.sqrt(6)
+    if tie == "duplicate":
+        phi[:, 1] = phi[:, 0]
+    else:
+        phi[:, 0] = (phi[:, 1] + phi[:, 2]) / 2.0
+    h = np.zeros(12)
+    h[0], h[5] = 1.5, -0.8
+    y = phi @ h
+    oracle = oracle_sparse_recover(phi, y, k_max=3)
+    assert not oracle.unique
+    res = BasisPursuitSolver(phi).solve(y)
+    assert vertices == []
+    assert res.status is RecoveryStatus.OPTIMAL
+    assert res.objective == pytest.approx(oracle.objective, abs=1e-9)
+
+
+def _crossover_on(phi, support, h_s, lam):
+    """One crossover attempt at an iterate whose support is the given one,
+    with h_s's signs, for b = Phi_S h_s and the given IPM dual."""
+    phi = np.asarray(phi, dtype=float)
+    n = phi.shape[1]
+    x = np.full(2 * n, 0.1)
+    for i, v in zip(support, h_s):
+        x[i if v > 0 else n + i] = 10.0
+    b = phi[:, support] @ np.asarray(h_s, dtype=float)
+    # s = 1, so d = x / s = x
+    return BasisPursuitSolver(phi)._crossover(b, x, x, np.asarray(lam, float))
+
+
+@pytest.mark.parametrize("t, accepted", [(1e-3, True), (1e-9, False)])
+def test_crossover_certificate_needs_a_margin_below_one(t, accepted):
+    # lam = e0 gives Phi^T lam = (1, 1 - t, 0.2, -0.4): on support {0} it
+    # certifies h = 0.5 e0, and uniquely only if 1 - t is clearly below 1
+    phi = np.array([[1.0, 1.0 - t, 0.2, -0.4], [0.3, 0.5, 1.0, 0.0], [0.2, -0.1, 0.0, 1.0]])
+    vertex = _crossover_on(phi, [0], [0.5], [1.0, 0.0, 0.0])
+    if accepted:
+        support, h_s = vertex
+        assert support.tolist() == [0] and h_s.tolist() == [0.5]
+    else:
+        assert vertex is None
+
+
+def test_crossover_declines_linearly_dependent_columns():
+    # columns 0 and 1 are equal; their Gram matrix is singular, but its
+    # Cholesky factor may still come out with a tiny positive last pivot,
+    # and every other test passes for the split it then gives
+    phi = np.array([[1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
+    assert _crossover_on(phi, [0, 1], [1.0, 1.0], [0.5, 0.5, 0.0]) is None
+
+
+def test_solve_goes_through_the_module_cholesky_names(rng, monkeypatch, vertices):
     # wrappers bound to recovery.cho_factor / cho_solve see every call, so
-    # per-call timings taken that way cannot silently read zero
+    # per-call timings taken that way cannot silently read zero; the solve
+    # ends by crossover, whose factorization must be seen too
     calls = {"cho_factor": 0, "cho_solve": 0}
 
     def counting(name):
@@ -321,9 +415,60 @@ def test_solve_goes_through_the_module_cholesky_names(rng, monkeypatch):
     for name in calls:
         monkeypatch.setattr(recovery, name, counting(name))
     res = solver.solve(y)
+    assert len(vertices) == 1  # the solve ended by crossover
     assert res.iterations >= 1
-    assert calls["cho_factor"] >= max(1, res.iterations)
-    assert calls["cho_solve"] >= 2 * res.iterations
+    # a factor per Newton step plus the crossover's Phi_S^T Phi_S, two
+    # solves per Newton step plus the crossover's primal and dual
+    assert calls["cho_factor"] >= res.iterations + 1
+    assert calls["cho_solve"] >= 2 * res.iterations + 2
+
+
+# Two former borderline solves from sweep-paper at seed 5 (300 test vectors
+# of width 512).  Before crossover, gaussian m=20 vector 255 took 123 IPM
+# iterations: its iterate jumped away from the optimum at iteration 14.
+# Phase shifter m=40 vector 216 took 28.
+BORDERLINE = """
+from beamcs import BasisPursuitSolver, ChannelConfig, MatrixKind, generate_dataset
+from beamcs.evaluate import sweep_baseline
+
+data = generate_dataset(ChannelConfig(256, 3, seed=5), 300, ratios=(0, 0, 1), floor=0.0)
+results = []
+for kind, m, i in (("gaussian", 20, 255), ("phase_shifter", 40, 216)):
+    phi = sweep_baseline(MatrixKind(kind), m, data.width, 5).data
+    results.append(BasisPursuitSolver(phi).solve(phi @ data.test[i]))
+"""
+
+
+def test_former_borderline_solve_ends_early_at_its_optimum():
+    scope = {}
+    exec(BORDERLINE, scope)
+    res = scope["results"][0]
+    assert res.status is RecoveryStatus.OPTIMAL
+    assert res.iterations <= 15
+    assert abs(res.objective - 1.67706472778) <= 1e-9
+
+
+def test_borderline_solves_are_identical_across_processes():
+    # two fresh interpreters, each with its own BLAS set-up, give the same
+    # status, iteration count and estimate bits
+    import beamcs
+
+    env = dict(os.environ)
+    src = str(Path(beamcs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = BORDERLINE + (
+        "for r in results:\n"
+        "    print(r.status.value, r.iterations, r.h_hat.tobytes().hex())\n"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert len(outs[0].splitlines()) == 2
+    assert outs[0] == outs[1]
 
 
 def _rel(got, want):
