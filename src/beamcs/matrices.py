@@ -4,6 +4,14 @@ All matrices are real m x n with m < n.  The two complex constructions
 (partial Fourier and phase shifter) are realified by expanding each
 complex row into two real rows (real part, imaginary part), so m real
 measurements carry m/2 complex ones.
+
+Those complex rows have n entries and act on the stacked real channel
+vector [Re h; Im h] of length n, which is what every kind measures: row
+pair k gives Re and Im of phi_k . [Re h; Im h].  They are not an
+(m/2) x (n/2) complex operator Phi_c = A + jB applied to the complex
+channel h, whose realified form would be the rows [A, -B] and [B, A].
+Which of the two the paper's baselines are is not settled here; the
+choice changes the baseline rows of a sweep and stays open.
 """
 
 from __future__ import annotations

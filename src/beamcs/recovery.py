@@ -8,6 +8,15 @@ Phi (v+ - v-), A^T lam = [Phi^T lam; -Phi^T lam], and the normal matrix
 A diag(d) A^T = Phi diag(d+ + d-) Phi^T.  That matrix is only m x m, so
 one solve costs O(m^2 n) regardless of the signal length.
 
+Each solve keeps x and s in one buffer z = [x; s] and writes every
+Newton step (dx, ds) into one buffer dz, so a single unmasked pass over
+z gives both step lengths: t = max(0 - dz, 0), z / t, then the fmin of
+each half.  Where dv < 0 that ratio is v / (-dv), the same bits as the
+textbook -v / dv; where dv >= 0 (or NaN) it is +inf, or 0 / 0 = NaN,
+which fmin skips.  The 0 - dz is a guard, not -dz: dz = +0.0 would give
+-0.0, which fmax(., 0.0) may return unchanged, and v / -0.0 = -inf
+would become the step.
+
 Every iteration also tries a crossover to an exact vertex (Ye 1992,
 finite termination of interior-point methods).  It guesses the support
 S = {i : max(x+_i / s+_i, x-_i / s-_i) > 1}; if 0 < |S| <= m it solves
@@ -141,10 +150,19 @@ def project_feasible(phi, gram_chol, y, x) -> np.ndarray:
     return x + phi.T @ cho_solve(gram_chol, y - phi @ x)
 
 
-def _step_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with v + alpha*dv >= 0, given v > 0."""
-    ratios = np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0)
-    return float(ratios.min())
+def _steps_to_boundary(
+    z: np.ndarray, dz: np.ndarray, work: np.ndarray
+) -> tuple[float, float]:
+    """Largest alpha on each half of z = [x; s] with z + alpha*dz >= 0,
+    given z > 0, by one unmasked pass (module docstring); work is scratch
+    of z's size.  Equal to the masked min of -v / dv over dv < 0, or inf.
+    """
+    np.subtract(0.0, dz, out=work)
+    np.fmax(work, 0.0, out=work)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(z, work, out=work)
+    primal, dual = np.fmin.reduce(work.reshape(2, -1), axis=1, initial=np.inf).tolist()
+    return primal, dual
 
 
 def _regularized_cho_factor(mat: np.ndarray):
@@ -167,12 +185,6 @@ def _split_matvec(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A v for A = [Phi, -Phi]."""
     n = phi.shape[1]
     return phi @ (v[:n] - v[n:])
-
-
-def _split_rmatvec(phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """A^T lam for A = [Phi, -Phi]."""
-    g = phi.T @ lam
-    return np.concatenate((g, -g))
 
 
 def _split_normal(phi: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -245,7 +257,7 @@ class BasisPursuitSolver:
         """
         phi = self.phi
         m, n = phi.shape
-        support = np.flatnonzero(np.maximum(d[:n], d[n:]) > 1.0)
+        support = np.nonzero(np.maximum(d[:n], d[n:]) > 1.0)[0]
         if not 0 < support.size <= m:
             return None
         cols = phi[:, support]
@@ -258,7 +270,7 @@ class BasisPursuitSolver:
         if math.sqrt(r @ r) > self.cfg.feas_tol:
             return None
         sign = np.sign(h_s)
-        if not np.array_equal(sign, np.sign(x[support] - x[n + support])):
+        if not (sign == np.sign(x[support] - x[n + support])).all():
             return None
         pivots = np.diagonal(chol[0])
         if pivots.min() <= _PIVOT_RATIO * pivots.max():
@@ -276,10 +288,14 @@ class BasisPursuitSolver:
         self, b: np.ndarray, h_ls: np.ndarray
     ) -> tuple[np.ndarray, int, bool, tuple[np.ndarray, np.ndarray] | None]:
         """(x, iterations, converged, vertex): the last iterate, and the
-        crossover's (S, h_S) when it ended the solve."""
+        crossover's (S, h_S) when it ended the solve.
+
+        Raises LinAlgError when an iterate stops being finite.
+        """
         cfg = self.cfg
         phi = self.phi
-        n2 = 2 * phi.shape[1]
+        n = phi.shape[1]
+        n2 = 2 * n
 
         # Starting point heuristic: least-norm primal, least-squares dual,
         # shifted into the positive orthant.  A A^T = 2 Phi Phi^T, so the
@@ -295,12 +311,41 @@ class BasisPursuitSolver:
         x = x + 0.5 * xs / float(s.sum())
         s = s + 0.5 * xs / float(x.sum())
 
+        # z = [x; s] and each Newton step dz = [dx; ds] live in one buffer,
+        # so one ratio pass serves the primal and the dual step.
+        z = np.concatenate((x, s))
+        x, s = z[:n2], z[n2:]
+        dz_aff, dz, work = np.empty(2 * n2), np.empty(2 * n2), np.empty(2 * n2)
+        rc, neg_rc, d, d_rc, x_s, r_xs, tmp = np.empty((7, n2))
+
+        def newton(r, out):
+            """Writes (dx, ds) for the complementarity residual r into out
+            and returns dlam, at the current iteration's rb, rc, d and
+            normal-matrix factor m_chol."""
+            dx_, ds_ = out[:n2], out[n2:]
+            np.divide(r, s, out=tmp)
+            np.add(tmp, d_rc, out=tmp)
+            rhs = -rb - _split_matvec(phi, tmp)
+            dlam = cho_solve(m_chol, rhs)
+            g = phi.T @ dlam
+            # ds = -rc - A^T dlam, with A^T dlam = [g; -g]
+            np.subtract(neg_rc[:n], g, out=ds_[:n])
+            np.add(neg_rc[n:], g, out=ds_[n:])
+            np.multiply(x, ds_, out=dx_)
+            np.subtract(r, dx_, out=dx_)
+            dx_ /= s
+            return dlam
+
         b_scale = 1.0 + math.sqrt(b @ b)
         c_scale = 1.0 + np.sqrt(n2)  # 1 + ||c||
         iterations = 0
         for iterations in range(1, cfg.max_iters + 1):
             rb = _split_matvec(phi, x) - b
-            rc = _split_rmatvec(phi, lam) + s - 1.0
+            # rc = A^T lam + s - 1, with A^T lam = [g; -g]
+            g = phi.T @ lam
+            np.add(g, s[:n], out=rc[:n])
+            np.subtract(s[n:], g, out=rc[n:])
+            rc -= 1.0
             obj = float(x.sum())
             gap = obj - float(b @ lam)
             if (
@@ -310,36 +355,42 @@ class BasisPursuitSolver:
             ):
                 return x, iterations - 1, True, None
 
-            d = np.minimum(x / s, 1e16)
+            np.divide(x, s, out=d)
+            np.minimum(d, 1e16, out=d)
             vertex = self._crossover(b, x, d, lam)
             if vertex is not None:
                 return x, iterations - 1, True, vertex
             mu = float(x @ s) / n2
             m_chol = _regularized_cho_factor(_split_normal(phi, d))
-            d_rc = d * rc
+            np.multiply(d, rc, out=d_rc)
+            np.negative(rc, out=neg_rc)
+            np.multiply(x, s, out=x_s)
 
-            def newton(r_xs):
-                rhs = -rb - _split_matvec(phi, r_xs / s + d_rc)
-                dlam = cho_solve(m_chol, rhs)
-                ds_ = -rc - _split_rmatvec(phi, dlam)
-                dx_ = (r_xs - x * ds_) / s
-                return dx_, dlam, ds_
-
-            dx_a, _, ds_a = newton(-x * s)
-            ap_aff = min(1.0, _step_to_boundary(x, dx_a))
-            ad_aff = min(1.0, _step_to_boundary(s, ds_a))
-            mu_aff = float((x + ap_aff * dx_a) @ (s + ad_aff * ds_a)) / n2
+            np.negative(x_s, out=r_xs)
+            newton(r_xs, dz_aff)
+            ap_aff, ad_aff = _steps_to_boundary(z, dz_aff, work)
+            ap_aff, ad_aff = min(1.0, ap_aff), min(1.0, ad_aff)
+            np.multiply(dz_aff[:n2], ap_aff, out=work[:n2])
+            np.multiply(dz_aff[n2:], ad_aff, out=work[n2:])
+            work += z
+            mu_aff = float(work[:n2] @ work[n2:]) / n2
             sigma = min(max((mu_aff / mu) ** 3, 0.0), 1.0) if mu > 0 else 0.0
 
-            dx_, dlam_, ds_ = newton(sigma * mu - x * s - dx_a * ds_a)
+            np.subtract(sigma * mu, x_s, out=r_xs)
+            np.multiply(dz_aff[:n2], dz_aff[n2:], out=tmp)
+            r_xs -= tmp
+            dlam = newton(r_xs, dz)
+            ap, ad = _steps_to_boundary(z, dz, work)
             eta = 0.99995
-            ap = min(1.0, eta * _step_to_boundary(x, dx_))
-            ad = min(1.0, eta * _step_to_boundary(s, ds_))
-            x = x + ap * dx_
-            lam = lam + ad * dlam_
-            s = s + ad * ds_
-            if not (np.isfinite(x).all() and np.isfinite(s).all()):
-                return np.maximum(x, 0.0), iterations, False, None
+            ap, ad = min(1.0, eta * ap), min(1.0, eta * ad)
+            np.multiply(dz[:n2], ap, out=work[:n2])
+            np.multiply(dz[n2:], ad, out=work[n2:])
+            z += work
+            lam = lam + ad * dlam
+            if not np.isfinite(z).all():
+                raise LinAlgError(
+                    f"interior-point iterate is not finite at iteration {iterations}"
+                )
 
         return x, iterations, False, None
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import beamcs.recovery as recovery
+import ipm_reference
 from beamcs import (
     BasisPursuitSolver,
     RecoveryConfig,
@@ -213,9 +214,23 @@ def test_oracle_zero_measurement(rng):
     assert np.array_equal(res.h_hat, np.zeros(10))
 
 
+def _step_to_boundary(v, dv):
+    """The primal step of recovery._steps_to_boundary on z = [v; w],
+    dz = [dv; dw], where the dual half w, dw is v, dv reversed and v
+    doubled; each half must equal the reference's masked ratio."""
+    w, dw = 2.0 * v[::-1], dv[::-1]
+    z, dz = np.concatenate((v, w)), np.concatenate((dv, dw))
+    z_before, dz_before = z.copy(), dz.copy()
+    primal, dual = recovery._steps_to_boundary(z, dz, np.empty_like(z))
+    assert np.array_equal(z, z_before) and np.array_equal(dz, dz_before, equal_nan=True)
+    assert primal == ipm_reference.step_to_boundary(v, dv)
+    assert dual == ipm_reference.step_to_boundary(w, dw)
+    return primal
+
+
 def test_step_to_boundary_unbounded_without_a_decreasing_entry():
     v = np.array([1.0, 2.0, 3.0])
-    assert recovery._step_to_boundary(v, np.array([0.0, 1.0, 2.0])) == np.inf
+    assert _step_to_boundary(v, np.array([0.0, 1.0, 2.0])) == np.inf
 
 
 def test_step_to_boundary_matches_masked_ratio(rng):
@@ -223,7 +238,28 @@ def test_step_to_boundary_matches_masked_ratio(rng):
         v = rng.uniform(1e-6, 10.0, 1024)
         dv = rng.standard_normal(1024) * 10.0 ** rng.uniform(-6, 6, 1024)
         neg = dv < 0
-        assert recovery._step_to_boundary(v, dv) == float(np.min(-v[neg] / dv[neg]))
+        assert _step_to_boundary(v, dv) == float(np.min(-v[neg] / dv[neg]))
+
+
+@pytest.mark.parametrize("fill", [0.0, -0.0, np.nan])
+@pytest.mark.parametrize("zero_v", [False, True])
+def test_step_to_boundary_skips_signed_zero_and_nan_steps(rng, fill, zero_v):
+    # dv = +0.0, -0.0 or NaN never bounds the step, also in long runs that
+    # reach numpy's vector loops; v = 0 bounds it at 0 where dv < 0 and
+    # gives 0 / 0, skipped, where dv does not decrease
+    for size in (1, 7, 64, 1024):
+        v = rng.uniform(1e-6, 10.0, size)
+        dv = rng.standard_normal(size)
+        dv[rng.random(size) < 0.5] = fill
+        if zero_v:
+            v[rng.random(size) < 0.3] = 0.0
+        neg = dv < 0
+        want = float(np.min(-v[neg] / dv[neg])) if neg.any() else np.inf
+        got = _step_to_boundary(v, dv)
+        assert got == want and not np.signbit(got)
+        all_fill = np.full(size, fill)
+        assert _step_to_boundary(v, all_fill) == np.inf
+        assert _step_to_boundary(np.zeros(size), all_fill) == np.inf
 
 
 def test_regularized_cho_factor_leaves_definite_matrix_alone(rng):
@@ -471,6 +507,67 @@ def test_borderline_solves_are_identical_across_processes():
     assert outs[0] == outs[1]
 
 
+def _assert_matches_reference(solver, y):
+    """solver._mehrotra gives the same bits as the reference loop."""
+    h_ls = solver.phi.T @ recovery.cho_solve(solver._gram_chol, y)
+    x, iterations, converged, vertex = solver._mehrotra(y, h_ls)
+    x_ref, iterations_ref, converged_ref, vertex_ref = ipm_reference.mehrotra(
+        solver, y, h_ls
+    )
+    assert x.tobytes() == x_ref.tobytes()
+    assert (iterations, converged) == (iterations_ref, converged_ref)
+    assert (vertex is None) == (vertex_ref is None)
+    if vertex is not None:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(vertex, vertex_ref))
+    return iterations, converged, vertex
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "phase_shifter"])
+@pytest.mark.parametrize("m, n", [(8, 64), (20, 512), (40, 512)])
+def test_mehrotra_matches_the_reference_loop_bitwise(kind, m, n):
+    from beamcs import ChannelConfig, MatrixKind, generate_dataset
+    from beamcs.evaluate import sweep_baseline
+
+    cfg = ChannelConfig(n // 2, 3, seed=3)
+    data = generate_dataset(cfg, 20, ratios=(0, 0, 1), floor=0.0)
+    solver = BasisPursuitSolver(sweep_baseline(MatrixKind(kind), m, n, 3).data)
+    for h in data.test:
+        _assert_matches_reference(solver, solver.phi @ h)
+    short = BasisPursuitSolver(solver.phi, RecoveryConfig(max_iters=3))
+    iterations, converged, _ = _assert_matches_reference(short, solver.phi @ data.test[0])
+    assert (iterations, converged) == (3, False)
+
+
+def test_borderline_solves_match_the_reference_loop_bitwise():
+    scope = {}
+    exec(BORDERLINE, scope)
+    data = scope["data"]
+    for kind, m, i in (("gaussian", 20, 255), ("phase_shifter", 40, 216)):
+        phi = scope["sweep_baseline"](scope["MatrixKind"](kind), m, data.width, 5).data
+        _assert_matches_reference(BasisPursuitSolver(phi), phi @ data.test[i])
+
+
+def test_non_finite_iterate_is_a_numerical_failure(rng, monkeypatch):
+    # a Newton solve that returns inf used to end the solve with a NaN
+    # estimate scored MAX_ITERS; it must fail like a NaN Cholesky does
+    phi, _, y = sparse_instance(rng)
+    solver = BasisPursuitSolver(phi)
+    solve = recovery.cho_solve
+    calls = []
+
+    def inf_after_the_first(c_and_lower, b):
+        # the first solve is the least-norm start, outside the IPM loop
+        calls.append(b)
+        x = solve(c_and_lower, b)
+        return x if len(calls) == 1 else np.full_like(x, np.inf)
+
+    monkeypatch.setattr(recovery, "cho_solve", inf_after_the_first)
+    with np.errstate(all="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="iterate is not finite"):
+            solver.solve(y)
+    assert len(calls) > 1
+
+
 def _rel(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -485,4 +582,4 @@ def test_split_products_match_explicit_sign_split(rng, m):
     lam = rng.standard_normal(m)
     assert _rel(recovery._split_normal(phi, d), (a * d) @ a.T) <= 1e-12
     assert _rel(recovery._split_matvec(phi, v), a @ v) <= 1e-12
-    assert _rel(recovery._split_rmatvec(phi, lam), a.T @ lam) <= 1e-12
+    assert _rel(ipm_reference.split_rmatvec(phi, lam), a.T @ lam) <= 1e-12
