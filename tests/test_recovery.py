@@ -11,12 +11,16 @@ import beamcs.recovery as recovery
 import ipm_reference
 from beamcs import (
     BasisPursuitSolver,
+    ChannelConfig,
+    MatrixKind,
     RecoveryConfig,
     RecoveryStatus,
     basis_pursuit,
+    generate_dataset,
     oracle_sparse_recover,
     projected_subgradient,
 )
+from beamcs.evaluate import sweep_baseline
 
 
 def sparse_instance(rng, m=10, n=24, k=2):
@@ -525,9 +529,6 @@ def _assert_matches_reference(solver, y):
 @pytest.mark.parametrize("kind", ["gaussian", "phase_shifter"])
 @pytest.mark.parametrize("m, n", [(8, 64), (20, 512), (40, 512)])
 def test_mehrotra_matches_the_reference_loop_bitwise(kind, m, n):
-    from beamcs import ChannelConfig, MatrixKind, generate_dataset
-    from beamcs.evaluate import sweep_baseline
-
     cfg = ChannelConfig(n // 2, 3, seed=3)
     data = generate_dataset(cfg, 20, ratios=(0, 0, 1), floor=0.0)
     solver = BasisPursuitSolver(sweep_baseline(MatrixKind(kind), m, n, 3).data)
@@ -543,7 +544,7 @@ def test_borderline_solves_match_the_reference_loop_bitwise():
     exec(BORDERLINE, scope)
     data = scope["data"]
     for kind, m, i in (("gaussian", 20, 255), ("phase_shifter", 40, 216)):
-        phi = scope["sweep_baseline"](scope["MatrixKind"](kind), m, data.width, 5).data
+        phi = sweep_baseline(MatrixKind(kind), m, data.width, 5).data
         _assert_matches_reference(BasisPursuitSolver(phi), phi @ data.test[i])
 
 
