@@ -8,7 +8,6 @@ baselines by exact-recovery rate, normalized error, and effective rate.
 """
 
 from .channels import (
-    AngleMode,
     ChannelConfig,
     ChannelDataset,
     PreprocessParams,
@@ -50,20 +49,16 @@ from .network import (
     UnrolledAutoencoder,
     backward,
     decoder_init,
-    decoder_update,
     encode,
     forward,
     mse_loss,
 )
 from .recovery import (
     BasisPursuitSolver,
-    OracleRecovery,
     RecoveryConfig,
     RecoveryResult,
     RecoveryStatus,
     basis_pursuit,
-    oracle_sparse_recover,
-    projected_subgradient,
 )
 from .training import (
     TrainConfig,
@@ -77,7 +72,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleMode",
     "BasisPursuitSolver",
     "BatchNormLayer",
     "ChannelConfig",
@@ -91,7 +85,6 @@ __all__ = [
     "MeasurementMatrix",
     "MetricConfig",
     "Mode",
-    "OracleRecovery",
     "PreprocessParams",
     "RecoveryConfig",
     "RecoveryResult",
@@ -106,7 +99,6 @@ __all__ = [
     "backward",
     "basis_pursuit",
     "decoder_init",
-    "decoder_update",
     "dft_grid_matrix",
     "effective_rate",
     "encode",
@@ -125,10 +117,8 @@ __all__ = [
     "mean_nrse",
     "measure",
     "mse_loss",
-    "oracle_sparse_recover",
     "preprocess",
     "profile_defaults",
-    "projected_subgradient",
     "run_sweep",
     "save_checkpoint",
     "save_dataset",

@@ -10,25 +10,10 @@ autoencoder and of the recovery threshold.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class AngleMode(enum.Enum):
-    """How path directions are drawn.
-
-    ON_GRID samples directions from the DFT grid without replacement,
-    which makes the beamspace vector exactly sparse.  OFF_GRID samples
-    continuous directions; the beamspace vector then has full support
-    (leakage), which is incompatible with the exact-recovery metric, so
-    run_sweep rejects it.
-    """
-
-    ON_GRID = "on_grid"
-    OFF_GRID = "off_grid"
 
 
 @dataclass(frozen=True)
@@ -36,13 +21,14 @@ class ChannelConfig:
     """Physical parameters of the synthetic channel generator.
 
     The array is a half-wavelength ULA; that spacing is built into the
-    steering and grid formulas.  Path gains are circularly symmetric
-    complex Gaussian with unit variance.
+    steering and grid formulas.  Path directions are drawn from the DFT
+    grid without replacement, so every beamspace vector is exactly
+    sparse.  Path gains are circularly symmetric complex Gaussian with
+    unit variance.
     """
 
     num_antennas: int
     num_paths: int
-    angle_mode: AngleMode = AngleMode.ON_GRID
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -90,13 +76,6 @@ class PreprocessParams:
     def is_sentinel(self) -> bool:
         return self.min_nz == 0.0 and self.max_nz == 0.0
 
-    def as_row(self) -> np.ndarray:
-        return np.array([self.min_nz, self.max_nz, self.floor, self.zero_tol])
-
-    @classmethod
-    def from_row(cls, row: np.ndarray) -> "PreprocessParams":
-        return cls(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-
 
 def steering_vector(phi: float, num_antennas: int) -> np.ndarray:
     """Array response of an N-element half-wavelength ULA toward direction phi.
@@ -138,10 +117,8 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _draw_directions(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.angle_mode is AngleMode.ON_GRID:
-        grid = grid_directions(cfg.num_antennas)
-        return rng.choice(grid, size=cfg.num_paths, replace=False)
-    return rng.uniform(-0.5, 0.5, size=cfg.num_paths)
+    grid = grid_directions(cfg.num_antennas)
+    return rng.choice(grid, size=cfg.num_paths, replace=False)
 
 
 def _draw_gains(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
@@ -243,8 +220,8 @@ class ChannelDataset:
     """Preprocessed real channel vectors with a deterministic split.
 
     samples is (n, 2N) with every entry in {0} u [floor, 1]; params row i
-    holds the PreprocessParams of sample i as (min_nz, max_nz, floor,
-    zero_tol).  The split is contiguous: train, then dev, then test.
+    holds (min_nz, max_nz) of sample i, whose floor and zero_tol are the
+    dataset's.  The split is contiguous: train, then dev, then test.
     """
 
     samples: np.ndarray
@@ -261,8 +238,8 @@ class ChannelDataset:
         n = self.samples.shape[0]
         if self.num_train + self.num_dev + self.num_test != n:
             raise ValueError("split sizes must sum to the number of samples")
-        if self.params.shape != (n, 4):
-            raise ValueError("params must have one 4-entry row per sample")
+        if self.params.shape != (n, 2):
+            raise ValueError("params must have one (min, max) row per sample")
 
     @property
     def num_samples(self) -> int:
@@ -286,7 +263,7 @@ class ChannelDataset:
         return self.samples[self.num_train + self.num_dev :]
 
     def sample_params(self, index: int) -> PreprocessParams:
-        return PreprocessParams.from_row(self.params[index])
+        return PreprocessParams(*self.params[index].tolist(), self.floor, self.zero_tol)
 
 
 def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -324,11 +301,11 @@ def generate_dataset(
 
     width = 2 * cfg.num_antennas
     samples = np.empty((num_samples, width))
-    params = np.empty((num_samples, 4))
+    params = np.empty((num_samples, 2))
     for i in range(num_samples):
         stacked = stack_real(beam[i])
         samples[i], p = preprocess(stacked, floor=floor, zero_tol=zero_tol)
-        params[i] = p.as_row()
+        params[i] = p.min_nz, p.max_nz
 
     return ChannelDataset(
         samples=samples,

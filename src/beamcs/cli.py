@@ -154,8 +154,8 @@ def cmd_sweep(args) -> int:
                         f"m={m} on this dataset needs {(m, dataset.width)}"
                     )
                 learned[m] = extract_matrix(model)
-    # run_sweep checks the dataset against the config: off-grid data, or
-    # an m too large for the width
+    # run_sweep checks the dataset against the config: an m too large for
+    # the width, or an empty test split
     with _input_errors():
         report = run_sweep(
             dataset,

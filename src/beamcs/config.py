@@ -41,11 +41,10 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 # Values both profiles share; each profile below adds its scale keys.
 _SHARED: dict = {
-    "channel": {"angle_mode": "on_grid"},
     "data": {"ratios": [0.8, 0.1, 0.1], "zero_tol": 1e-12},
     "train": {"num_updates": 9, "alpha_init": 1.0, "dev_eval_every": 5},
     "recovery": {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200},
-    "metric": {"exact_tol": 1e-8, "block_length": 200, "base_rate": 1.0},
+    "metric": {"exact_tol": 1e-8, "block_length": 200},
     "kinds": [k.value for k in MatrixKind],
     "seed": 0,
 }
@@ -111,6 +110,8 @@ class ExperimentConfig:
             )
         if self.m_values[-1] >= self.metric.block_length:
             raise ConfigError("block_length must exceed every swept m")
+        if not self.kinds:
+            raise ConfigError("kinds must be nonempty")
         if len(set(self.kinds)) != len(self.kinds):
             raise ConfigError("kinds must be distinct")
         if not 0.0 <= self.floor < 1.0:
@@ -119,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError("zero_tol must be nonnegative and finite")
         if self.num_samples < 10:
             raise ConfigError("num_samples must be at least 10")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         try:
             split_sizes(self.num_samples, self.ratios)
         except ValueError as exc:
@@ -213,25 +216,25 @@ def _read(doc, cls, names, prefix="", defaults=_OPTIONAL, also=()) -> dict:
 def build_experiment(doc: dict) -> ExperimentConfig:
     """Validates a merged document into typed configs.
 
-    Every key is read as its dataclass field declares it; constructor
-    errors become ConfigError so the CLI maps all bad input to one exit
-    code.
+    Every key is read as its dataclass field declares it; a section's
+    constructor errors become ConfigError naming the section, so the CLI
+    maps all bad input to one exit code.
     """
     hints = get_type_hints(ExperimentConfig)
     sections = {k: t for k, t in hints.items() if is_dataclass(t)}
     top = [k for k in hints if k not in sections and k not in _DATA_KEYS]
-    try:
-        kw = _read(doc, ExperimentConfig, top, also=("data", *sections))
-        kw.update(_read(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
-        for name, cls in sections.items():
-            names = [f.name for f in fields(cls)]
-            defaults = {**_OPTIONAL, "seed": kw["seed"]}
-            kw[name] = cls(**_read(doc.get(name, {}), cls, names, f"{name}.", defaults))
-        return ExperimentConfig(**kw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    kw = _read(doc, ExperimentConfig, top, also=("data", *sections))
+    kw.update(_read(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
+    for name, cls in sections.items():
+        names = [f.name for f in fields(cls)]
+        defaults = {**_OPTIONAL, "seed": kw["seed"]}
+        section = _read(doc.get(name, {}), cls, names, f"{name}.", defaults)
+        try:
+            kw[name] = cls(**section)
+        except ValueError as exc:
+            # a section's checks open their message with the field name
+            raise ConfigError(f"invalid configuration: {name}.{exc}") from exc
+    return ExperimentConfig(**kw)
 
 
 def load_experiment(

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import AngleMode, ChannelDataset
+from .channels import ChannelDataset
 from .matrices import COMPLEX_KINDS, MatrixKind, MeasurementMatrix, generate_baseline
 from .recovery import BasisPursuitSolver, RecoveryConfig, RecoveryStatus
 
@@ -22,21 +22,17 @@ _FAILURE_NOTE_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Metric conventions: exact-recovery tolerance, the transmission
-    block length that prices each measurement, and the rate ceiling the
-    effective rate is measured against (normalized to 1)."""
+    """Metric conventions: exact-recovery tolerance and the transmission
+    block length that prices each measurement."""
 
     exact_tol: float = 1e-8
     block_length: int = 200
-    base_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.exact_tol < np.inf:
             raise ValueError("exact_tol must be positive and finite")
         if self.block_length < 1:
             raise ValueError("block_length must be >= 1")
-        if not 0 < self.base_rate < np.inf:
-            raise ValueError("base_rate must be positive and finite")
 
 
 @dataclass
@@ -100,14 +96,14 @@ def mean_nrse(truth: np.ndarray, estimates: np.ndarray) -> tuple[float, int]:
     return float(np.mean(errs / norms[keep])), excluded
 
 
-def effective_rate(p: float, m: int, block_length: int, base_rate: float) -> float:
-    """Achievable rate after spending m of block_length symbols on
-    measurement: base_rate * (1 - m/block_length) * p."""
+def effective_rate(p: float, m: int, block_length: int) -> float:
+    """Achievable rate, relative to the full block's, after spending m of
+    block_length symbols on measurement: (1 - m/block_length) * p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"recovery rate must lie in [0, 1], got {p}")
     if not 0 < m < block_length:
         raise ValueError(f"need 0 < m < block_length, got m={m}, B={block_length}")
-    return base_rate * (1.0 - m / block_length) * p
+    return (1.0 - m / block_length) * p
 
 
 def recover_all(
@@ -169,16 +165,9 @@ def run_sweep(
     than a silent omission or an abort; a cell whose solver reports
     non-optimal on more than half the samples gets a diagnostic note.
     Deterministic given the seed (wall-clock lives only in `seconds`).
-    Off-grid datasets are rejected: their vectors are not sparse, so the
-    exact-recovery rate would read 0 whatever the matrix.
     """
     import time
 
-    if dataset.config.angle_mode is not AngleMode.ON_GRID:
-        raise ValueError(
-            f"{dataset.config.angle_mode.value} data has no sparse ground "
-            "truth for exact recovery; sweep needs on_grid data"
-        )
     test = dataset.test
     if test.shape[0] == 0:
         raise ValueError("dataset has an empty test split")
@@ -192,6 +181,8 @@ def run_sweep(
     if m_values[-1] >= metric_cfg.block_length:
         raise ValueError("block_length must exceed every swept m")
     kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("kinds must be nonempty")
     for i, kind in enumerate(kinds):
         if kind in kinds[:i]:
             raise ValueError(f"duplicate matrix kind {kind.value}")
@@ -243,9 +234,7 @@ def run_sweep(
                     exact_rate=p,
                     mean_nrse=nrse,
                     nrse_excluded=excluded,
-                    effective_rate=effective_rate(
-                        p, m, metric_cfg.block_length, metric_cfg.base_rate
-                    ),
+                    effective_rate=effective_rate(p, m, metric_cfg.block_length),
                     num_samples=test.shape[0],
                     seed=None if kind is MatrixKind.LEARNED else seed,
                     solver_failures=failures,

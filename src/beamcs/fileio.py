@@ -4,14 +4,13 @@ Layouts (all integers and floats little-endian):
 
   BCSL dataset     magic "BCSL", u32 version, u64 x6 (N, P, n, n_train,
                    n_dev, n_test), samples n x 2N f64 row-major, params
-                   n x 4 f64, JSON echo trailer, u64 trailer length.
-  BCSW checkpoint  magic "BCSW", u32 version, u64 x3 (m, width, L),
-                   f64 x3 (alpha, bn eps, bn momentum), Phi m x width f64,
-                   then gamma/beta/running-mean/running-var per layer,
-                   JSON echo trailer, u64 length.  Phi and the layer
-                   vectors are float32 values stored widened to f64,
-                   which is exact; loading narrows them back and rejects
-                   a value float32 cannot hold exactly.
+                   n x 2 f64 (min, max), JSON echo trailer, u64 trailer
+                   length.
+  BCSW checkpoint  magic "BCSW", u32 version, u64 x3 (m, width, L), f64
+                   alpha, Phi m x width f32 row-major, then gamma/beta/
+                   running-mean/running-var f32 per layer, JSON echo
+                   trailer, u64 length.  The f32 payload is the float32
+                   model as training holds it.
 
 The trailer carries the full generating configuration in canonical JSON
 (sorted keys, compact separators), so every artifact names its exact
@@ -22,24 +21,26 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
-from .channels import AngleMode, ChannelConfig, ChannelDataset
+from .channels import ChannelConfig, ChannelDataset
 from .evaluate import SweepReport, figure_table
 from .network import BatchNormLayer, UnrolledAutoencoder
 from .training import TrainConfig, TrainReport
 
 DATASET_MAGIC = b"BCSL"
 CHECKPOINT_MAGIC = b"BCSW"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _PREFIX = struct.Struct("<4sI")  # magic, version
 _DATASET_FIXED = struct.Struct("<6Q")  # N, P, n, train, dev, test
-_CHECKPOINT_FIXED = struct.Struct("<QQQddd")  # m, width, L, alpha, eps, mom
+_CHECKPOINT_FIXED = struct.Struct("<QQQd")  # m, width, L, alpha
 _TRAILER_LEN = struct.Struct("<Q")
+_STORED = {DATASET_MAGIC: np.dtype("<f8"), CHECKPOINT_MAGIC: np.dtype("<f4")}
 
 
 class FileFormatError(Exception):
@@ -50,10 +51,6 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _f64(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def _write_file(
     path: str, magic: bytes, fixed: bytes, arrays: list[np.ndarray], echo: dict
 ) -> None:
@@ -62,13 +59,13 @@ def _write_file(
         fh.write(_PREFIX.pack(magic, FORMAT_VERSION))
         fh.write(fixed)
         for arr in arrays:
-            fh.write(_f64(arr))
+            fh.write(np.ascontiguousarray(arr, dtype=_STORED[magic]).tobytes())
         fh.write(trailer)
         fh.write(_TRAILER_LEN.pack(len(trailer)))
 
 
 def _read_file(path: str, magic: bytes, fixed: struct.Struct):
-    """Returns (fixed fields tuple, array payload bytes, echo dict)."""
+    """Returns (fixed fields tuple, array payload values, echo dict)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head = _PREFIX.size
@@ -90,18 +87,19 @@ def _read_file(path: str, magic: bytes, fixed: struct.Struct):
         echo = json.loads(blob[payload_end : len(blob) - _TRAILER_LEN.size])
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"corrupt echo trailer: {exc}") from exc
-    return fields, blob[head + fixed.size : payload_end], echo
-
-
-def _take(payload: bytes, offset: int, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    count = 1
-    for dim in shape:
-        count *= dim
-    nbytes = count * 8
-    if offset + nbytes > len(payload):
+    start, stored = head + fixed.size, _STORED[magic]
+    count, ragged = divmod(payload_end - start, stored.itemsize)
+    if ragged:
         raise FileFormatError("truncated file: incomplete array payload")
-    arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-    return arr.reshape(shape).astype(float), offset + nbytes
+    return fields, np.frombuffer(blob, stored, count, start), echo
+
+
+def _take(values: np.ndarray, offset: int, shape: tuple[int, ...]):
+    """(native copy of the array at offset, the offset after it)."""
+    end = offset + math.prod(shape)
+    if end > values.size:
+        raise FileFormatError("truncated file: incomplete array payload")
+    return values[offset:end].reshape(shape).astype(values.dtype.type), end
 
 
 def sniff_format(path: str) -> str:
@@ -130,7 +128,6 @@ def save_dataset(
         dataset.num_test,
     )
     echo = {
-        "angle_mode": cfg.angle_mode.value,
         "seed": cfg.seed,
         "ratios": list(dataset.ratios),
         "floor": dataset.floor,
@@ -143,7 +140,7 @@ def save_dataset(
 
 
 def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
-    fields, payload, echo = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
+    fields, values, echo = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
     num_antennas, num_paths, n, n_train, n_dev, n_test = fields
     if n_train + n_dev + n_test != n:
         raise FileFormatError("dataset split sizes do not sum to num_samples")
@@ -151,7 +148,6 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
         cfg = ChannelConfig(
             num_antennas=int(num_antennas),
             num_paths=int(num_paths),
-            angle_mode=AngleMode(echo["angle_mode"]),
             seed=int(echo["seed"]),
         )
         ratios = tuple(float(r) for r in echo["ratios"])
@@ -159,9 +155,9 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
         zero_tol = float(echo["zero_tol"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"dataset echo trailer invalid: {exc}") from exc
-    samples, off = _take(payload, 0, (int(n), 2 * int(num_antennas)))
-    params, off = _take(payload, off, (int(n), 4))
-    if off != len(payload):
+    samples, off = _take(values, 0, (int(n), 2 * int(num_antennas)))
+    params, off = _take(values, off, (int(n), 2))
+    if off != values.size:
         raise FileFormatError("trailing bytes after dataset payload")
     dataset = ChannelDataset(
         samples=samples,
@@ -183,53 +179,34 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
 def save_checkpoint(
     path: str, model: UnrolledAutoencoder, train_cfg: TrainConfig | None = None
 ) -> None:
-    """Writes a float32 model; any other dtype is a ValueError, since
-    load_checkpoint could not narrow its values back exactly."""
+    """Writes a float32 model; any other dtype is a ValueError, since the
+    f32 payload could not hold its values."""
     arrays = [model.phi]
     for layer in model.bn_layers:
         arrays += [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
     dtypes = sorted({str(arr.dtype) for arr in arrays})
     if dtypes != ["float32"]:
         raise ValueError(f"checkpoints hold float32 models, got {dtypes}")
-    bn0 = model.bn_layers[0]
     fixed = _CHECKPOINT_FIXED.pack(
-        model.num_measurements,
-        model.width,
-        model.num_updates,
-        model.alpha,
-        bn0.eps,
-        bn0.momentum,
+        model.num_measurements, model.width, model.num_updates, model.alpha
     )
     echo = {"train_config": asdict(train_cfg) if train_cfg else None}
     _write_file(path, CHECKPOINT_MAGIC, fixed, arrays, echo)
 
 
 def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
-    fields, payload, echo = _read_file(path, CHECKPOINT_MAGIC, _CHECKPOINT_FIXED)
-    m, width, num_updates, alpha, eps, momentum = fields
+    fields, values, echo = _read_file(path, CHECKPOINT_MAGIC, _CHECKPOINT_FIXED)
+    m, width, num_updates, alpha = fields
     m, width, num_updates = int(m), int(width), int(num_updates)
-    phi, off = _take(payload, 0, (m, width))
-    stats = []
-    for _ in range(4 * (num_updates + 1)):
-        vec, off = _take(payload, off, (width,))
-        stats.append(vec)
-    if off != len(payload):
+    phi, off = _take(values, 0, (m, width))
+    # gamma, beta, running mean, running variance per layer
+    stats, off = _take(values, off, (num_updates + 1, 4, width))
+    if off != values.size:
         raise FileFormatError("trailing bytes after checkpoint payload")
-    values = np.frombuffer(payload, dtype="<f8")
-    if not (np.isfinite([alpha, eps, momentum]).all() and np.isfinite(values).all()):
+    if not (np.isfinite(alpha) and np.isfinite(values).all()):
         raise FileFormatError("checkpoint holds a non-finite value")
-    with np.errstate(over="ignore"):  # an overflow shows up as a mismatch
-        exact = np.array_equal(values.astype(np.float32), values)
-    if not exact:
-        raise FileFormatError("checkpoint holds a value that is not a float32")
-    phi = phi.astype(np.float32)
-    stats = [vec.astype(np.float32) for vec in stats]
     try:
-        # gamma, beta, running mean, running variance per layer
-        layers = [
-            BatchNormLayer(*stats[i : i + 4], eps=eps, momentum=momentum)
-            for i in range(0, len(stats), 4)
-        ]
+        layers = [BatchNormLayer(*layer) for layer in stats]
         model = UnrolledAutoencoder(
             phi=phi, alpha=alpha, num_updates=num_updates, bn_layers=layers
         )
@@ -347,8 +324,6 @@ def export_checkpoint_json(path_in: str, path_out: str) -> None:
         "width": model.width,
         "num_updates": model.num_updates,
         "alpha": model.alpha,
-        "bn_eps": model.bn_layers[0].eps,
-        "bn_momentum": model.bn_layers[0].momentum,
         "echo": echo,
         "bn_layers": [
             {
@@ -367,7 +342,8 @@ def export_checkpoint_json(path_in: str, path_out: str) -> None:
 
 
 def export_dataset_csv(path_in: str, path_out: str) -> None:
-    """Samples with their preprocess parameters, one row per sample."""
+    """Samples and their (min, max), one row each, under a floor/zero_tol line."""
     dataset, _ = load_dataset(path_in)
     joined = np.hstack([dataset.samples, dataset.params])
-    np.savetxt(path_out, joined, delimiter=",", fmt="%.17g")
+    header = f"floor={dataset.floor!r},zero_tol={dataset.zero_tol!r}"
+    np.savetxt(path_out, joined, delimiter=",", fmt="%.17g", header=header)

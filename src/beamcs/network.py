@@ -28,6 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# Batch-norm constants shared by every layer.
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.99
+
+
 class Mode(enum.Enum):
     TRAIN = "train"
     INFER = "infer"
@@ -38,21 +43,16 @@ class BatchNormLayer:
     """Per-coordinate batch normalization with learnable affine parameters.
 
     Uses biased (population) batch variance for normalization and for the
-    running updates; Infer mode standardizes by the running statistics.
+    running updates, with momentum BN_MOMENTUM; Infer mode standardizes by
+    the running statistics.  BN_EPS is added to every variance.
     """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    eps: float = 1e-5
-    momentum: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
         if np.any(self.running_var < 0):
             raise ValueError("running variance must be nonnegative")
         shapes = {
@@ -66,19 +66,13 @@ class BatchNormLayer:
 
     @classmethod
     def identity(
-        cls,
-        width: int,
-        eps: float = 1e-5,
-        momentum: float = 0.99,
-        dtype: np.dtype | type = np.float64,
+        cls, width: int, dtype: np.dtype | type = np.float64
     ) -> "BatchNormLayer":
         return cls(
             gamma=np.ones(width, dtype),
             beta=np.zeros(width, dtype),
             running_mean=np.zeros(width, dtype),
             running_var=np.ones(width, dtype),
-            eps=eps,
-            momentum=momentum,
         )
 
     def forward(
@@ -106,15 +100,15 @@ class BatchNormLayer:
             x_hat = np.subtract(x, mean, out=x_hat)
             var = np.einsum("ij,ij->j", x_hat, x_hat) / x.shape[0]
             self.running_mean = (
-                self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+                BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
             )
             self.running_var = (
-                self.momentum * self.running_var + (1.0 - self.momentum) * var
+                BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
             )
         else:
             x_hat = np.subtract(x, self.running_mean, out=x_hat)
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat *= inv_std
         out = np.multiply(self.gamma, x_hat, out=out)
         out += self.beta
@@ -303,20 +297,6 @@ def _update(
     a *= model.alpha / step_index
     a += h_batch
     return a
-
-
-def decoder_update(
-    model: UnrolledAutoencoder, h_batch: np.ndarray, step_index: int
-) -> np.ndarray:
-    """Pre-BN subgradient update h - (alpha/t)(I - Phi^T Phi) sign(h).
-
-    Evaluated in factored form s - Phi^T(Phi s); sign(0) = 0.
-    """
-    if step_index < 1:
-        raise ValueError("step_index must be >= 1")
-    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
-    signs = np.sign(h_batch)
-    return _update(model, h_batch, signs, signs @ model.phi.T, step_index)
 
 
 def forward(

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError("num_updates must be nonnegative")
         if not 0 < self.alpha_init < np.inf:
             raise ValueError("alpha_init must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.dev_eval_every < 1:
             raise ValueError("dev_eval_every must be >= 1")
 

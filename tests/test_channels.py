@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamcs import (
-    AngleMode,
     ChannelConfig,
     PreprocessParams,
     dft_grid_matrix,
@@ -78,16 +78,6 @@ def test_on_grid_channel_is_exactly_sparse():
         assert support.sum() <= 3
         # everything off the support is numerically zero, not just small
         assert np.max(np.abs(beam[~support])) <= 1e-12
-
-
-def test_off_grid_channel_leaks():
-    cfg = ChannelConfig(
-        num_antennas=32, num_paths=2, angle_mode=AngleMode.OFF_GRID, seed=4
-    )
-    u = dft_grid_matrix(32)
-    ch = generate_spatial_channel(cfg, sample_rng(cfg.seed, 0))
-    beam = to_beamspace(ch.coeffs, u)
-    assert np.count_nonzero(np.abs(beam) > 1e-10) > 2
 
 
 def test_channel_scale_unit_gain():
@@ -200,9 +190,14 @@ def test_preprocess_signed_extremes():
     assert params.min_nz == -2.0 and params.max_nz == 5.0
 
 
-def test_preprocess_params_row_round_trip():
-    p = PreprocessParams(-1.5, 2.0, 0.1, 1e-12)
-    assert PreprocessParams.from_row(p.as_row()) == p
+def test_preprocess_params_row_round_trip(tiny_dataset):
+    # a params row stores (min, max); floor and zero_tol are the dataset's
+    x = np.array([-1.5, 0.0, 2.0, 0.25])
+    _, p = preprocess(x, floor=tiny_dataset.floor, zero_tol=tiny_dataset.zero_tol)
+    params = tiny_dataset.params.copy()
+    params[7] = p.min_nz, p.max_nz
+    ds = dataclasses.replace(tiny_dataset, params=params)
+    assert ds.sample_params(7) == p
 
 
 def test_split_sizes():
@@ -216,7 +211,7 @@ def test_split_sizes():
 def test_generate_dataset_shapes_and_values(tiny_dataset):
     ds = tiny_dataset
     assert ds.samples.shape == (60, 16)
-    assert ds.params.shape == (60, 4)
+    assert ds.params.shape == (60, 2)
     assert (ds.num_train, ds.num_dev, ds.num_test) == (48, 6, 6)
     assert ds.width == 16
     # every entry is 0 or inside [floor, 1]

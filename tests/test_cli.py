@@ -90,7 +90,7 @@ def test_export_round_trips(run_dir, tmp_path):
     data = os.path.join(out, "dataset.bcsl")
     dest = str(tmp_path / "data.csv")
     assert main(["export", "--in", data, "--format", "csv", "--out", dest]) == EXIT_OK
-    assert Path(dest).read_text().splitlines()[0].count(",") == 19  # 16 values + 4 params
+    assert Path(dest).read_text().splitlines()[1].count(",") == 17  # 16 values + 2 params
 
 
 def test_export_format_mismatch(run_dir, tmp_path):
@@ -223,22 +223,24 @@ def test_sweep_missing_checkpoints(run_dir, tmp_path, capsys):
     assert len(gaps) == 2
 
 
-def test_sweep_rejects_off_grid_data(tmp_path, capsys):
-    # exact recovery cannot score off-grid data: no 0% report, one error line
+def test_sweep_rejects_off_grid_data(run_dir, tmp_path, capsys):
+    # exact recovery cannot score off-grid data, so no command makes or
+    # takes it: angle_mode is an unknown key, one error line, no report
+    root, out = run_dir
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         **CFG,
         "channel": {**CFG["channel"], "angle_mode": "off_grid"},
         "kinds": ["gaussian"],
     }))
-    out = str(tmp_path / "out")
-    assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(cfg), "--out", out]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "off_grid" in err
-    assert err.count("\n") == 1
-    assert not os.path.exists(os.path.join(out, "report.json"))
+    dest = str(tmp_path / "out")
+    data = ["--data", os.path.join(out, "dataset.bcsl")]
+    for command in (["gen-data"], ["sweep", *data]):
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), "--out", dest]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: unknown config key: channel.angle_mode\n"
+    assert not os.path.exists(dest)
 
 
 def test_sweep_checkpoint_of_another_width_is_a_file_error(run_dir, tmp_path, capsys):
@@ -280,30 +282,26 @@ def test_train_on_an_empty_split_is_a_usage_error(tmp_path, capsys):
 
 
 # Byte offsets in the run_dir's checkpoint_m4.bcsw (m=4, width 16): an
-# 8-byte prefix, m, width, L as u64, then alpha, eps, momentum as f64, then
-# Phi and each layer's gamma, beta, running mean and running variance.
-_ALPHA, _EPS, _MOMENTUM, _PHI = 32, 40, 48, 56
-_RUNNING_VAR = _PHI + 8 * (4 * 16 + 3 * 16)  # layer 0
+# 8-byte prefix, m, width, L as u64, then alpha as f64, then Phi and each
+# layer's gamma, beta, running mean and running variance as f32.
+_ALPHA, _PHI = 32, 40
+_RUNNING_VAR = _PHI + 4 * (4 * 16 + 3 * 16)  # layer 0
 
 CORRUPTIONS = {
-    "negative alpha": (_ALPHA, -1.0),
-    "nan alpha": (_ALPHA, math.nan),
-    "zero eps": (_EPS, 0.0),
-    "momentum 1": (_MOMENTUM, 1.0),
-    "nan in phi": (_PHI, math.nan),
-    "inf in phi": (_PHI, math.inf),
-    "negative running variance": (_RUNNING_VAR, -1.0),
-    "phi entry not a float32": (_PHI, 0.1),
-    "running variance beyond float32": (_RUNNING_VAR, 1e300),
+    "negative alpha": (_ALPHA, "<d", -1.0),
+    "nan alpha": (_ALPHA, "<d", math.nan),
+    "nan in phi": (_PHI, "<f", math.nan),
+    "inf in phi": (_PHI, "<f", math.inf),
+    "negative running variance": (_RUNNING_VAR, "<f", -1.0),
 }
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 def test_corrupt_checkpoint_is_a_file_error(run_dir, tmp_path, capsys, corruption):
     root, out = run_dir
-    offset, value = CORRUPTIONS[corruption]
+    offset, fmt, value = CORRUPTIONS[corruption]
     blob = bytearray(Path(out, checkpoint_name(4)).read_bytes())
-    struct.pack_into("<d", blob, offset, value)
+    struct.pack_into(fmt, blob, offset, value)
     ckpts = tmp_path / "ckpts"
     ckpts.mkdir()
     bad = ckpts / checkpoint_name(4)
@@ -329,12 +327,28 @@ def test_corrupt_checkpoint_is_a_file_error(run_dir, tmp_path, capsys, corruptio
     assert not (sweep_out / "report.json").exists()
 
 
+@pytest.mark.parametrize("name", ["dataset.bcsl", checkpoint_name(4)])
+def test_version_1_file_is_a_file_error(run_dir, tmp_path, capsys, name):
+    _, out = run_dir
+    blob = bytearray(Path(out, name).read_bytes())
+    struct.pack_into("<I", blob, 4, 1)
+    old = tmp_path / name
+    old.write_bytes(bytes(blob))
+    capsys.readouterr()
+    exported = tmp_path / "exported"
+    fmt = "csv" if name.endswith(".bcsl") else "json"
+    code = main(["export", "--in", str(old), "--format", fmt, "--out", str(exported)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == "file error: unsupported format version 1\n"
+    assert not exported.exists()
+
+
 def test_sweep_rank_deficient_phi_is_a_numerical_failure(run_dir, tmp_path, capsys):
     # a Phi whose second row repeats its first spends 4 rows on 3
     # measurements; scoring it at m=4 would flatter it
     root, out = run_dir
     blob = bytearray(Path(out, checkpoint_name(4)).read_bytes())
-    row = 8 * 16  # one Phi row of the width-16 checkpoint, in bytes
+    row = 4 * 16  # one Phi row of the width-16 checkpoint, in bytes
     blob[_PHI + row : _PHI + 2 * row] = blob[_PHI : _PHI + row]
     ckpts = tmp_path / "ckpts"
     ckpts.mkdir()

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from beamcs import AngleMode, MatrixKind
+from beamcs import MatrixKind
 from beamcs.config import (
     ConfigError,
     PROFILE_NAMES,
@@ -25,7 +25,6 @@ def test_paper_profile_defaults():
     cfg = build_experiment(profile_defaults("paper"))
     assert cfg.channel.num_antennas == 256
     assert cfg.channel.num_paths == 3
-    assert cfg.channel.angle_mode is AngleMode.ON_GRID
     assert cfg.num_samples == 20000
     assert cfg.train.learning_rate == 0.01
     assert cfg.train.batch_size == 128
@@ -125,7 +124,7 @@ def test_explicit_section_seed_wins():
         ({"m_values": [8, 63], "metric": {"block_length": 50}}, "block_length"),
         ({"kinds": ["gaussian", "gaussian"]}, "distinct"),
         ({"kinds": ["rademacher"]}, "kinds must be one of"),
-        ({"channel": {"angle_mode": "diagonal"}}, "angle_mode must be one of"),
+        ({"channel": {"angle_mode": "on_grid"}}, "unknown config key: channel.angle_mode$"),
         ({"recovery": {"solver": "basis_pursuit_lp"}}, "unknown config key: recovery.solver"),
         ({"data": {"ratios": [0.5, 0.5]}}, "exactly 3"),
         ({"data": {"floor": 1.0}}, "floor"),
@@ -154,6 +153,11 @@ def test_explicit_section_seed_wins():
         ({"train": {"early_stop_patience": 0}}, "unknown config key: train.early_stop_patience$"),
         ({"train": {"init_stddev": None}}, "unknown config key: train.init_stddev$"),
         ({"channel": {"gain_model": "complex_gaussian"}}, "unknown config key: channel.gain_model$"),
+        ({"metric": {"base_rate": 1.0}}, "unknown config key: metric.base_rate$"),
+        ({"kinds": []}, "kinds must be nonempty"),
+        # a negative seed is refused here, by its key, not later by numpy
+        ({"train": {"seed": -1}}, "invalid configuration: train.seed must be nonnegative"),
+        ({"seed": -1, "channel": {"seed": 0}, "train": {"seed": 0}}, "^seed must be nonnegative$"),
     ],
 )
 def test_build_experiment_rejects(overrides, message):
@@ -180,7 +184,6 @@ def test_section_must_be_object():
 ECHO_ALTERNATIVES = {
     ("channel", "num_antennas"): 40,
     ("channel", "num_paths"): 1,
-    ("channel", "angle_mode"): "off_grid",
     ("channel", "seed"): 7,
     ("data", "num_samples"): 300,
     ("data", "ratios"): [0.6, 0.2, 0.2],
@@ -198,7 +201,6 @@ ECHO_ALTERNATIVES = {
     ("recovery", "max_iters"): 50,
     ("metric", "exact_tol"): 1e-6,
     ("metric", "block_length"): 100,
-    ("metric", "base_rate"): 2.0,
     ("m_values",): [10, 30],
     ("kinds",): ["gaussian", "learned"],
     ("seed",): 9,

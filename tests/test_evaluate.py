@@ -4,8 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from beamcs import (
-    AngleMode,
-    ChannelConfig,
     MatrixKind,
     MeasurementMatrix,
     MetricConfig,
@@ -13,7 +11,6 @@ from beamcs import (
     effective_rate,
     exact_recovery_rate,
     generate_baseline,
-    generate_dataset,
     mean_nrse,
     run_sweep,
 )
@@ -25,7 +22,7 @@ from beamcs.evaluate import (
 )
 
 RECOVERY = RecoveryConfig()
-METRIC = MetricConfig(exact_tol=1e-8, block_length=200, base_rate=1.0)
+METRIC = MetricConfig(exact_tol=1e-8, block_length=200)
 
 
 def test_exact_recovery_rate_counts():
@@ -73,16 +70,16 @@ def test_mean_nrse_excludes_zero_rows():
     st.integers(min_value=1, max_value=199),
 )
 def test_effective_rate_identity(p, m):
-    assert effective_rate(p, m, 200, 1.0) == 1.0 * (1.0 - m / 200) * p
+    assert effective_rate(p, m, 200) == (1.0 - m / 200) * p
 
 
 def test_effective_rate_validates():
     with pytest.raises(ValueError):
-        effective_rate(1.5, 10, 200, 1.0)
+        effective_rate(1.5, 10, 200)
     with pytest.raises(ValueError):
-        effective_rate(0.5, 200, 200, 1.0)
+        effective_rate(0.5, 200, 200)
     with pytest.raises(ValueError):
-        effective_rate(0.5, 0, 200, 1.0)
+        effective_rate(0.5, 0, 200)
 
 
 def test_metric_config_validation():
@@ -90,13 +87,9 @@ def test_metric_config_validation():
         MetricConfig(exact_tol=0.0)
     with pytest.raises(ValueError):
         MetricConfig(block_length=0)
-    with pytest.raises(ValueError):
-        MetricConfig(base_rate=0.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="exact_tol"):
             MetricConfig(exact_tol=bad)
-        with pytest.raises(ValueError, match="base_rate"):
-            MetricConfig(base_rate=bad)
 
 
 def test_recover_all_on_easy_instance(tiny_dataset):
@@ -211,10 +204,8 @@ def test_run_sweep_validates(tiny_dataset):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN], m_values=(4, 16))
     with pytest.raises(ValueError, match="nonempty"):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN], m_values=())
-    # off-grid vectors are not sparse, so every cell would score 0% exact
-    cfg = ChannelConfig(num_antennas=8, num_paths=2, angle_mode=AngleMode.OFF_GRID)
-    with pytest.raises(ValueError, match="off_grid"):
-        _sweep(generate_dataset(cfg, 60), [MatrixKind.GAUSSIAN])
+    with pytest.raises(ValueError, match="kinds must be nonempty"):
+        _sweep(tiny_dataset, [])
 
 
 def test_run_sweep_deterministic(tiny_dataset):

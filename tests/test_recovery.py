@@ -17,10 +17,9 @@ from beamcs import (
     RecoveryStatus,
     basis_pursuit,
     generate_dataset,
-    oracle_sparse_recover,
-    projected_subgradient,
 )
 from beamcs.evaluate import sweep_baseline
+from reference_solvers import oracle_sparse_recover, projected_subgradient
 
 
 def sparse_instance(rng, m=10, n=24, k=2):
