@@ -10,13 +10,11 @@ baselines by exact-recovery rate, normalized error, and effective rate.
 from .channels import (
     ChannelConfig,
     ChannelDataset,
-    PreprocessParams,
     SpatialChannel,
     dft_grid_matrix,
     generate_dataset,
     generate_spatial_channel,
     grid_directions,
-    invert_preprocess,
     preprocess,
     stack_real,
     steering_vector,
@@ -85,7 +83,6 @@ __all__ = [
     "MeasurementMatrix",
     "MetricConfig",
     "Mode",
-    "PreprocessParams",
     "RecoveryConfig",
     "RecoveryResult",
     "RecoveryStatus",
@@ -110,7 +107,6 @@ __all__ = [
     "generate_spatial_channel",
     "grid_directions",
     "init_model",
-    "invert_preprocess",
     "load_checkpoint",
     "load_dataset",
     "load_experiment",

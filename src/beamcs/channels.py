@@ -50,33 +50,6 @@ class SpatialChannel:
     paths: tuple[tuple[complex, float], ...]  # (gain, spatial direction)
 
 
-@dataclass(frozen=True)
-class PreprocessParams:
-    """Per-sample affine rescaling of the nonzero entries.
-
-    min_nz/max_nz are the signed extremes of the nonzero entries before
-    rescaling; min_nz == max_nz == 0 is the sentinel for an all-zero
-    sample (the map was the identity).
-    """
-
-    min_nz: float
-    max_nz: float
-    floor: float
-    zero_tol: float
-
-    def __post_init__(self) -> None:
-        if self.max_nz < self.min_nz:
-            raise ValueError("max_nz must be >= min_nz")
-        if not 0.0 <= self.floor < 1.0:
-            raise ValueError("floor must lie in [0, 1)")
-        if not 0.0 <= self.zero_tol < np.inf:
-            raise ValueError("zero_tol must be nonnegative and finite")
-
-    @property
-    def is_sentinel(self) -> bool:
-        return self.min_nz == 0.0 and self.max_nz == 0.0
-
-
 def steering_vector(phi: float, num_antennas: int) -> np.ndarray:
     """Array response of an N-element half-wavelength ULA toward direction phi.
 
@@ -173,45 +146,32 @@ def unstack_real(values: np.ndarray) -> np.ndarray:
 
 def preprocess(
     values: np.ndarray, floor: float = 0.1, zero_tol: float = 1e-12
-) -> tuple[np.ndarray, PreprocessParams]:
+) -> np.ndarray:
     """Map nonzero entries affinely onto [floor, 1]; zero out sub-tolerance entries.
 
-    A positive floor keeps the smallest nonzero strictly away from 0 so
+    The signed minimum nonzero lands on floor and the maximum on 1.  A
+    positive floor keeps the smallest nonzero strictly away from 0 so
     the support is preserved exactly.  floor=0 is the plain [0, 1] map:
-    the minimum nonzero lands on exactly 0 and leaves the support, so
-    inversion can no longer restore it.  Returns the rescaled vector and
-    the per-sample parameters needed to invert the map.
+    the minimum nonzero lands on exactly 0 and leaves the support.
     """
+    if not 0.0 <= floor < 1.0:
+        raise ValueError("floor must lie in [0, 1)")
+    if not 0.0 <= zero_tol < math.inf:
+        raise ValueError("zero_tol must be nonnegative and finite")
     values = np.asarray(values, dtype=float)
     mask = np.abs(values) > zero_tol
     out = np.zeros_like(values)
     if not mask.any():
-        return out, PreprocessParams(0.0, 0.0, floor, zero_tol)
+        return out
     nz = values[mask]
-    min_nz = float(nz.min())
-    max_nz = float(nz.max())
+    min_nz = nz.min()
+    max_nz = nz.max()
     if max_nz == min_nz:
         out[mask] = 1.0
     else:
         # the clamp absorbs one-ulp overshoot of floor + (1 - floor)
         scaled = floor + (1.0 - floor) * (nz - min_nz) / (max_nz - min_nz)
         out[mask] = np.minimum(scaled, 1.0)
-    return out, PreprocessParams(min_nz, max_nz, floor, zero_tol)
-
-
-def invert_preprocess(values: np.ndarray, params: PreprocessParams) -> np.ndarray:
-    """Exact inverse of preprocess on the support."""
-    values = np.asarray(values, dtype=float)
-    out = np.zeros_like(values)
-    if params.is_sentinel:
-        return out
-    mask = values != 0.0
-    if params.max_nz == params.min_nz:
-        out[mask] = params.min_nz
-    else:
-        out[mask] = params.min_nz + (values[mask] - params.floor) * (
-            params.max_nz - params.min_nz
-        ) / (1.0 - params.floor)
     return out
 
 
@@ -219,13 +179,11 @@ def invert_preprocess(values: np.ndarray, params: PreprocessParams) -> np.ndarra
 class ChannelDataset:
     """Preprocessed real channel vectors with a deterministic split.
 
-    samples is (n, 2N) with every entry in {0} u [floor, 1]; params row i
-    holds (min_nz, max_nz) of sample i, whose floor and zero_tol are the
-    dataset's.  The split is contiguous: train, then dev, then test.
+    samples is (n, 2N) with every entry in {0} u [floor, 1].  The split
+    is contiguous: train, then dev, then test.
     """
 
     samples: np.ndarray
-    params: np.ndarray
     num_train: int
     num_dev: int
     num_test: int
@@ -238,8 +196,6 @@ class ChannelDataset:
         n = self.samples.shape[0]
         if self.num_train + self.num_dev + self.num_test != n:
             raise ValueError("split sizes must sum to the number of samples")
-        if self.params.shape != (n, 2):
-            raise ValueError("params must have one (min, max) row per sample")
 
     @property
     def num_samples(self) -> int:
@@ -261,9 +217,6 @@ class ChannelDataset:
     @property
     def test(self) -> np.ndarray:
         return self.samples[self.num_train + self.num_dev :]
-
-    def sample_params(self, index: int) -> PreprocessParams:
-        return PreprocessParams(*self.params[index].tolist(), self.floor, self.zero_tol)
 
 
 def split_sizes(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -301,15 +254,11 @@ def generate_dataset(
 
     width = 2 * cfg.num_antennas
     samples = np.empty((num_samples, width))
-    params = np.empty((num_samples, 2))
     for i in range(num_samples):
-        stacked = stack_real(beam[i])
-        samples[i], p = preprocess(stacked, floor=floor, zero_tol=zero_tol)
-        params[i] = p.min_nz, p.max_nz
+        samples[i] = preprocess(stack_real(beam[i]), floor=floor, zero_tol=zero_tol)
 
     return ChannelDataset(
         samples=samples,
-        params=params,
         num_train=n_train,
         num_dev=n_dev,
         num_test=n_test,

@@ -19,6 +19,7 @@ import numpy as np
 from .channels import generate_dataset
 from .config import (
     ConfigError,
+    ExperimentConfig,
     PROFILE_NAMES,
     config_echo,
     load_experiment,
@@ -36,6 +37,7 @@ from .fileio import (
     save_report_csv,
     save_report_json,
     save_training_csv,
+    sniff_format,
 )
 from .matrices import MatrixKind
 from .training import TrainingDivergedError, extract_matrix, train
@@ -79,7 +81,7 @@ def _input_errors():
         raise ConfigError(str(exc)) from exc
 
 
-def _experiment(args) -> "tuple":
+def _experiment(args) -> ExperimentConfig:
     overrides: dict = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -190,8 +192,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .fileio import sniff_format
-
     kind = sniff_format(args.input)
     fmt = args.format
     if kind == "checkpoint":

@@ -224,6 +224,8 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     sections = {k: t for k, t in hints.items() if is_dataclass(t)}
     top = [k for k in hints if k not in sections and k not in _DATA_KEYS]
     kw = _read(doc, ExperimentConfig, top, also=("data", *sections))
+    if kw["seed"] < 0:  # checked before it cascades into the sections
+        raise ConfigError("seed must be nonnegative")
     kw.update(_read(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
     for name, cls in sections.items():
         names = [f.name for f in fields(cls)]

@@ -8,13 +8,14 @@ pursuit, and computes all three metrics from that single solver pass.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channels import ChannelDataset
-from .matrices import COMPLEX_KINDS, MatrixKind, MeasurementMatrix, generate_baseline
+from .matrices import MatrixKind, MeasurementMatrix, generate_baseline
 from .recovery import BasisPursuitSolver, RecoveryConfig, RecoveryStatus
 
 _FAILURE_NOTE_THRESHOLD = 0.5
@@ -133,18 +134,8 @@ def recover_all(
 def sweep_baseline(
     kind: MatrixKind, m: int, n: int, seed: int
 ) -> MeasurementMatrix:
-    """Baseline matrix for one sweep cell, at any m.
-
-    The complex kinds realify row pairs and so only generate even row
-    counts directly.  A sweep grid prices measurements one real row at a
-    time, so odd m must still produce a cell: take the first m rows of
-    the even (m+1)-row draw, i.e. (m-1)/2 full [Re; Im] pairs plus the
-    real part of one final complex row.  Even m is passed through
-    unchanged, so grids that avoid odd m keep their exact draws.
-    """
-    if kind in COMPLEX_KINDS and m % 2 != 0:
-        full = generate_baseline(kind, m + 1, n, seed)
-        return MeasurementMatrix(full.data[:m], kind)
+    """Baseline matrix for one sweep cell: generate_baseline, which
+    takes any m, including odd m for the complex kinds."""
     return generate_baseline(kind, m, n, seed)
 
 
@@ -166,8 +157,6 @@ def run_sweep(
     non-optimal on more than half the samples gets a diagnostic note.
     Deterministic given the seed (wall-clock lives only in `seconds`).
     """
-    import time
-
     test = dataset.test
     if test.shape[0] == 0:
         raise ValueError("dataset has an empty test split")

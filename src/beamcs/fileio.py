@@ -2,11 +2,10 @@
 
 Layouts (all integers and floats little-endian):
 
-  BCSL dataset     magic "BCSL", u32 version, u64 x6 (N, P, n, n_train,
-                   n_dev, n_test), samples n x 2N f64 row-major, params
-                   n x 2 f64 (min, max), JSON echo trailer, u64 trailer
-                   length.
-  BCSW checkpoint  magic "BCSW", u32 version, u64 x3 (m, width, L), f64
+  BCSL dataset     magic "BCSL", u32 version 3, u64 x6 (N, P, n,
+                   n_train, n_dev, n_test), samples n x 2N f64
+                   row-major, JSON echo trailer, u64 trailer length.
+  BCSW checkpoint  magic "BCSW", u32 version 2, u64 x3 (m, width, L), f64
                    alpha, Phi m x width f32 row-major, then gamma/beta/
                    running-mean/running-var f32 per layer, JSON echo
                    trailer, u64 length.  The f32 payload is the float32
@@ -34,13 +33,16 @@ from .training import TrainConfig, TrainReport
 
 DATASET_MAGIC = b"BCSL"
 CHECKPOINT_MAGIC = b"BCSW"
-FORMAT_VERSION = 2
 
 _PREFIX = struct.Struct("<4sI")  # magic, version
 _DATASET_FIXED = struct.Struct("<6Q")  # N, P, n, train, dev, test
 _CHECKPOINT_FIXED = struct.Struct("<QQQd")  # m, width, L, alpha
 _TRAILER_LEN = struct.Struct("<Q")
-_STORED = {DATASET_MAGIC: np.dtype("<f8"), CHECKPOINT_MAGIC: np.dtype("<f4")}
+# Per container: (format version, payload dtype).
+_STORED = {
+    DATASET_MAGIC: (3, np.dtype("<f8")),
+    CHECKPOINT_MAGIC: (2, np.dtype("<f4")),
+}
 
 
 class FileFormatError(Exception):
@@ -55,11 +57,12 @@ def _write_file(
     path: str, magic: bytes, fixed: bytes, arrays: list[np.ndarray], echo: dict
 ) -> None:
     trailer = _canonical_json(echo)
+    version, stored = _STORED[magic]
     with open(path, "wb") as fh:
-        fh.write(_PREFIX.pack(magic, FORMAT_VERSION))
+        fh.write(_PREFIX.pack(magic, version))
         fh.write(fixed)
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype=_STORED[magic]).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=stored).tobytes())
         fh.write(trailer)
         fh.write(_TRAILER_LEN.pack(len(trailer)))
 
@@ -76,7 +79,8 @@ def _read_file(path: str, magic: bytes, fixed: struct.Struct):
         raise FileFormatError(
             f"bad magic {got_magic!r}: expected a {magic.decode()} file"
         )
-    if version != FORMAT_VERSION:
+    expected, stored = _STORED[magic]
+    if version != expected:
         raise FileFormatError(f"unsupported format version {version}")
     fields = fixed.unpack_from(blob, head)
     (trailer_len,) = _TRAILER_LEN.unpack_from(blob, len(blob) - _TRAILER_LEN.size)
@@ -87,7 +91,7 @@ def _read_file(path: str, magic: bytes, fixed: struct.Struct):
         echo = json.loads(blob[payload_end : len(blob) - _TRAILER_LEN.size])
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"corrupt echo trailer: {exc}") from exc
-    start, stored = head + fixed.size, _STORED[magic]
+    start = head + fixed.size
     count, ragged = divmod(payload_end - start, stored.itemsize)
     if ragged:
         raise FileFormatError("truncated file: incomplete array payload")
@@ -134,9 +138,7 @@ def save_dataset(
         "zero_tol": dataset.zero_tol,
         "config": extra_echo,
     }
-    _write_file(
-        path, DATASET_MAGIC, fixed, [dataset.samples, dataset.params], echo
-    )
+    _write_file(path, DATASET_MAGIC, fixed, [dataset.samples], echo)
 
 
 def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
@@ -156,12 +158,10 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"dataset echo trailer invalid: {exc}") from exc
     samples, off = _take(values, 0, (int(n), 2 * int(num_antennas)))
-    params, off = _take(values, off, (int(n), 2))
     if off != values.size:
         raise FileFormatError("trailing bytes after dataset payload")
     dataset = ChannelDataset(
         samples=samples,
-        params=params,
         num_train=int(n_train),
         num_dev=int(n_dev),
         num_test=int(n_test),
@@ -342,8 +342,6 @@ def export_checkpoint_json(path_in: str, path_out: str) -> None:
 
 
 def export_dataset_csv(path_in: str, path_out: str) -> None:
-    """Samples and their (min, max), one row each, under a floor/zero_tol line."""
+    """The samples, one row each."""
     dataset, _ = load_dataset(path_in)
-    joined = np.hstack([dataset.samples, dataset.params])
-    header = f"floor={dataset.floor!r},zero_tol={dataset.zero_tol!r}"
-    np.savetxt(path_out, joined, delimiter=",", fmt="%.17g", header=header)
+    np.savetxt(path_out, dataset.samples, delimiter=",", fmt="%.17g")

@@ -3,7 +3,8 @@
 All matrices are real m x n with m < n.  The two complex constructions
 (partial Fourier and phase shifter) are realified by expanding each
 complex row into two real rows (real part, imaginary part), so m real
-measurements carry m/2 complex ones.
+measurements carry m/2 complex ones; an odd m keeps only the real part
+of the last complex row.
 
 Those complex rows have n entries and act on the stacked real channel
 vector [Re h; Im h] of length n, which is what every kind measures: row
@@ -41,9 +42,6 @@ KIND_TAGS: dict[MatrixKind, int] = {
     MatrixKind.SELECTION: 4,
     MatrixKind.PHASE_SHIFTER: 5,
 }
-
-# Kinds built from a complex (m/2) x n matrix; they require even m.
-COMPLEX_KINDS = (MatrixKind.PARTIAL_FOURIER, MatrixKind.PHASE_SHIFTER)
 
 # Quantized phase-shifter levels: xi is drawn from 2*pi*k/PHASE_LEVELS.
 PHASE_LEVELS = 4
@@ -105,20 +103,26 @@ def generate_baseline(
 
     Entry conventions: Gaussian entries are N(0, 1/m); Bernoulli entries
     are +-1/sqrt(m); selection entries are 0/1 equiprobable; partial
-    Fourier draws m/2 distinct rows k of the unitary n-point DFT from
+    Fourier draws distinct rows k of the unitary n-point DFT from
     1 <= k <= (n-1)/2, a set free of real rows (k = 0, n/2) and of
     conjugate pairs (k, n-k), so its realified rows are orthogonal
     (Phi Phi^T = I/2) and Phi has full rank m; phase shifter entries
     are exp(j*xi)/sqrt(n) with xi uniform over PHASE_LEVELS quantized
-    phases.  Deterministic in (kind, m, n, seed).
+    phases.  The complex kinds draw ceil(m/2) complex rows and keep the
+    first m real rows, so an odd m is the first m rows of the m+1 draw.
+    Deterministic in (kind, m, n, seed).
     """
     m, n = num_measurements, num_columns
     if kind is MatrixKind.LEARNED:
         raise ValueError("learned matrices come from training, not generation")
     if m < 1 or m >= n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    if kind in COMPLEX_KINDS and m % 2 != 0:
-        raise ValueError(f"{kind.value} needs an even m (row pairs), got {m}")
+    half_m = (m + 1) // 2
+    if kind is MatrixKind.PARTIAL_FOURIER and half_m > (n - 1) // 2:
+        raise ValueError(
+            f"partial_fourier has {(n - 1) // 2} usable DFT rows at n={n}, "
+            f"too few for m={m}"
+        )
 
     rng = _kind_rng(kind, seed)
     if kind is MatrixKind.GAUSSIAN:
@@ -128,14 +132,13 @@ def generate_baseline(
     elif kind is MatrixKind.SELECTION:
         data = rng.integers(0, 2, size=(m, n)).astype(float)
     elif kind is MatrixKind.PARTIAL_FOURIER:
-        # m < n with m even gives m/2 <= (n-1)//2, so the draw always fits
-        rows = 1 + rng.choice((n - 1) // 2, size=m // 2, replace=False)
+        rows = 1 + rng.choice((n - 1) // 2, size=half_m, replace=False)
         cols = np.arange(n)
         dft_rows = np.exp(-2j * np.pi * np.outer(rows, cols) / n) / math.sqrt(n)
-        data = realify_rows(dft_rows)
+        data = realify_rows(dft_rows)[:m]
     elif kind is MatrixKind.PHASE_SHIFTER:
-        xi = rng.integers(0, PHASE_LEVELS, (m // 2, n)) * (2 * np.pi / PHASE_LEVELS)
-        data = realify_rows(np.exp(1j * xi) / math.sqrt(n))
+        xi = rng.integers(0, PHASE_LEVELS, (half_m, n)) * (2 * np.pi / PHASE_LEVELS)
+        data = realify_rows(np.exp(1j * xi) / math.sqrt(n))[:m]
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown kind {kind}")
 

@@ -33,7 +33,6 @@ from beamcs import (
     extract_matrix,
     forward,
     generate_dataset,
-    invert_preprocess,
     mse_loss,
     preprocess,
     run_sweep,
@@ -331,8 +330,13 @@ def test_core_invariants_and_bitwise_determinism(tmp_path):
     for _ in range(50):
         vec = rng.standard_normal(24)
         vec[rng.random(24) < 0.5] = 0.0
-        scaled, params = preprocess(vec)
-        assert np.max(np.abs(invert_preprocess(scaled, params) - vec)) <= 1e-12
+        scaled = preprocess(vec)
+        # nonzeros map affinely onto [0.1, 1], the minimum to 0.1, the maximum to 1
+        nz = vec != 0.0
+        lo, hi = vec[nz].min(), vec[nz].max()
+        assert np.all(scaled[~nz] == 0.0)
+        assert np.max(np.abs(scaled[nz] - (0.1 + 0.9 * (vec[nz] - lo) / (hi - lo)))) <= 1e-15
+        assert scaled[nz].min() == 0.1 and scaled[nz].max() == pytest.approx(1.0, abs=1e-15)
 
     for _ in range(25):
         z = rng.standard_normal(17) + 1j * rng.standard_normal(17)

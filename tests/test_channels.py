@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +7,10 @@ from hypothesis import strategies as st
 
 from beamcs import (
     ChannelConfig,
-    PreprocessParams,
     dft_grid_matrix,
     generate_dataset,
     generate_spatial_channel,
     grid_directions,
-    invert_preprocess,
     preprocess,
     stack_real,
     steering_vector,
@@ -124,38 +121,45 @@ def test_unstack_rejects_odd_length():
         st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
         min_size=1,
         max_size=30,
-    )
+    ),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.sampled_from([0.0, 1e-12, 0.5]),
 )
-def test_preprocess_round_trip(values):
+def test_preprocess_direct_map(values, floor, zero_tol):
+    # entries within zero_tol go to 0; the others map affinely, order
+    # kept, the minimum to floor and the maximum to 1
     x = np.asarray(values)
-    out, params = preprocess(x)
-    nz = out != 0.0
-    assert np.all((out[nz] >= params.floor - 1e-15) & (out[nz] <= 1.0 + 1e-15))
-    back = invert_preprocess(out, params)
-    # exact inverse on the support; sub-tolerance entries were zeroed
-    x_ref = np.where(np.abs(x) > params.zero_tol, x, 0.0)
-    assert np.max(np.abs(back - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+    out = preprocess(x, floor=floor, zero_tol=zero_tol)
+    keep = np.abs(x) > zero_tol
+    assert np.all(out[~keep] == 0.0)
+    if not keep.any():
+        return
+    nz, got = x[keep], out[keep]
+    lo, hi = nz.min(), nz.max()
+    if lo == hi:
+        assert np.all(got == 1.0)
+        return
+    want = floor + (1.0 - floor) * (nz - lo) / (hi - lo)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    assert got[nz.argmin()] == floor
+    assert got[nz.argmax()] == pytest.approx(1.0, abs=1e-15)
+    assert np.all((got >= floor) & (got <= 1.0))
+    assert np.all(np.diff(got[np.argsort(nz)]) >= 0.0)
 
 
-def test_preprocess_all_zero_sentinel():
-    out, params = preprocess(np.zeros(6))
-    assert np.array_equal(out, np.zeros(6))
-    assert params.is_sentinel
-    assert np.array_equal(invert_preprocess(out, params), np.zeros(6))
+def test_preprocess_all_zero_sample():
+    assert np.array_equal(preprocess(np.zeros(6)), np.zeros(6))
 
 
 def test_preprocess_zero_floor_drops_minimum():
     # floor=0 is the plain [0, 1] map: the minimum nonzero becomes
-    # exactly 0 and leaves the support; everything else inverts exactly.
+    # exactly 0 and leaves the support.
     x = np.array([0.0, -2.0, 4.0, 1.0, 0.0])
-    out, params = preprocess(x, floor=0.0)
+    out = preprocess(x, floor=0.0)
     assert out[1] == 0.0
     assert out[2] == 1.0
     assert out[3] == pytest.approx(0.5)
-    back = invert_preprocess(out, params)
-    assert back[1] == 0.0  # the collapsed minimum is not restored
-    assert back[2] == pytest.approx(4.0, abs=1e-12)
-    assert back[3] == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(out) == 2
 
 
 def test_preprocess_zero_floor_sparsity():
@@ -165,18 +169,17 @@ def test_preprocess_zero_floor_sparsity():
         x = np.zeros(16)
         idx = rng.choice(16, size=6, replace=False)
         x[idx] = rng.standard_normal(6)
-        out, _ = preprocess(x, floor=0.0)
+        out = preprocess(x, floor=0.0)
         assert np.count_nonzero(out) == 5
 
 
 def test_preprocess_constant_nonzeros_map_to_one():
-    out, params = preprocess(np.array([3.0, 0.0, 3.0]))
+    out = preprocess(np.array([3.0, 0.0, 3.0]))
     assert np.array_equal(out, [1.0, 0.0, 1.0])
-    assert np.array_equal(invert_preprocess(out, params), [3.0, 0.0, 3.0])
 
 
 def test_preprocess_zero_tol_zeroes_small_entries():
-    out, _ = preprocess(np.array([1e-13, 1.0, -2.0]), zero_tol=1e-12)
+    out = preprocess(np.array([1e-13, 1.0, -2.0]), zero_tol=1e-12)
     assert out[0] == 0.0
     assert np.count_nonzero(out) == 2
 
@@ -184,20 +187,10 @@ def test_preprocess_zero_tol_zeroes_small_entries():
 def test_preprocess_signed_extremes():
     # signed min maps to floor, signed max to 1
     x = np.array([-2.0, 0.0, 5.0, 1.0])
-    out, params = preprocess(x, floor=0.1)
+    out = preprocess(x, floor=0.1)
     assert out[0] == pytest.approx(0.1)
     assert out[2] == pytest.approx(1.0)
-    assert params.min_nz == -2.0 and params.max_nz == 5.0
-
-
-def test_preprocess_params_row_round_trip(tiny_dataset):
-    # a params row stores (min, max); floor and zero_tol are the dataset's
-    x = np.array([-1.5, 0.0, 2.0, 0.25])
-    _, p = preprocess(x, floor=tiny_dataset.floor, zero_tol=tiny_dataset.zero_tol)
-    params = tiny_dataset.params.copy()
-    params[7] = p.min_nz, p.max_nz
-    ds = dataclasses.replace(tiny_dataset, params=params)
-    assert ds.sample_params(7) == p
+    assert out[3] == pytest.approx(0.1 + 0.9 * 3.0 / 7.0)
 
 
 def test_split_sizes():
@@ -211,7 +204,6 @@ def test_split_sizes():
 def test_generate_dataset_shapes_and_values(tiny_dataset):
     ds = tiny_dataset
     assert ds.samples.shape == (60, 16)
-    assert ds.params.shape == (60, 2)
     assert (ds.num_train, ds.num_dev, ds.num_test) == (48, 6, 6)
     assert ds.width == 16
     # every entry is 0 or inside [floor, 1]
@@ -233,7 +225,6 @@ def test_generate_dataset_deterministic():
     a = generate_dataset(cfg, 60)
     b = generate_dataset(cfg, 60)
     assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(a.params, b.params)
 
 
 def test_generate_dataset_per_sample_streams():
@@ -250,14 +241,21 @@ def test_generate_dataset_seed_changes_data():
     assert not np.array_equal(a.samples, b.samples)
 
 
-def test_dataset_params_invert_samples(tiny_dataset):
+def test_dataset_samples_are_preprocessed_channels(tiny_dataset):
     ds = tiny_dataset
     u = dft_grid_matrix(ds.config.num_antennas)
+    channels = [
+        generate_spatial_channel(ds.config, sample_rng(ds.config.seed, i)).coeffs
+        for i in range(ds.num_samples)
+    ]
+    # the dataset transforms all channels in one product, whose rounding
+    # differs from one to_beamspace call per channel in the last bit
+    beam = np.asarray(channels) @ u.T
     for i in (0, 13, 59):
-        ch = generate_spatial_channel(ds.config, sample_rng(ds.config.seed, i))
-        stacked = stack_real(to_beamspace(ch.coeffs, u))
-        back = invert_preprocess(ds.samples[i], ds.sample_params(i))
-        assert np.max(np.abs(back - stacked)) <= 1e-10
+        want = preprocess(stack_real(beam[i]), ds.floor, ds.zero_tol)
+        assert ds.samples[i].tobytes() == want.tobytes()
+        one = preprocess(stack_real(to_beamspace(channels[i], u)), ds.floor, ds.zero_tol)
+        assert np.max(np.abs(ds.samples[i] - one)) <= 1e-12
 
 
 def test_config_validation():
@@ -269,10 +267,16 @@ def test_config_validation():
         ChannelConfig(num_antennas=4, num_paths=1, seed=-1)
     with pytest.raises(ValueError):
         generate_dataset(ChannelConfig(num_antennas=4, num_paths=1), 5)
-    # a NaN tolerance would zero every sample, an infinite one too
+    # a NaN tolerance would zero every sample, an infinite one too;
+    # preprocess checks both arguments for an all-zero sample as well
+    for x in (np.array([-1.0, 1.0]), np.zeros(2)):
+        for bad in (math.nan, math.inf, -1e-12):
+            with pytest.raises(ValueError, match="^zero_tol must be nonnegative and finite$"):
+                preprocess(x, 0.1, bad)
+        for bad in (1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="^floor must lie in"):
+                preprocess(x, bad)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="zero_tol"):
-            PreprocessParams(-1.0, 1.0, 0.1, bad)
         with pytest.raises(ValueError, match="zero_tol"):
             generate_dataset(
                 ChannelConfig(num_antennas=4, num_paths=1), 20, zero_tol=bad

@@ -90,7 +90,9 @@ def test_export_round_trips(run_dir, tmp_path):
     data = os.path.join(out, "dataset.bcsl")
     dest = str(tmp_path / "data.csv")
     assert main(["export", "--in", data, "--format", "csv", "--out", dest]) == EXIT_OK
-    assert Path(dest).read_text().splitlines()[1].count(",") == 17  # 16 values + 2 params
+    lines = Path(dest).read_text().splitlines()
+    assert len(lines) == 60  # one row per sample, no comment line
+    assert all(line.count(",") == 15 and "#" not in line for line in lines)
 
 
 def test_export_format_mismatch(run_dir, tmp_path):
@@ -147,6 +149,14 @@ def test_bad_data_section_is_a_usage_error(tmp_path, capsys):
     assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: split ratios must sum to 1") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    # named by the key the user wrote, not by a section it cascades into
+    out = str(tmp_path / "out")
+    assert main(["gen-data", "--profile", "ci", "--seed", "-1", "--out", out]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
     assert not os.path.exists(out)
 
 
@@ -341,6 +351,24 @@ def test_version_1_file_is_a_file_error(run_dir, tmp_path, capsys, name):
     assert code == EXIT_IO
     assert capsys.readouterr().err == "file error: unsupported format version 1\n"
     assert not exported.exists()
+
+
+def test_version_2_dataset_is_a_file_error(run_dir, tmp_path, capsys):
+    # version 2 stored an n x 2 (min, max) block after the samples
+    root, out = run_dir
+    blob = bytearray(Path(out, "dataset.bcsl").read_bytes())
+    struct.pack_into("<I", blob, 4, 2)
+    (trailer_len,) = struct.unpack("<Q", blob[-8:])
+    payload_end = len(blob) - 8 - trailer_len
+    blob[payload_end:payload_end] = bytes(8 * 2 * CFG["data"]["num_samples"])
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "dataset.bcsl").write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = main(["train", "--config", str(root / "cfg.json"), "--out", str(old)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == "file error: unsupported format version 2\n"
+    assert sorted(os.listdir(old)) == ["dataset.bcsl"]
 
 
 def test_sweep_rank_deficient_phi_is_a_numerical_failure(run_dir, tmp_path, capsys):

@@ -158,6 +158,8 @@ def test_explicit_section_seed_wins():
         # a negative seed is refused here, by its key, not later by numpy
         ({"train": {"seed": -1}}, "invalid configuration: train.seed must be nonnegative"),
         ({"seed": -1, "channel": {"seed": 0}, "train": {"seed": 0}}, "^seed must be nonnegative$"),
+        # also when it would cascade into the section seeds
+        ({"seed": -1}, "^seed must be nonnegative$"),
     ],
 )
 def test_build_experiment_rejects(overrides, message):

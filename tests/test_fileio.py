@@ -41,7 +41,6 @@ def test_dataset_round_trip(tmp_path, trained):
     save_dataset(str(path), dataset, extra_echo={"profile": "test"})
     loaded, echo = load_dataset(str(path))
     assert np.array_equal(loaded.samples, dataset.samples)
-    assert np.array_equal(loaded.params, dataset.params)
     assert loaded.config == dataset.config
     assert loaded.ratios == dataset.ratios
     assert (loaded.num_train, loaded.num_dev, loaded.num_test) == (48, 6, 6)
@@ -134,9 +133,10 @@ def test_corrupt_files_raise(tmp_path, trained):
     dataset, model, _ = trained
     save_dataset(str(tmp_path / "d.bcsl"), dataset)
     save_checkpoint(str(tmp_path / "c.bcsw"), model, TRAIN_CFG)
-    for name, load, other_load in [
-        ("d.bcsl", load_dataset, load_checkpoint),
-        ("c.bcsw", load_checkpoint, load_dataset),
+    for name, load, other_load, versions in [
+        # version 2 stored per-sample params, version 1 f64 checkpoints
+        ("d.bcsl", load_dataset, load_checkpoint, (1, 2, 99)),
+        ("c.bcsw", load_checkpoint, load_dataset, (1, 3, 99)),
     ]:
         blob = (tmp_path / name).read_bytes()
         trailer_len = struct.unpack("<Q", blob[-8:])[0]
@@ -147,8 +147,7 @@ def test_corrupt_files_raise(tmp_path, trained):
         with pytest.raises(FileFormatError, match="magic"):
             load(str(bad))
 
-        # version 1 stored float64 checkpoint payloads and 4 params per sample
-        for version in (1, 99):
+        for version in versions:
             bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
             with pytest.raises(FileFormatError, match=f"^unsupported format version {version}$"):
                 load(str(bad))
@@ -271,11 +270,12 @@ def test_export_dataset_csv(tmp_path, trained):
     src, out = tmp_path / "d.bcsl", tmp_path / "d.csv"
     save_dataset(str(src), dataset)
     export_dataset_csv(str(src), str(out))
-    assert out.read_text().splitlines()[0] == "# floor=0.1,zero_tol=1e-12"
+    lines = out.read_text().splitlines()
+    assert len(lines) == 60
+    assert all(line.count(",") == 15 and "#" not in line for line in lines)
     back = np.loadtxt(str(out), delimiter=",")
-    assert back.shape == (60, 16 + 2)
-    assert np.array_equal(back[:, :16], dataset.samples)
-    assert np.array_equal(back[:, 16:], dataset.params)
+    assert back.shape == (60, 16)
+    assert np.array_equal(back, dataset.samples)
 
 
 def test_export_checkpoint_json(tmp_path, trained):
@@ -292,7 +292,7 @@ def test_export_checkpoint_json(tmp_path, trained):
     assert doc["echo"]["train_config"]["batch_size"] == 16
 
 
-# ------------------------------------------------------ version-2 layouts
+# ------------------------------------- dataset v3 and checkpoint v2 layouts
 
 
 _PREFIX = 8  # magic, u32 version
@@ -308,10 +308,13 @@ def test_file_sizes_follow_from_the_dims(tmp_path, trained):
     data, ckpt = tmp_path / "d.bcsl", tmp_path / "c.bcsw"
     save_dataset(str(data), dataset)
     save_checkpoint(str(ckpt), model, TRAIN_CFG)
-    # header, f64 samples (n x 2N) and params (n x 2), trailer, its length
+    # each format has its own version: datasets 3, checkpoints 2
+    assert struct.unpack_from("<I", data.read_bytes(), 4) == (3,)
+    assert struct.unpack_from("<I", ckpt.read_bytes(), 4) == (2,)
+    # header, f64 samples (n x 2N), trailer, its length
     n, width = dataset.samples.shape
     header = _PREFIX + 8 * 6
-    assert data.stat().st_size == header + 8 * n * (width + 2) + _trailer_len(data) + 8
+    assert data.stat().st_size == header + 8 * n * width + _trailer_len(data) + 8
     # header, f64 alpha, f32 Phi and 4 vectors per layer, trailer, its length
     m, width, layers = model.num_measurements, model.width, model.num_updates + 1
     payload = 4 * (m * width + 4 * layers * width)

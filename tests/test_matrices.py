@@ -5,7 +5,7 @@ import pytest
 
 from beamcs import MatrixKind, MeasurementMatrix, generate_baseline, measure
 from beamcs.evaluate import sweep_baseline
-from beamcs.matrices import COMPLEX_KINDS, KIND_TAGS, PHASE_LEVELS, realify_rows
+from beamcs.matrices import KIND_TAGS, PHASE_LEVELS, realify_rows
 
 BASELINES = [k for k in MatrixKind if k is not MatrixKind.LEARNED]
 
@@ -96,10 +96,28 @@ def test_realify_rows_interleaves():
     assert np.array_equal(out, [[1.0, 3.0], [2.0, -4.0]])
 
 
-@pytest.mark.parametrize("kind", COMPLEX_KINDS)
-def test_complex_kinds_need_even_m(kind):
-    with pytest.raises(ValueError, match="even m"):
-        generate_baseline(kind, 5, 32)
+@pytest.mark.parametrize("kind", [MatrixKind.PARTIAL_FOURIER, MatrixKind.PHASE_SHIFTER])
+def test_complex_kinds_at_odd_m(kind):
+    # an odd m keeps the real part of the last complex row: the first m
+    # rows of the m+1 draw, from the same rng calls
+    odd = generate_baseline(kind, 5, 32, seed=4)
+    assert odd.data.shape == (5, 32)
+    assert np.array_equal(odd.data, generate_baseline(kind, 6, 32, seed=4).data[:5])
+
+
+def test_phase_shifter_at_m_n_minus_1():
+    # 63 rows of a width-64 phase shifter: 31 [Re; Im] pairs and one Re row
+    mat = sweep_baseline(MatrixKind.PHASE_SHIFTER, 63, 64, 0)
+    assert mat.data.shape == (63, 64)
+    assert np.allclose(np.abs(mat.data[:62:2] + 1j * mat.data[1:62:2]), 1 / 8)
+    assert np.linalg.matrix_rank(mat.data) == 63
+
+
+def test_partial_fourier_needs_enough_dft_rows():
+    # 1 <= k <= (n-1)/2 holds 31 rows at n=64: m=62 fits, m=63 needs 32
+    assert generate_baseline(MatrixKind.PARTIAL_FOURIER, 62, 64).data.shape == (62, 64)
+    with pytest.raises(ValueError, match="^partial_fourier has 31 usable DFT rows at n=64, too few for m=63$"):
+        sweep_baseline(MatrixKind.PARTIAL_FOURIER, 63, 64, 0)
 
 
 def test_learned_kind_not_generable():
