@@ -18,7 +18,6 @@ from .channels import (
     preprocess,
     stack_real,
     steering_vector,
-    to_beamspace,
     unstack_real,
 )
 from .config import ConfigError, ExperimentConfig, load_experiment, profile_defaults
@@ -120,7 +119,6 @@ __all__ = [
     "save_dataset",
     "stack_real",
     "steering_vector",
-    "to_beamspace",
     "train",
     "unstack_real",
 ]

@@ -3,9 +3,13 @@
 A uniform-linear-array channel is a weighted sum of steering vectors.
 Multiplying by the unitary DFT grid matrix turns it into a beamspace
 vector that is sparse when the number of propagation paths is small.
-The real pipeline below stacks real on imaginary parts and rescales the
-nonzero entries into [floor, 1] so they sit in the working range of the
-autoencoder and of the recovery threshold.
+Every path lies on the DFT grid, so a channel with gains g_i at grid
+indices k_i has the beamspace vector sqrt(N/P) * g_i at k_i, exactly
+zero elsewhere: generate_dataset writes it directly, and the antenna
+route (generate_spatial_channel, dft_grid_matrix) is the reference it
+matches.  The real pipeline stacks real on imaginary parts and rescales
+the nonzero entries into [floor, 1] so they sit in the working range of
+the autoencoder and of the recovery threshold.
 """
 
 from __future__ import annotations
@@ -89,9 +93,9 @@ def sample_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def _draw_directions(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    grid = grid_directions(cfg.num_antennas)
-    return rng.choice(grid, size=cfg.num_paths, replace=False)
+def _draw_indices(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
+    """Grid indices of the paths, distinct; drawn before the gains."""
+    return rng.choice(cfg.num_antennas, size=cfg.num_paths, replace=False)
 
 
 def _draw_gains(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
@@ -104,7 +108,7 @@ def generate_spatial_channel(
     cfg: ChannelConfig, rng: np.random.Generator
 ) -> SpatialChannel:
     """Draw one multipath channel: sqrt(N/P) * sum_i gain_i * steering(phi_i)."""
-    directions = _draw_directions(cfg, rng)
+    directions = grid_directions(cfg.num_antennas)[_draw_indices(cfg, rng)]
     gains = _draw_gains(cfg, rng)
     n = np.arange(cfg.num_antennas) - (cfg.num_antennas - 1) / 2.0
     # Columns are steering vectors for the drawn directions.
@@ -117,16 +121,6 @@ def generate_spatial_channel(
         (complex(g), float(phi)) for g, phi in zip(gains, directions)
     )
     return SpatialChannel(coeffs=coeffs, paths=paths)
-
-
-def to_beamspace(coeffs: np.ndarray, grid_matrix: np.ndarray) -> np.ndarray:
-    """Transform an antenna-domain vector into the beamspace domain."""
-    coeffs = np.asarray(coeffs)
-    if grid_matrix.ndim != 2 or grid_matrix.shape[1] != coeffs.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: grid {grid_matrix.shape} vs coeffs {coeffs.shape}"
-        )
-    return grid_matrix @ coeffs
 
 
 def stack_real(coeffs: np.ndarray) -> np.ndarray:
@@ -144,34 +138,34 @@ def unstack_real(values: np.ndarray) -> np.ndarray:
     return values[:half] + 1j * values[half:]
 
 
-def preprocess(
-    values: np.ndarray, floor: float = 0.1, zero_tol: float = 1e-12
-) -> np.ndarray:
-    """Map nonzero entries affinely onto [floor, 1]; zero out sub-tolerance entries.
+def preprocess(values: np.ndarray, floor: float = 0.1) -> np.ndarray:
+    """Map the nonzero entries of each row affinely onto [floor, 1].
 
-    The signed minimum nonzero lands on floor and the maximum on 1.  A
-    positive floor keeps the smallest nonzero strictly away from 0 so
-    the support is preserved exactly.  floor=0 is the plain [0, 1] map:
-    the minimum nonzero lands on exactly 0 and leaves the support.
+    values is one vector or an (n, width) block mapped row by row.  In
+    each row the signed minimum nonzero lands on floor and the maximum
+    on 1; a row whose nonzeros are all equal maps them to 1, and zeros
+    stay 0.  A positive floor keeps the smallest nonzero strictly away
+    from 0 so the support is preserved exactly.  floor=0 is the plain
+    [0, 1] map: the minimum nonzero lands on exactly 0 and leaves the
+    support.
     """
     if not 0.0 <= floor < 1.0:
         raise ValueError("floor must lie in [0, 1)")
-    if not 0.0 <= zero_tol < math.inf:
-        raise ValueError("zero_tol must be nonnegative and finite")
     values = np.asarray(values, dtype=float)
-    mask = np.abs(values) > zero_tol
-    out = np.zeros_like(values)
-    if not mask.any():
-        return out
-    nz = values[mask]
-    min_nz = nz.min()
-    max_nz = nz.max()
-    if max_nz == min_nz:
-        out[mask] = 1.0
-    else:
-        # the clamp absorbs one-ulp overshoot of floor + (1 - floor)
-        scaled = floor + (1.0 - floor) * (nz - min_nz) / (max_nz - min_nz)
-        out[mask] = np.minimum(scaled, 1.0)
+    support = values != 0.0
+    lo = np.min(values, axis=-1, keepdims=True, initial=np.inf, where=support)
+    hi = np.max(values, axis=-1, keepdims=True, initial=-np.inf, where=support)
+    spread = hi > lo  # False for a row without two distinct nonzeros
+    # floor + (1 - floor) * (v - lo) / (hi - lo), in place: one block of
+    # working memory
+    out = values - lo
+    out *= 1.0 - floor
+    out /= np.where(spread, hi - lo, 1.0)
+    out += floor
+    # the clamp absorbs one-ulp overshoot of floor + (1 - floor)
+    np.minimum(out, 1.0, out=out)
+    np.copyto(out, 1.0, where=~spread)
+    np.copyto(out, 0.0, where=~support)
     return out
 
 
@@ -190,7 +184,6 @@ class ChannelDataset:
     config: ChannelConfig
     ratios: tuple[float, float, float]
     floor: float
-    zero_tol: float
 
     def __post_init__(self) -> None:
         n = self.samples.shape[0]
@@ -235,35 +228,38 @@ def generate_dataset(
     num_samples: int,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     floor: float = 0.1,
-    zero_tol: float = 1e-12,
 ) -> ChannelDataset:
     """Generate, preprocess, and split a dataset of stacked beamspace vectors.
 
     Each sample derives its own counter-based stream from (cfg.seed, index),
     so generation is a pure function of the config and is order-independent.
+    Sample i holds the beamspace vector of generate_spatial_channel's
+    draw from sample_rng(cfg.seed, i), built without the DFT product.
     """
     if num_samples < 10:
         raise ValueError("num_samples must be at least 10")
     n_train, n_dev, n_test = split_sizes(num_samples, ratios)
-    grid = dft_grid_matrix(cfg.num_antennas)
 
-    spatial = np.empty((num_samples, cfg.num_antennas), dtype=complex)
+    indices = np.empty((num_samples, cfg.num_paths), dtype=np.intp)
+    gains = np.empty((num_samples, cfg.num_paths), dtype=complex)
     for i in range(num_samples):
-        spatial[i] = generate_spatial_channel(cfg, sample_rng(cfg.seed, i)).coeffs
-    beam = spatial @ grid.T  # row i is grid @ spatial[i]
-
-    width = 2 * cfg.num_antennas
-    samples = np.empty((num_samples, width))
-    for i in range(num_samples):
-        samples[i] = preprocess(stack_real(beam[i]), floor=floor, zero_tol=zero_tol)
+        rng = sample_rng(cfg.seed, i)
+        indices[i] = _draw_indices(cfg, rng)
+        gains[i] = _draw_gains(cfg, rng)
+    gains *= math.sqrt(cfg.num_antennas / cfg.num_paths)
+    # the stacked beamspace block: real parts at the drawn indices,
+    # imaginary parts N entries later
+    samples = np.zeros((num_samples, 2 * cfg.num_antennas))
+    rows = np.arange(num_samples)[:, None]
+    samples[rows, indices] = gains.real
+    samples[rows, indices + cfg.num_antennas] = gains.imag
 
     return ChannelDataset(
-        samples=samples,
+        samples=preprocess(samples, floor),
         num_train=n_train,
         num_dev=n_dev,
         num_test=n_test,
         config=cfg,
         ratios=tuple(ratios),
         floor=floor,
-        zero_tol=zero_tol,
     )

@@ -103,7 +103,6 @@ def cmd_gen_data(args) -> int:
         cfg.num_samples,
         ratios=cfg.ratios,
         floor=cfg.floor,
-        zero_tol=cfg.zero_tol,
     )
     path = args.data or os.path.join(cfg.out_dir, "dataset.bcsl")
     save_dataset(path, dataset, extra_echo=config_echo(cfg))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
@@ -41,7 +40,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 # Values both profiles share; each profile below adds its scale keys.
 _SHARED: dict = {
-    "data": {"ratios": [0.8, 0.1, 0.1], "zero_tol": 1e-12},
+    "data": {"ratios": [0.8, 0.1, 0.1]},
     "train": {"num_updates": 9, "alpha_init": 1.0, "dev_eval_every": 5},
     "recovery": {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200},
     "metric": {"exact_tol": 1e-8, "block_length": 200},
@@ -87,7 +86,6 @@ class ExperimentConfig:
     num_samples: int
     ratios: tuple[float, float, float]
     floor: float
-    zero_tol: float
     train: TrainConfig
     recovery: RecoveryConfig
     metric: MetricConfig
@@ -116,8 +114,6 @@ class ExperimentConfig:
             raise ConfigError("kinds must be distinct")
         if not 0.0 <= self.floor < 1.0:
             raise ConfigError("floor must lie in [0, 1)")
-        if not 0.0 <= self.zero_tol < math.inf:
-            raise ConfigError("zero_tol must be nonnegative and finite")
         if self.num_samples < 10:
             raise ConfigError("num_samples must be at least 10")
         if self.seed < 0:
@@ -169,7 +165,7 @@ def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
 
 
 # ExperimentConfig fields that the document holds in its data section.
-_DATA_KEYS = ("num_samples", "ratios", "floor", "zero_tol")
+_DATA_KEYS = ("num_samples", "ratios", "floor")
 # Keys a document may leave out: config echoes omit out_dir.  A section
 # seed falls back to the global seed.
 _OPTIONAL = {"out_dir": "runs/out"}

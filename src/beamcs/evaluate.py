@@ -177,60 +177,66 @@ def run_sweep(
             raise ValueError(f"duplicate matrix kind {kind.value}")
 
     learned = dict(learned) if learned else {}
-    rows: list[SweepRow] = []
-    notes: list[str] = []
+    # Every matrix is drawn, and every checkpoint checked, before the first
+    # solve: a cell that cannot be drawn fails the sweep at once.
+    cells: list[tuple[MatrixKind, int, MeasurementMatrix | None]] = []
     for kind in kinds:
         for m in m_values:
-            if kind is MatrixKind.LEARNED:
+            if kind is not MatrixKind.LEARNED:
+                matrix = sweep_baseline(kind, m, dataset.width, seed)
+            else:
                 matrix = learned.get(m)
-                if matrix is None:
-                    rows.append(
-                        SweepRow(
-                            kind=kind.value,
-                            m=m,
-                            exact_rate=np.nan,
-                            mean_nrse=np.nan,
-                            nrse_excluded=0,
-                            effective_rate=np.nan,
-                            num_samples=0,
-                            seed=None,
-                            solver_failures=0,
-                            note="missing checkpoint",
-                        )
-                    )
-                    notes.append(f"learned m={m}: missing checkpoint")
-                    continue
-                if matrix.num_measurements != m or matrix.num_columns != dataset.width:
+                if matrix is not None and matrix.data.shape != (m, dataset.width):
                     raise ValueError(
                         f"checkpoint for m={m} has shape "
                         f"{matrix.data.shape}, dataset width {dataset.width}"
                     )
-            else:
-                matrix = sweep_baseline(kind, m, dataset.width, seed)
-            tic = time.perf_counter()
-            estimates, failures = recover_all(matrix, test, recovery_cfg)
-            seconds = time.perf_counter() - tic
-            p = exact_recovery_rate(test, estimates, metric_cfg.exact_tol)
-            nrse, excluded = mean_nrse(test, estimates)
-            note = ""
-            if failures > _FAILURE_NOTE_THRESHOLD * test.shape[0]:
-                note = f"solver non-optimal on {failures}/{test.shape[0]} samples"
-                notes.append(f"{kind.value} m={m}: {note}")
+            cells.append((kind, m, matrix))
+
+    rows: list[SweepRow] = []
+    notes: list[str] = []
+    for kind, m, matrix in cells:
+        if matrix is None:
             rows.append(
                 SweepRow(
                     kind=kind.value,
                     m=m,
-                    exact_rate=p,
-                    mean_nrse=nrse,
-                    nrse_excluded=excluded,
-                    effective_rate=effective_rate(p, m, metric_cfg.block_length),
-                    num_samples=test.shape[0],
-                    seed=None if kind is MatrixKind.LEARNED else seed,
-                    solver_failures=failures,
-                    note=note,
-                    seconds=seconds,
+                    exact_rate=np.nan,
+                    mean_nrse=np.nan,
+                    nrse_excluded=0,
+                    effective_rate=np.nan,
+                    num_samples=0,
+                    seed=None,
+                    solver_failures=0,
+                    note="missing checkpoint",
                 )
             )
+            notes.append(f"learned m={m}: missing checkpoint")
+            continue
+        tic = time.perf_counter()
+        estimates, failures = recover_all(matrix, test, recovery_cfg)
+        seconds = time.perf_counter() - tic
+        p = exact_recovery_rate(test, estimates, metric_cfg.exact_tol)
+        nrse, excluded = mean_nrse(test, estimates)
+        note = ""
+        if failures > _FAILURE_NOTE_THRESHOLD * test.shape[0]:
+            note = f"solver non-optimal on {failures}/{test.shape[0]} samples"
+            notes.append(f"{kind.value} m={m}: {note}")
+        rows.append(
+            SweepRow(
+                kind=kind.value,
+                m=m,
+                exact_rate=p,
+                mean_nrse=nrse,
+                nrse_excluded=excluded,
+                effective_rate=effective_rate(p, m, metric_cfg.block_length),
+                num_samples=test.shape[0],
+                seed=None if kind is MatrixKind.LEARNED else seed,
+                solver_failures=failures,
+                note=note,
+                seconds=seconds,
+            )
+        )
 
     report = SweepReport(
         rows=rows,

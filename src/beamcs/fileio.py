@@ -2,9 +2,10 @@
 
 Layouts (all integers and floats little-endian):
 
-  BCSL dataset     magic "BCSL", u32 version 3, u64 x6 (N, P, n,
+  BCSL dataset     magic "BCSL", u32 version 4, u64 x6 (N, P, n,
                    n_train, n_dev, n_test), samples n x 2N f64
-                   row-major, JSON echo trailer, u64 trailer length.
+                   row-major, JSON echo trailer (seed, split ratios,
+                   floor, generating config), u64 trailer length.
   BCSW checkpoint  magic "BCSW", u32 version 2, u64 x3 (m, width, L), f64
                    alpha, Phi m x width f32 row-major, then gamma/beta/
                    running-mean/running-var f32 per layer, JSON echo
@@ -40,7 +41,7 @@ _CHECKPOINT_FIXED = struct.Struct("<QQQd")  # m, width, L, alpha
 _TRAILER_LEN = struct.Struct("<Q")
 # Per container: (format version, payload dtype).
 _STORED = {
-    DATASET_MAGIC: (3, np.dtype("<f8")),
+    DATASET_MAGIC: (4, np.dtype("<f8")),
     CHECKPOINT_MAGIC: (2, np.dtype("<f4")),
 }
 
@@ -135,7 +136,6 @@ def save_dataset(
         "seed": cfg.seed,
         "ratios": list(dataset.ratios),
         "floor": dataset.floor,
-        "zero_tol": dataset.zero_tol,
         "config": extra_echo,
     }
     _write_file(path, DATASET_MAGIC, fixed, [dataset.samples], echo)
@@ -154,7 +154,6 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
         )
         ratios = tuple(float(r) for r in echo["ratios"])
         floor = float(echo["floor"])
-        zero_tol = float(echo["zero_tol"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"dataset echo trailer invalid: {exc}") from exc
     samples, off = _take(values, 0, (int(n), 2 * int(num_antennas)))
@@ -168,7 +167,6 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
         config=cfg,
         ratios=ratios,  # type: ignore[arg-type]
         floor=floor,
-        zero_tol=zero_tol,
     )
     return dataset, echo
 

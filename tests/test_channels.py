@@ -14,7 +14,6 @@ from beamcs import (
     preprocess,
     stack_real,
     steering_vector,
-    to_beamspace,
     unstack_real,
 )
 from beamcs.channels import sample_rng, split_sizes
@@ -59,7 +58,7 @@ def test_grid_steering_maps_to_basis_vector():
     n_ant = 16
     u = dft_grid_matrix(n_ant)
     phis = grid_directions(n_ant)
-    beam = to_beamspace(steering_vector(phis[5], n_ant), u)
+    beam = u @ steering_vector(phis[5], n_ant)
     expected = np.zeros(n_ant)
     expected[5] = 1.0
     assert np.allclose(beam, expected, atol=1e-12)
@@ -70,7 +69,7 @@ def test_on_grid_channel_is_exactly_sparse():
     u = dft_grid_matrix(32)
     for i in range(20):
         ch = generate_spatial_channel(cfg, sample_rng(cfg.seed, i))
-        beam = to_beamspace(ch.coeffs, u)
+        beam = u @ ch.coeffs
         support = np.abs(beam) > 1e-10
         assert support.sum() <= 3
         # everything off the support is numerically zero, not just small
@@ -82,7 +81,7 @@ def test_channel_scale_unit_gain():
     cfg = ChannelConfig(num_antennas=16, num_paths=1, seed=0)
     u = dft_grid_matrix(16)
     ch = generate_spatial_channel(cfg, sample_rng(cfg.seed, 0))
-    beam = to_beamspace(ch.coeffs, u)
+    beam = u @ ch.coeffs
     ((gain, _),) = ch.paths
     assert np.max(np.abs(beam)) == pytest.approx(
         math.sqrt(16.0) * abs(gain), abs=1e-10
@@ -123,14 +122,13 @@ def test_unstack_rejects_odd_length():
         max_size=30,
     ),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    st.sampled_from([0.0, 1e-12, 0.5]),
 )
-def test_preprocess_direct_map(values, floor, zero_tol):
-    # entries within zero_tol go to 0; the others map affinely, order
-    # kept, the minimum to floor and the maximum to 1
+def test_preprocess_direct_map(values, floor):
+    # zeros stay 0; the nonzeros map affinely, order kept, the minimum
+    # to floor and the maximum to 1
     x = np.asarray(values)
-    out = preprocess(x, floor=floor, zero_tol=zero_tol)
-    keep = np.abs(x) > zero_tol
+    out = preprocess(x, floor=floor)
+    keep = x != 0.0
     assert np.all(out[~keep] == 0.0)
     if not keep.any():
         return
@@ -178,10 +176,28 @@ def test_preprocess_constant_nonzeros_map_to_one():
     assert np.array_equal(out, [1.0, 0.0, 1.0])
 
 
-def test_preprocess_zero_tol_zeroes_small_entries():
-    out = preprocess(np.array([1e-13, 1.0, -2.0]), zero_tol=1e-12)
-    assert out[0] == 0.0
-    assert np.count_nonzero(out) == 2
+def test_preprocess_keeps_tiny_nonzeros():
+    # every nonzero is in the support, however small
+    out = preprocess(np.array([1e-300, 0.0, -2.0, 1.0]), floor=0.1)
+    assert out[0] > 0.1 and out[1] == 0.0 and np.count_nonzero(out) == 3
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.1])
+def test_preprocess_block_equals_its_rows(floor):
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((7, 12))
+    block[rng.random(block.shape) < 0.6] = 0.0
+    block[2] = 0.0  # all-zero row
+    block[4:6] = 0.0
+    block[4, 5] = -0.3  # single nonzero
+    block[5, [1, 8]] = 2.5  # equal nonzeros only
+    out = preprocess(block, floor)
+    assert out.shape == block.shape
+    for row, got in zip(block, out):
+        assert got.tobytes() == preprocess(row, floor).tobytes()
+    assert np.all(out[2] == 0.0)
+    assert out[4, 5] == 1.0 and np.count_nonzero(out[4]) == 1
+    assert np.array_equal(out[5] != 0.0, block[5] != 0.0)
 
 
 def test_preprocess_signed_extremes():
@@ -241,21 +257,36 @@ def test_generate_dataset_seed_changes_data():
     assert not np.array_equal(a.samples, b.samples)
 
 
+def _dense_samples(cfg, num_samples, floor):
+    """The antenna-domain route: each channel times the DFT grid, its
+    ~1e-16 rounding off the drawn beams set to 0, then preprocessed."""
+    u = dft_grid_matrix(cfg.num_antennas)
+    beams = np.array([
+        stack_real(u @ generate_spatial_channel(cfg, sample_rng(cfg.seed, i)).coeffs)
+        for i in range(num_samples)
+    ])
+    assert np.sum(np.abs(beams) > 1e-12, axis=1).max() <= 2 * cfg.num_paths
+    beams[np.abs(beams) <= 1e-12] = 0.0
+    return np.array([preprocess(beam, floor) for beam in beams])
+
+
 def test_dataset_samples_are_preprocessed_channels(tiny_dataset):
+    # the dataset holds the exact beamspace vectors, the dense route
+    # carries rounding: the same support, values within 1e-12
     ds = tiny_dataset
-    u = dft_grid_matrix(ds.config.num_antennas)
-    channels = [
-        generate_spatial_channel(ds.config, sample_rng(ds.config.seed, i)).coeffs
-        for i in range(ds.num_samples)
-    ]
-    # the dataset transforms all channels in one product, whose rounding
-    # differs from one to_beamspace call per channel in the last bit
-    beam = np.asarray(channels) @ u.T
-    for i in (0, 13, 59):
-        want = preprocess(stack_real(beam[i]), ds.floor, ds.zero_tol)
-        assert ds.samples[i].tobytes() == want.tobytes()
-        one = preprocess(stack_real(to_beamspace(channels[i], u)), ds.floor, ds.zero_tol)
-        assert np.max(np.abs(ds.samples[i] - one)) <= 1e-12
+    want = _dense_samples(ds.config, ds.num_samples, ds.floor)
+    assert np.array_equal(ds.samples != 0.0, want != 0.0)
+    assert np.max(np.abs(ds.samples - want)) <= 1e-12
+
+
+# N=8 is the tiny_dataset case above
+@pytest.mark.parametrize("n_ant, n_paths, floor", [(32, 2, 0.1), (256, 3, 0.0)])
+def test_dataset_matches_the_dense_route(n_ant, n_paths, floor):
+    cfg = ChannelConfig(num_antennas=n_ant, num_paths=n_paths, seed=5)
+    ds = generate_dataset(cfg, 200, floor=floor)
+    want = _dense_samples(cfg, 200, floor)
+    assert np.array_equal(ds.samples != 0.0, want != 0.0)
+    assert np.max(np.abs(ds.samples - want)) <= 1e-12
 
 
 def test_config_validation():
@@ -267,17 +298,10 @@ def test_config_validation():
         ChannelConfig(num_antennas=4, num_paths=1, seed=-1)
     with pytest.raises(ValueError):
         generate_dataset(ChannelConfig(num_antennas=4, num_paths=1), 5)
-    # a NaN tolerance would zero every sample, an infinite one too;
-    # preprocess checks both arguments for an all-zero sample as well
-    for x in (np.array([-1.0, 1.0]), np.zeros(2)):
-        for bad in (math.nan, math.inf, -1e-12):
-            with pytest.raises(ValueError, match="^zero_tol must be nonnegative and finite$"):
-                preprocess(x, 0.1, bad)
+    # preprocess checks the floor for an all-zero sample as well
+    for x in (np.array([-1.0, 1.0]), np.zeros(2), np.zeros((3, 2))):
         for bad in (1.0, -0.1, math.nan):
             with pytest.raises(ValueError, match="^floor must lie in"):
                 preprocess(x, bad)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="zero_tol"):
-            generate_dataset(
-                ChannelConfig(num_antennas=4, num_paths=1), 20, zero_tol=bad
-            )
+    with pytest.raises(ValueError, match="^floor must lie in"):
+        generate_dataset(ChannelConfig(num_antennas=4, num_paths=1), 20, floor=1.0)

@@ -253,6 +253,43 @@ def test_sweep_rejects_off_grid_data(run_dir, tmp_path, capsys):
     assert not os.path.exists(dest)
 
 
+def test_data_zero_tol_is_an_unknown_key(run_dir, tmp_path, capsys):
+    # exactly sparse samples need no tolerance; the key is gone
+    root, out = run_dir
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CFG, "data": {**CFG["data"], "zero_tol": 1e-12}}))
+    dest = str(tmp_path / "out")
+    for command in (["gen-data"], ["train", "--data", os.path.join(out, "dataset.bcsl")]):
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), "--out", dest]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown config key: data.zero_tol\n"
+    assert not os.path.exists(dest)
+
+
+def test_sweep_refuses_an_undrawable_baseline_before_any_solve(tmp_path, capsys, monkeypatch):
+    # width 64 leaves 31 usable DFT rows, too few for partial Fourier at
+    # m=63; the gaussian cells come first but must not be solved
+    import beamcs.evaluate
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "ci", "data": {"num_samples": 60}}))
+    out = str(tmp_path / "run")
+    assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_OK
+    solved = []
+    monkeypatch.setattr(beamcs.evaluate, "recover_all", lambda *a: solved.append(a))
+    capsys.readouterr()
+    code = main([
+        "sweep", "--config", str(cfg), "--out", out,
+        "--m", "8,63", "--kinds", "gaussian,partial_fourier",
+    ])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: partial_fourier has 31 usable DFT rows at n=64, too few for m=63\n"
+    )
+    assert solved == []
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
 def test_sweep_checkpoint_of_another_width_is_a_file_error(run_dir, tmp_path, capsys):
     root, out = run_dir
     cfg = tmp_path / "cfg.json"

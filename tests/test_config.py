@@ -145,9 +145,9 @@ def test_explicit_section_seed_wins():
         ({"data": {"ratios": [0.5, 0.3, 0.3]}}, "ratios must sum to 1"),
         ({"data": {"ratios": [1.2, -0.1, -0.1]}}, "ratios must be nonnegative"),
         ({"data": {"ratios": [float("nan"), 0.0, 1.0]}}, "ratios must sum to 1"),
-        ({"data": {"zero_tol": -1}}, "zero_tol must be nonnegative"),
+        ({"data": {"zero_tol": 1e-12}}, "unknown config key: data.zero_tol$"),  # deleted
         ({"data": {"num_samples": 3}}, "num_samples must be at least 10"),
-        ({"data": {"zero_tol": float("inf")}}, "zero_tol must be nonnegative and finite"),
+        ({"data": {"floor": float("nan")}}, "floor must lie in"),
         ({"metric": {"exact_tol": float("nan")}}, "exact_tol must be positive and finite"),
         # deleted keys are unknown keys like any other
         ({"train": {"early_stop_patience": 0}}, "unknown config key: train.early_stop_patience$"),
@@ -190,7 +190,6 @@ ECHO_ALTERNATIVES = {
     ("data", "num_samples"): 300,
     ("data", "ratios"): [0.6, 0.2, 0.2],
     ("data", "floor"): 0.25,
-    ("data", "zero_tol"): 1e-9,
     ("train", "learning_rate"): 0.5,
     ("train", "batch_size"): 32,
     ("train", "max_epochs"): 3,

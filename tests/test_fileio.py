@@ -44,7 +44,8 @@ def test_dataset_round_trip(tmp_path, trained):
     assert loaded.config == dataset.config
     assert loaded.ratios == dataset.ratios
     assert (loaded.num_train, loaded.num_dev, loaded.num_test) == (48, 6, 6)
-    assert loaded.floor == dataset.floor and loaded.zero_tol == dataset.zero_tol
+    assert loaded.floor == dataset.floor
+    assert sorted(echo) == ["config", "floor", "ratios", "seed"]
     assert echo["config"] == {"profile": "test"}
 
 
@@ -134,8 +135,9 @@ def test_corrupt_files_raise(tmp_path, trained):
     save_dataset(str(tmp_path / "d.bcsl"), dataset)
     save_checkpoint(str(tmp_path / "c.bcsw"), model, TRAIN_CFG)
     for name, load, other_load, versions in [
-        # version 2 stored per-sample params, version 1 f64 checkpoints
-        ("d.bcsl", load_dataset, load_checkpoint, (1, 2, 99)),
+        # version 2 stored per-sample params, version 3 a zero tolerance,
+        # version 1 f64 checkpoints
+        ("d.bcsl", load_dataset, load_checkpoint, (1, 2, 3, 99)),
         ("c.bcsw", load_checkpoint, load_dataset, (1, 3, 99)),
     ]:
         blob = (tmp_path / name).read_bytes()
@@ -292,7 +294,7 @@ def test_export_checkpoint_json(tmp_path, trained):
     assert doc["echo"]["train_config"]["batch_size"] == 16
 
 
-# ------------------------------------- dataset v3 and checkpoint v2 layouts
+# ------------------------------------- dataset v4 and checkpoint v2 layouts
 
 
 _PREFIX = 8  # magic, u32 version
@@ -308,8 +310,8 @@ def test_file_sizes_follow_from_the_dims(tmp_path, trained):
     data, ckpt = tmp_path / "d.bcsl", tmp_path / "c.bcsw"
     save_dataset(str(data), dataset)
     save_checkpoint(str(ckpt), model, TRAIN_CFG)
-    # each format has its own version: datasets 3, checkpoints 2
-    assert struct.unpack_from("<I", data.read_bytes(), 4) == (3,)
+    # each format has its own version: datasets 4, checkpoints 2
+    assert struct.unpack_from("<I", data.read_bytes(), 4) == (4,)
     assert struct.unpack_from("<I", ckpt.read_bytes(), 4) == (2,)
     # header, f64 samples (n x 2N), trailer, its length
     n, width = dataset.samples.shape
