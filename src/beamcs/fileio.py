@@ -159,6 +159,8 @@ def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
     samples, off = _take(values, 0, (int(n), 2 * int(num_antennas)))
     if off != values.size:
         raise FileFormatError("trailing bytes after dataset payload")
+    if not np.isfinite(samples).all():
+        raise FileFormatError("dataset holds a non-finite value")
     dataset = ChannelDataset(
         samples=samples,
         num_train=int(n_train),

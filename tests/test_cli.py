@@ -2,10 +2,13 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import beamcs
 from beamcs.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -374,6 +377,33 @@ def test_corrupt_checkpoint_is_a_file_error(run_dir, tmp_path, capsys, corruptio
     assert not (sweep_out / "report.json").exists()
 
 
+@pytest.mark.parametrize("where, value", [("first", math.nan), ("last", math.inf)])
+def test_non_finite_dataset_is_a_file_error(run_dir, tmp_path, capsys, where, value):
+    # the first value belongs to a train sample, the last to a test sample;
+    # the samples follow an 8-byte prefix and six u64 header fields
+    root, out = run_dir
+    blob = bytearray(Path(out, "dataset.bcsl").read_bytes())
+    (trailer_len,) = struct.unpack("<Q", blob[-8:])
+    offset = 56 if where == "first" else len(blob) - 8 - trailer_len - 8
+    struct.pack_into("<d", blob, offset, value)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "dataset.bcsl").write_bytes(bytes(blob))
+    cfg = ["--config", str(root / "cfg.json"), "--out", str(bad)]
+    exported = tmp_path / "dataset.csv"
+    for command in (
+        ["train", *cfg],
+        ["sweep", *cfg, "--kinds", "gaussian"],
+        ["export", "--in", str(bad / "dataset.bcsl"), "--format", "csv",
+         "--out", str(exported)],
+    ):
+        capsys.readouterr()
+        assert main(command) == EXIT_IO
+        assert capsys.readouterr().err == "file error: dataset holds a non-finite value\n"
+    assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
+    assert not exported.exists()
+
+
 @pytest.mark.parametrize("name", ["dataset.bcsl", checkpoint_name(4)])
 def test_version_1_file_is_a_file_error(run_dir, tmp_path, capsys, name):
     _, out = run_dir
@@ -433,18 +463,19 @@ def test_sweep_rank_deficient_phi_is_a_numerical_failure(run_dir, tmp_path, caps
     assert not (sweep_out / "report.json").exists()
 
 
-def test_train_is_byte_identical_across_processes(run_dir, tmp_path):
-    # two fresh interpreters, each with its own BLAS set-up, write the
-    # same checkpoint bytes as the in-process run
-    import subprocess
-    import sys
-
-    import beamcs
-
-    root, out = run_dir
+def _fresh_interpreter_env() -> dict:
+    """The environment with this beamcs's sources first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(beamcs.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_train_is_byte_identical_across_processes(run_dir, tmp_path):
+    # two fresh interpreters, each with its own BLAS set-up, write the
+    # same checkpoint bytes as the in-process run
+    root, out = run_dir
+    env = _fresh_interpreter_env()
     outs = [tmp_path / "a", tmp_path / "b"]
     for dest in outs:
         subprocess.run(
@@ -459,3 +490,36 @@ def test_train_is_byte_identical_across_processes(run_dir, tmp_path):
         want = Path(out, checkpoint_name(m)).read_bytes()
         for dest in outs:
             assert (dest / checkpoint_name(m)).read_bytes() == want
+
+
+_COLD_START = """
+import json, sys
+import beamcs, beamcs.cli
+cfg, out = sys.argv[1:]
+base = ["--config", cfg, "--out", out]
+codes = [beamcs.cli.main(argv) for argv in (
+    ["gen-data", *base],
+    ["train", *base],
+    ["export", "--in", out + "/dataset.bcsl", "--format", "csv", "--out", out + "/d.csv"],
+    ["export", "--in", out + "/checkpoint_m4.bcsw", "--format", "json",
+     "--out", out + "/c.json"],
+)]
+before = "scipy.linalg" in sys.modules
+codes.append(beamcs.cli.main(["sweep", *base]))
+print(json.dumps({"codes": codes, "before": before, "after": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_only_sweep_loads_scipy(tmp_path):
+    # a fresh interpreter, since this one has loaded scipy for the tests:
+    # gen-data, train and export run on numpy alone, and the first
+    # basis-pursuit factorization loads scipy's LAPACK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CFG))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(cfg), str(tmp_path / "run")],
+        env=_fresh_interpreter_env(), check=True, capture_output=True, text=True,
+        timeout=300,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 5, "before": False, "after": True}

@@ -134,11 +134,12 @@ def test_corrupt_files_raise(tmp_path, trained):
     dataset, model, _ = trained
     save_dataset(str(tmp_path / "d.bcsl"), dataset)
     save_checkpoint(str(tmp_path / "c.bcsw"), model, TRAIN_CFG)
-    for name, load, other_load, versions in [
+    for name, load, other_load, versions, payload_start, fmt in [
         # version 2 stored per-sample params, version 3 a zero tolerance,
-        # version 1 f64 checkpoints
-        ("d.bcsl", load_dataset, load_checkpoint, (1, 2, 3, 99)),
-        ("c.bcsw", load_checkpoint, load_dataset, (1, 3, 99)),
+        # version 1 f64 checkpoints; the payload follows the 8-byte prefix
+        # and the fixed fields
+        ("d.bcsl", load_dataset, load_checkpoint, (1, 2, 3, 99), 8 + 48, "<d"),
+        ("c.bcsw", load_checkpoint, load_dataset, (1, 3, 99), 8 + 32, "<f"),
     ]:
         blob = (tmp_path / name).read_bytes()
         trailer_len = struct.unpack("<Q", blob[-8:])[0]
@@ -168,6 +169,15 @@ def test_corrupt_files_raise(tmp_path, trained):
         bad.write_bytes(blob[:payload_end] + b"\0" * 16 + blob[payload_end:])
         with pytest.raises(FileFormatError, match="trailing"):
             load(str(bad))
+
+        # a NaN first value (a train sample's, or Phi's) and an inf last one
+        size = struct.calcsize(fmt)
+        for offset, value in ((payload_start, np.nan), (payload_end - size, np.inf)):
+            corrupt = bytearray(blob)
+            struct.pack_into(fmt, corrupt, offset, value)
+            bad.write_bytes(bytes(corrupt))
+            with pytest.raises(FileFormatError, match="holds a non-finite value"):
+                load(str(bad))
 
         with pytest.raises(FileFormatError, match="magic"):
             other_load(str(tmp_path / name))
