@@ -17,13 +17,7 @@ import time
 import numpy as np
 
 from .channels import generate_dataset
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    PROFILE_NAMES,
-    config_echo,
-    load_experiment,
-)
+from .config import ConfigError, ExperimentConfig, PROFILE_NAMES, load_experiment
 from .evaluate import run_sweep
 from .fileio import (
     FileFormatError,
@@ -105,7 +99,7 @@ def cmd_gen_data(args) -> int:
         floor=cfg.floor,
     )
     path = args.data or os.path.join(cfg.out_dir, "dataset.bcsl")
-    save_dataset(path, dataset, extra_echo=config_echo(cfg))
+    save_dataset(path, dataset)
     print(
         f"wrote {path}: {dataset.num_samples} samples, "
         f"N={cfg.channel.num_antennas} (width {dataset.width}), "
@@ -118,7 +112,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _experiment(args)
     data_path = args.data or os.path.join(cfg.out_dir, "dataset.bcsl")
-    dataset, _ = load_dataset(data_path)
+    dataset = load_dataset(data_path)
     for m in cfg.m_values:
         if not m < dataset.width:
             raise ConfigError(f"m={m} must be < dataset width {dataset.width}")
@@ -140,7 +134,7 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _experiment(args)
     data_path = args.data or os.path.join(cfg.out_dir, "dataset.bcsl")
-    dataset, _ = load_dataset(data_path)
+    dataset = load_dataset(data_path)
     ckpt_dir = args.checkpoints or cfg.out_dir
 
     learned = {}
@@ -168,9 +162,7 @@ def cmd_sweep(args) -> int:
             seed=cfg.seed,
         )
     save_report_csv(os.path.join(cfg.out_dir, "report.csv"), report)
-    save_report_json(
-        os.path.join(cfg.out_dir, "report.json"), report, config_echo(cfg)
-    )
+    save_report_json(os.path.join(cfg.out_dir, "report.json"), report, dataset)
     figures = save_figure_csvs(os.path.join(cfg.out_dir, "figure"), report)
     for row in report.rows:
         rate = "--" if np.isnan(row.exact_rate) else f"{100 * row.exact_rate:6.2f}%"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
@@ -166,9 +166,6 @@ def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
 
 # ExperimentConfig fields that the document holds in its data section.
 _DATA_KEYS = ("num_samples", "ratios", "floor")
-# Keys a document may leave out: config echoes omit out_dir.  A section
-# seed falls back to the global seed.
-_OPTIONAL = {"out_dir": "runs/out"}
 
 
 def _typed(value, tp, key: str):
@@ -191,9 +188,10 @@ def _typed(value, tp, key: str):
     return tp(value)
 
 
-def _read(doc, cls, names, prefix="", defaults=_OPTIONAL, also=()) -> dict:
+def _read(doc, cls, names, prefix="", also=(), seed=None) -> dict:
     """The named fields of dataclass cls, read from doc with their types;
-    doc may hold no other keys than those and also."""
+    doc may hold no other keys than those and also.  A seed doc leaves
+    out is the given seed, where one is given."""
     if not isinstance(doc, dict):
         raise ConfigError(f"section {prefix[:-1]!r} must be an object")
     _reject_unknown(doc, {*names, *also}, prefix)
@@ -202,8 +200,8 @@ def _read(doc, cls, names, prefix="", defaults=_OPTIONAL, also=()) -> dict:
     for name in names:
         if name in doc:
             out[name] = _typed(doc[name], hints[name], prefix + name)
-        elif name in defaults:
-            out[name] = defaults[name]
+        elif name == "seed" and seed is not None:
+            out[name] = seed
         else:
             raise ConfigError(f"invalid configuration: missing key {prefix}{name}")
     return out
@@ -225,8 +223,7 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     kw.update(_read(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
     for name, cls in sections.items():
         names = [f.name for f in fields(cls)]
-        defaults = {**_OPTIONAL, "seed": kw["seed"]}
-        section = _read(doc.get(name, {}), cls, names, f"{name}.", defaults)
+        section = _read(doc.get(name, {}), cls, names, f"{name}.", seed=kw["seed"])
         try:
             kw[name] = cls(**section)
         except ValueError as exc:
@@ -240,26 +237,3 @@ def load_experiment(
 ) -> ExperimentConfig:
     return build_experiment(load_document(config_path, profile, overrides))
 
-
-def config_echo(cfg: ExperimentConfig) -> dict:
-    """JSON-ready snapshot of a validated config, embedded in outputs so
-    every artifact names its exact generating configuration.
-
-    out_dir is deliberately omitted: it says where files land, not what
-    they contain, and including it would break byte-identity of reruns
-    pointed at different directories."""
-    flat = asdict(cfg, dict_factory=lambda kv: {k: _plain(v) for k, v in kv})
-    echo: dict = {}
-    for key, value in flat.items():
-        if key in _DATA_KEYS:
-            echo.setdefault("data", {})[key] = value
-        elif key != "out_dir":
-            echo[key] = value
-    return echo
-
-
-def _plain(value):
-    """A field value in JSON form: enums by value, tuples as lists."""
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value.value if isinstance(value, Enum) else value

@@ -4,17 +4,21 @@ Layouts (all integers and floats little-endian):
 
   BCSL dataset     magic "BCSL", u32 version 4, u64 x6 (N, P, n,
                    n_train, n_dev, n_test), samples n x 2N f64
-                   row-major, JSON echo trailer (seed, split ratios,
-                   floor, generating config), u64 trailer length.
+                   row-major, JSON trailer (seed, split ratios, floor),
+                   u64 trailer length.
   BCSW checkpoint  magic "BCSW", u32 version 2, u64 x3 (m, width, L), f64
                    alpha, Phi m x width f32 row-major, then gamma/beta/
-                   running-mean/running-var f32 per layer, JSON echo
-                   trailer, u64 length.  The f32 payload is the float32
-                   model as training holds it.
+                   running-mean/running-var f32 per layer, JSON trailer
+                   (the TrainConfig), u64 length.  The f32 payload is the
+                   float32 model as training holds it.
 
-The trailer carries the full generating configuration in canonical JSON
-(sorted keys, compact separators), so every artifact names its exact
-origin and identical inputs write byte-identical files.
+Each artifact records its own inputs once, taken from the inputs
+themselves: a dataset its dims, seed, split ratios and floor; a
+checkpoint the TrainConfig it was trained with; report.json the m
+values, kinds, metric and recovery settings it swept with, and the
+swept dataset's N, P, n and trailer.  Trailers are canonical JSON
+(sorted keys, compact separators), so identical inputs write
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .channels import ChannelConfig, ChannelDataset
+from .channels import ChannelConfig, ChannelDataset, split_sizes
 from .evaluate import SweepReport, figure_table
 from .network import BatchNormLayer, UnrolledAutoencoder
 from .training import TrainConfig, TrainReport
@@ -120,9 +124,16 @@ def sniff_format(path: str) -> str:
 # ---------------------------------------------------------------- datasets
 
 
-def save_dataset(
-    path: str, dataset: ChannelDataset, extra_echo: dict | None = None
-) -> None:
+def _dataset_trailer(dataset: ChannelDataset) -> dict:
+    """The dataset's inputs that its header does not hold."""
+    return {
+        "seed": dataset.config.seed,
+        "ratios": list(dataset.ratios),
+        "floor": dataset.floor,
+    }
+
+
+def save_dataset(path: str, dataset: ChannelDataset) -> None:
     cfg = dataset.config
     fixed = _DATASET_FIXED.pack(
         cfg.num_antennas,
@@ -132,45 +143,44 @@ def save_dataset(
         dataset.num_dev,
         dataset.num_test,
     )
-    echo = {
-        "seed": cfg.seed,
-        "ratios": list(dataset.ratios),
-        "floor": dataset.floor,
-        "config": extra_echo,
-    }
-    _write_file(path, DATASET_MAGIC, fixed, [dataset.samples], echo)
+    trailer = _dataset_trailer(dataset)
+    _write_file(path, DATASET_MAGIC, fixed, [dataset.samples], trailer)
 
 
-def load_dataset(path: str) -> tuple[ChannelDataset, dict]:
-    fields, values, echo = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
-    num_antennas, num_paths, n, n_train, n_dev, n_test = fields
-    if n_train + n_dev + n_test != n:
-        raise FileFormatError("dataset split sizes do not sum to num_samples")
+def load_dataset(path: str) -> ChannelDataset:
+    """The dataset in a .bcsl file; its trailer's ratios must give the
+    header's split sizes, and its samples must be finite."""
+    fields, values, trailer = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
+    num_antennas, num_paths, n, n_train, n_dev, n_test = map(int, fields)
+    sizes = (n_train, n_dev, n_test)
     try:
         cfg = ChannelConfig(
-            num_antennas=int(num_antennas),
-            num_paths=int(num_paths),
-            seed=int(echo["seed"]),
+            num_antennas=num_antennas,
+            num_paths=num_paths,
+            seed=int(trailer["seed"]),
         )
-        ratios = tuple(float(r) for r in echo["ratios"])
-        floor = float(echo["floor"])
+        ratios = tuple(float(r) for r in trailer["ratios"])
+        floor = float(trailer["floor"])
+        if len(ratios) != 3:
+            raise ValueError(f"need three split ratios, got {len(ratios)}")
+        if split_sizes(n, ratios) != sizes:  # type: ignore[arg-type]
+            raise ValueError(f"ratios {ratios} do not give the split {sizes}")
     except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"dataset echo trailer invalid: {exc}") from exc
-    samples, off = _take(values, 0, (int(n), 2 * int(num_antennas)))
+        raise FileFormatError(f"dataset trailer invalid: {exc}") from exc
+    samples, off = _take(values, 0, (n, 2 * num_antennas))
     if off != values.size:
         raise FileFormatError("trailing bytes after dataset payload")
     if not np.isfinite(samples).all():
         raise FileFormatError("dataset holds a non-finite value")
-    dataset = ChannelDataset(
+    return ChannelDataset(
         samples=samples,
-        num_train=int(n_train),
-        num_dev=int(n_dev),
-        num_test=int(n_test),
+        num_train=n_train,
+        num_dev=n_dev,
+        num_test=n_test,
         config=cfg,
         ratios=ratios,  # type: ignore[arg-type]
         floor=floor,
     )
-    return dataset, echo
 
 
 # -------------------------------------------------------------- checkpoints
@@ -269,9 +279,17 @@ def save_report_csv(path: str, report: SweepReport) -> None:
             writer.writerow([_report_cell(row, c) for c in _REPORT_COLUMNS])
 
 
-def save_report_json(path: str, report: SweepReport, config_echo: dict) -> None:
+def save_report_json(path: str, report: SweepReport, dataset: ChannelDataset) -> None:
+    """The sweep's rows and notes, with the settings it ran under and the
+    dataset it swept: N, P, n and the dataset file's trailer."""
+    cfg = dataset.config
     doc = {
-        "config": config_echo,
+        "dataset": {
+            "num_antennas": cfg.num_antennas,
+            "num_paths": cfg.num_paths,
+            "num_samples": dataset.num_samples,
+            **_dataset_trailer(dataset),
+        },
         "m_values": list(report.m_values),
         "kinds": list(report.kinds),
         "metric": asdict(report.metric_cfg),
@@ -343,5 +361,5 @@ def export_checkpoint_json(path_in: str, path_out: str) -> None:
 
 def export_dataset_csv(path_in: str, path_out: str) -> None:
     """The samples, one row each."""
-    dataset, _ = load_dataset(path_in)
+    dataset = load_dataset(path_in)
     np.savetxt(path_out, dataset.samples, delimiter=",", fmt="%.17g")

@@ -164,17 +164,15 @@ def _sgd_step(
         layer.beta -= learning_rate * db
 
 
-def dev_loss(model: UnrolledAutoencoder, samples: np.ndarray) -> float:
-    """Inference-mode reconstruction loss, chunked; exact because
-    inference outputs are batch-independent."""
-    return _dev_loss(model, samples, None)[0]
-
-
-def _dev_loss(
-    model: UnrolledAutoencoder, samples: np.ndarray, trace: ForwardTrace | None
+def dev_loss(
+    model: UnrolledAutoencoder,
+    samples: np.ndarray,
+    trace: ForwardTrace | None = None,
 ) -> tuple[float, ForwardTrace]:
-    """dev_loss, overwriting the buffers of trace; returns the loss and
-    the trace to pass to the next evaluation."""
+    """Inference-mode reconstruction loss, chunked; exact because
+    inference outputs are batch-independent.  Overwrites the buffers of
+    trace and returns the loss and the trace to pass to the next
+    evaluation."""
     if samples.shape[0] == 0:
         raise ValueError("empty evaluation split")
     samples = np.asarray(samples, dtype=model.phi.dtype)
@@ -211,7 +209,7 @@ def train(
     dev_x = dev_x.astype(model.phi.dtype)
 
     best = copy.deepcopy(model)
-    best_loss, dev_trace = _dev_loss(model, dev_x, None)
+    best_loss, dev_trace = dev_loss(model, dev_x)
     best_epoch = 0
     dev_epochs = [0]
     dev_losses = [best_loss]
@@ -252,7 +250,7 @@ def train(
         epoch_seconds.append(time.perf_counter() - tic)
 
         if epoch % cfg.dev_eval_every == 0 or epoch == cfg.max_epochs:
-            loss, dev_trace = _dev_loss(model, dev_x, dev_trace)
+            loss, dev_trace = dev_loss(model, dev_x, dev_trace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite dev loss at epoch {epoch}")
             dev_epochs.append(epoch)

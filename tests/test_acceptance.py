@@ -81,12 +81,13 @@ def full_scale_report():
             )
     with open(path) as fh:
         doc = json.load(fh)
-    cfg = doc["config"]
+    # the dataset block describes the swept file, whatever the sweep's config
+    data = doc["dataset"]
     scale = (
-        cfg["channel"]["num_antennas"],
-        cfg["channel"]["num_paths"],
-        cfg["data"]["num_samples"],
-        cfg["data"]["floor"],
+        data["num_antennas"],
+        data["num_paths"],
+        data["num_samples"],
+        data["floor"],
         list(doc["m_values"]),
     )
     if scale != (256, 3, 20000, 0.0, FULL_M_VALUES):

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from beamcs.cli import (
     checkpoint_name,
     main,
 )
+from beamcs.config import load_experiment
+from beamcs.fileio import load_checkpoint
 
 CFG = {
     "profile": "ci",
@@ -60,22 +63,51 @@ def test_pipeline_artifacts(run_dir):
 
 
 def test_report_contents(run_dir):
-    _, out = run_dir
+    root, out = run_dir
     doc = json.loads(Path(out, "report.json").read_text())
     assert doc["m_values"] == [4, 6]
     assert {r["kind"] for r in doc["rows"]} == {"learned", "gaussian"}
     assert len(doc["rows"]) == 4
     assert all(r["note"] == "" for r in doc["rows"])
-    assert doc["config"]["channel"]["num_antennas"] == 8
-    assert doc["config"]["seed"] == 0
-    assert doc["metric"] == doc["config"]["metric"]
-    assert doc["recovery"] == doc["config"]["recovery"]
+    assert doc["dataset"]["num_antennas"] == 8
+    assert doc["dataset"]["num_samples"] == 60
+    cfg = load_experiment(str(root / "cfg.json"), None)
+    assert doc["metric"] == asdict(cfg.metric)
+    assert doc["recovery"] == asdict(cfg.recovery)
+    assert "config" not in doc
 
 
 def test_seed_flag_overrides_config(run_dir):
     root, out = run_dir
     doc = json.loads(Path(out, "report.json").read_text())
-    assert doc["config"]["train"]["seed"] == 0
+    assert doc["dataset"]["seed"] == 0
+    _, echo = load_checkpoint(os.path.join(out, checkpoint_name(4)))
+    assert echo["train_config"]["seed"] == 0
+
+
+def test_report_names_the_dataset_it_swept(tmp_path):
+    # a paper-profile sweep of a ci dataset reports the ci dataset
+    data = tmp_path / "ci"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": "ci", "data": {"num_samples": 60}}))
+    assert main([
+        "gen-data", "--config", str(cfg), "--seed", "5", "--out", str(data)
+    ]) == EXIT_OK
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--profile", "paper", "--seed", "0", "--kinds", "gaussian",
+        "--m", "20", "--data", str(data / "dataset.bcsl"), "--out", str(out),
+    ]) == EXIT_OK
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["dataset"] == {
+        "num_antennas": 32,
+        "num_paths": 2,
+        "num_samples": 60,
+        "seed": 5,
+        "ratios": [0.8, 0.1, 0.1],
+        "floor": 0.1,
+    }
+    assert "config" not in doc
 
 
 def test_checkpoint_name():
@@ -402,6 +434,30 @@ def test_non_finite_dataset_is_a_file_error(run_dir, tmp_path, capsys, where, va
         assert capsys.readouterr().err == "file error: dataset holds a non-finite value\n"
     assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
     assert not exported.exists()
+
+
+def test_dataset_ratios_that_contradict_its_split_are_a_file_error(
+    run_dir, tmp_path, capsys
+):
+    root, out = run_dir
+    blob = Path(out, "dataset.bcsl").read_bytes()
+    (trailer_len,) = struct.unpack("<Q", blob[-8:])
+    payload_end = len(blob) - 8 - trailer_len
+    trailer = json.loads(blob[payload_end:-8])
+    trailer["ratios"] = [0.5]
+    text = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "dataset.bcsl").write_bytes(
+        blob[:payload_end] + text + struct.pack("<Q", len(text))
+    )
+    cfg = ["--config", str(root / "cfg.json"), "--out", str(bad), "--m", "4"]
+    for command in (["train", *cfg], ["sweep", *cfg, "--kinds", "gaussian"]):
+        capsys.readouterr()
+        assert main(command) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == "file error: dataset trailer invalid: need three split ratios, got 1\n"
+    assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
 
 
 @pytest.mark.parametrize("name", ["dataset.bcsl", checkpoint_name(4)])

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -9,7 +10,6 @@ from beamcs import MatrixKind
 from beamcs.config import (
     ConfigError,
     PROFILE_NAMES,
-    config_echo,
     build_experiment,
     load_document,
     load_experiment,
@@ -181,9 +181,9 @@ def test_section_must_be_object():
         build_experiment(doc)
 
 
-# A second valid value for every leaf of the echo, different from its value
-# in both profiles.
-ECHO_ALTERNATIVES = {
+# A second valid value for every leaf of a document, different from its
+# value in both profiles.
+ALTERNATIVES = {
     ("channel", "num_antennas"): 40,
     ("channel", "num_paths"): 1,
     ("channel", "seed"): 7,
@@ -205,6 +205,7 @@ ECHO_ALTERNATIVES = {
     ("m_values",): [10, 30],
     ("kinds",): ["gaussian", "learned"],
     ("seed",): 9,
+    ("out_dir",): "runs/elsewhere",
 }
 
 
@@ -225,20 +226,38 @@ def _with(doc, path, value):
     return doc
 
 
+def _read_leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _built(cfg, path):
+    """The value a built config holds for a document leaf, in JSON form;
+    the data section's keys are fields of the config itself."""
+    value = asdict(cfg)[path[-1] if path[0] == "data" else path[0]]
+    if len(path) == 2 and path[0] != "data":
+        value = value[path[1]]
+    if isinstance(value, tuple):
+        return [v.value if isinstance(v, MatrixKind) else v for v in value]
+    return value
+
+
 @pytest.mark.parametrize("profile", PROFILE_NAMES)
-def test_config_echo_round_trips_and_every_key_is_read(profile):
-    echo = config_echo(build_experiment(profile_defaults(profile)))
-    assert config_echo(build_experiment(copy.deepcopy(echo))) == echo
-    assert set(_leaves(echo)) == set(ECHO_ALTERNATIVES)
-    for path, value in ECHO_ALTERNATIVES.items():
-        expected = _with(echo, path, value)
-        assert expected != echo, path
-        # the changed leaf, and only that leaf, reaches the rebuilt echo
-        assert config_echo(build_experiment(expected)) == expected, path
-
-
-# Profile keys a document may leave out: config echoes omit out_dir.
-OPTIONAL_KEYS = {("out_dir",)}
+def test_every_key_reaches_the_built_config(profile):
+    doc = profile_defaults(profile)
+    for section in ("channel", "train"):  # the seeds the global one fills
+        doc[section]["seed"] = doc["seed"]
+    assert set(_leaves(doc)) == set(ALTERNATIVES)
+    cfg = build_experiment(doc)
+    assert all(_built(cfg, path) == _read_leaf(doc, path) for path in ALTERNATIVES)
+    for path, value in ALTERNATIVES.items():
+        assert value != _read_leaf(doc, path), path
+        changed = build_experiment(_with(doc, path, value))
+        # the changed leaf, and only that leaf, reaches the built config
+        for other in ALTERNATIVES:
+            want = value if other == path else _read_leaf(doc, other)
+            assert _built(changed, other) == want, (path, other)
 
 
 def _without(doc, path):
@@ -255,27 +274,8 @@ def test_every_other_profile_key_is_required(profile):
     # build_experiment keeps no second copy of the profile defaults
     full = profile_defaults(profile)
     for path in _leaves(full):
-        doc = _without(full, path)
-        if path in OPTIONAL_KEYS:
-            build_experiment(doc)
-        else:
-            with pytest.raises(ConfigError, match="invalid configuration"):
-                build_experiment(doc)
-
-
-def test_config_echo_omits_out_dir():
-    cfg = load_experiment(None, "ci", overrides={"out_dir": "/tmp/x"})
-    echo = config_echo(cfg)
-    assert "out_dir" not in json.dumps(echo)
-    assert echo["channel"]["num_antennas"] == 32
-    assert echo["m_values"] == [8, 12, 16]
-    json.dumps(echo)  # must already be JSON-ready
-
-
-def test_config_echo_independent_of_out_dir():
-    a = config_echo(load_experiment(None, "ci", overrides={"out_dir": "/a"}))
-    b = config_echo(load_experiment(None, "ci", overrides={"out_dir": "/b"}))
-    assert a == b
+        with pytest.raises(ConfigError, match="invalid configuration"):
+            build_experiment(_without(full, path))
 
 
 def _wrong_values(value):

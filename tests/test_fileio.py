@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,18 +36,31 @@ def trained():
     return dataset, model, report
 
 
+def _split_trailer(blob: bytes) -> tuple[bytes, dict]:
+    """(the bytes before a container's JSON trailer, the trailer)."""
+    (trailer_len,) = struct.unpack("<Q", blob[-8:])
+    end = len(blob) - 8 - trailer_len
+    return blob[:end], json.loads(blob[end:-8])
+
+
+def _with_trailer(head: bytes, trailer: dict) -> bytes:
+    text = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
+    return head + text + struct.pack("<Q", len(text))
+
+
 def test_dataset_round_trip(tmp_path, trained):
     dataset, _, _ = trained
     path = tmp_path / "d.bcsl"
-    save_dataset(str(path), dataset, extra_echo={"profile": "test"})
-    loaded, echo = load_dataset(str(path))
+    save_dataset(str(path), dataset)
+    loaded = load_dataset(str(path))
     assert np.array_equal(loaded.samples, dataset.samples)
     assert loaded.config == dataset.config
     assert loaded.ratios == dataset.ratios
     assert (loaded.num_train, loaded.num_dev, loaded.num_test) == (48, 6, 6)
     assert loaded.floor == dataset.floor
-    assert sorted(echo) == ["config", "floor", "ratios", "seed"]
-    assert echo["config"] == {"profile": "test"}
+    # the trailer holds what the header does not, and nothing else
+    _, trailer = _split_trailer(path.read_bytes())
+    assert trailer == {"seed": 11, "ratios": [0.8, 0.1, 0.1], "floor": 0.1}
 
 
 def test_dataset_with_a_gain_model_entry_loads(tmp_path, trained):
@@ -54,18 +68,43 @@ def test_dataset_with_a_gain_model_entry_loads(tmp_path, trained):
     dataset, _, _ = trained
     path = tmp_path / "d.bcsl"
     save_dataset(str(path), dataset)
-    blob = path.read_bytes()
-    trailer_len = struct.unpack("<Q", blob[-8:])[0]
-    head = blob[: len(blob) - 8 - trailer_len]
-    echo = json.loads(blob[len(head) : -8])
-    assert "gain_model" not in echo
-    echo["gain_model"] = "complex_gaussian"
-    trailer = json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(head + trailer + struct.pack("<Q", len(trailer)))
-    loaded, loaded_echo = load_dataset(str(path))
-    assert loaded_echo["gain_model"] == "complex_gaussian"
+    head, trailer = _split_trailer(path.read_bytes())
+    assert "gain_model" not in trailer
+    trailer["gain_model"] = "complex_gaussian"
+    path.write_bytes(_with_trailer(head, trailer))
+    loaded = load_dataset(str(path))
     assert np.array_equal(loaded.samples, dataset.samples)
     assert loaded.config == dataset.config
+
+
+# Earlier writers of version-4 datasets added the generating config to
+# the trailer, as below for this module's dataset; no reader uses it.
+_OLD_CONFIG_BLOCK = {
+    "channel": {"num_antennas": 8, "num_paths": 2, "seed": 11},
+    "data": {"num_samples": 60, "ratios": [0.8, 0.1, 0.1], "floor": 0.1},
+    "train": {
+        "learning_rate": 0.02, "batch_size": 64, "max_epochs": 200,
+        "num_updates": 9, "alpha_init": 1.0, "seed": 11, "dev_eval_every": 5,
+    },
+    "recovery": {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200},
+    "metric": {"exact_tol": 1e-8, "block_length": 200},
+    "m_values": [4, 6],
+    "kinds": ["learned", "gaussian"],
+    "seed": 11,
+}
+
+
+def test_dataset_with_the_old_config_block_loads(tmp_path, trained):
+    dataset, _, _ = trained
+    new, old = tmp_path / "new.bcsl", tmp_path / "old.bcsl"
+    save_dataset(str(new), dataset)
+    head, trailer = _split_trailer(new.read_bytes())
+    old.write_bytes(_with_trailer(head, {**trailer, "config": _OLD_CONFIG_BLOCK}))
+    a, b = load_dataset(str(new)), load_dataset(str(old))
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert (a.num_train, a.num_dev, a.num_test) == (b.num_train, b.num_dev, b.num_test)
+    assert (a.config, a.ratios, a.floor) == (b.config, b.ratios, b.floor)
+    assert b.config.seed == 11 and b.ratios == (0.8, 0.1, 0.1) and b.floor == 0.1
 
 
 def test_dataset_write_is_byte_stable(tmp_path, trained):
@@ -96,15 +135,15 @@ def test_checkpoint_round_trip(tmp_path, trained):
 
 @pytest.mark.parametrize("profile", ["paper", "ci"])
 def test_checkpoint_train_config_matches_config_echo(tmp_path, trained, profile):
-    # checkpoints and the run config echo the same TrainConfig fields
-    from beamcs.config import config_echo, load_experiment
+    # a checkpoint's trailer holds every field of the TrainConfig it got
+    from beamcs.config import load_experiment
 
     _, model, _ = trained
     cfg = load_experiment(None, profile)
     path = tmp_path / "c.bcsw"
     save_checkpoint(str(path), model, cfg.train)
     _, echo = load_checkpoint(str(path))
-    assert echo["train_config"] == config_echo(cfg)["train"]
+    assert echo["train_config"] == asdict(cfg.train)
 
 
 def test_checkpoint_usable_after_load(tmp_path, trained):
@@ -182,6 +221,20 @@ def test_corrupt_files_raise(tmp_path, trained):
         with pytest.raises(FileFormatError, match="magic"):
             other_load(str(tmp_path / name))
 
+    # dataset trailers whose split ratios do not give the header's sizes
+    head, trailer = _split_trailer((tmp_path / "d.bcsl").read_bytes())
+    bad = tmp_path / "bad_d.bcsl"
+    for ratios, message in [
+        ([0.5], "need three split ratios, got 1"),
+        ([0.4, 0.3, 0.3, 0.0], "need three split ratios, got 4"),
+        ([0.5, 0.3, 0.3], "split ratios must sum to 1"),
+        ([0.6, 0.2, 0.2], r"do not give the split \(48, 6, 6\)"),
+        ("0.8", "could not convert"),
+    ]:
+        bad.write_bytes(_with_trailer(head, {**trailer, "ratios": ratios}))
+        with pytest.raises(FileFormatError, match=f"^dataset trailer invalid: .*{message}"):
+            load_dataset(str(bad))
+
 
 def test_training_csv(tmp_path, trained):
     _, _, report = trained
@@ -239,9 +292,18 @@ def test_report_csv(tmp_path, trained):
 def test_report_json(tmp_path, trained):
     report = _report(trained)
     path = tmp_path / "report.json"
-    save_report_json(str(path), report, {"profile": "test"})
+    dataset, _, _ = trained
+    save_report_json(str(path), report, dataset)
     doc = json.loads(path.read_text())
-    assert doc["config"] == {"profile": "test"}
+    assert doc["dataset"] == {
+        "num_antennas": 8,
+        "num_paths": 2,
+        "num_samples": 60,
+        "seed": 11,
+        "ratios": [0.8, 0.1, 0.1],
+        "floor": 0.1,
+    }
+    assert "config" not in doc
     assert doc["m_values"] == [4, 8]
     assert doc["num_test_samples"] == 6
     assert doc["recovery"] == {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200}
@@ -258,8 +320,8 @@ def test_report_writes_byte_stable(tmp_path, trained):
     save_report_csv(str(b), report)
     assert a.read_bytes() == b.read_bytes()
     ja, jb = tmp_path / "a.json", tmp_path / "b.json"
-    save_report_json(str(ja), report, {})
-    save_report_json(str(jb), report, {})
+    save_report_json(str(ja), report, trained[0])
+    save_report_json(str(jb), report, trained[0])
     assert ja.read_bytes() == jb.read_bytes()
 
 

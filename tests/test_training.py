@@ -95,14 +95,14 @@ def test_train_returns_best_snapshot(tiny_dataset):
     assert report.best_dev_loss == report.dev_losses.min()
     assert report.dev_epochs[np.argmin(report.dev_losses)] == report.best_epoch
     # the returned model reproduces the reported best dev loss exactly
-    assert dev_loss(model, tiny_dataset.dev) == report.best_dev_loss
+    assert dev_loss(model, tiny_dataset.dev)[0] == report.best_dev_loss
 
 
 def test_train_dev_curve_includes_untrained_model(tiny_dataset):
     _, report = train(tiny_dataset, 4, FAST)
     assert report.dev_epochs[0] == 0
     assert len(report.train_losses) == 4
-    baseline = dev_loss(init_model(4, tiny_dataset.width, FAST), tiny_dataset.dev)
+    baseline, _ = dev_loss(init_model(4, tiny_dataset.width, FAST), tiny_dataset.dev)
     assert report.dev_losses[0] == baseline
 
 
@@ -155,7 +155,7 @@ def test_dev_loss_matches_unchunked(tiny_dataset):
     model = init_model(4, tiny_dataset.width, FAST)
     split = tiny_dataset.dev
     out, _ = forward(model, split, Mode.INFER)
-    assert dev_loss(model, split) == pytest.approx(mse_loss(split, out), rel=1e-12)
+    assert dev_loss(model, split)[0] == pytest.approx(mse_loss(split, out), rel=1e-12)
 
 
 def test_train_calls_forward_and_backward_once_per_step(tiny_dataset, monkeypatch):
@@ -253,3 +253,21 @@ def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
     _, report = train(tiny_dataset, 4, cfg)
     assert len(buffers) == len(report.dev_epochs) == 4
     assert all(b is buffers[0] for b in buffers)
+
+
+def test_train_evaluates_the_dev_split_through_dev_loss(tiny_dataset, monkeypatch):
+    # a wrapper on training.dev_loss, as a tracer installs one, sees every
+    # dev evaluation of a train call
+    calls = []
+
+    def counting_dev_loss(*args, **kwargs):
+        calls.append(1)
+        return dev_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "dev_loss", counting_dev_loss)
+    cfg = TrainConfig(
+        learning_rate=0.01, batch_size=16, max_epochs=4, num_updates=1,
+        seed=0, dev_eval_every=2,
+    )
+    _, report = train(tiny_dataset, 4, cfg)
+    assert len(calls) == len(report.dev_epochs) == 3
