@@ -165,6 +165,8 @@ def run_sweep(
         raise ValueError("m_values must be nonempty")
     if any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
         raise ValueError("m_values must be strictly increasing")
+    if m_values[0] < 1:
+        raise ValueError("m_values must be positive")
     if m_values[-1] >= dataset.width:
         raise ValueError("every m must be smaller than the vector width")
     if m_values[-1] >= metric_cfg.block_length:

@@ -148,19 +148,22 @@ def save_dataset(path: str, dataset: ChannelDataset) -> None:
 
 
 def load_dataset(path: str) -> ChannelDataset:
-    """The dataset in a .bcsl file; its trailer's ratios must give the
-    header's split sizes, and its samples must be finite."""
+    """The dataset in a .bcsl file.  Its trailer must hold an integer
+    seed, ratios that give the header's split sizes and a floor in [0, 1)
+    no larger than any nonzero sample; its samples must be finite."""
     fields, values, trailer = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
     num_antennas, num_paths, n, n_train, n_dev, n_test = map(int, fields)
     sizes = (n_train, n_dev, n_test)
     try:
+        seed, floor = trailer["seed"], trailer["floor"]
+        if type(seed) is not int:  # a JSON integer, not a bool or a float
+            raise ValueError(f"seed {seed!r} is not an integer")
+        if type(floor) not in (int, float) or not 0.0 <= floor < 1.0:
+            raise ValueError(f"floor {floor!r} is not a number in [0, 1)")
         cfg = ChannelConfig(
-            num_antennas=num_antennas,
-            num_paths=num_paths,
-            seed=int(trailer["seed"]),
+            num_antennas=num_antennas, num_paths=num_paths, seed=seed
         )
         ratios = tuple(float(r) for r in trailer["ratios"])
-        floor = float(trailer["floor"])
         if len(ratios) != 3:
             raise ValueError(f"need three split ratios, got {len(ratios)}")
         if split_sizes(n, ratios) != sizes:  # type: ignore[arg-type]
@@ -172,6 +175,12 @@ def load_dataset(path: str) -> ChannelDataset:
         raise FileFormatError("trailing bytes after dataset payload")
     if not np.isfinite(samples).all():
         raise FileFormatError("dataset holds a non-finite value")
+    smallest = float(np.min(samples, initial=1.0, where=samples != 0.0))
+    if floor > smallest:
+        raise FileFormatError(
+            f"dataset trailer invalid: floor {floor!r} exceeds the smallest "
+            f"nonzero sample {smallest!r}"
+        )
     return ChannelDataset(
         samples=samples,
         num_train=n_train,
@@ -179,7 +188,7 @@ def load_dataset(path: str) -> ChannelDataset:
         num_test=n_test,
         config=cfg,
         ratios=ratios,  # type: ignore[arg-type]
-        floor=floor,
+        floor=float(floor),
     )
 
 
@@ -187,7 +196,7 @@ def load_dataset(path: str) -> ChannelDataset:
 
 
 def save_checkpoint(
-    path: str, model: UnrolledAutoencoder, train_cfg: TrainConfig | None = None
+    path: str, model: UnrolledAutoencoder, train_cfg: TrainConfig
 ) -> None:
     """Writes a float32 model; any other dtype is a ValueError, since the
     f32 payload could not hold its values."""
@@ -200,7 +209,7 @@ def save_checkpoint(
     fixed = _CHECKPOINT_FIXED.pack(
         model.num_measurements, model.width, model.num_updates, model.alpha
     )
-    echo = {"train_config": asdict(train_cfg) if train_cfg else None}
+    echo = {"train_config": asdict(train_cfg)}
     _write_file(path, CHECKPOINT_MAGIC, fixed, arrays, echo)
 
 

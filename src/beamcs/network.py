@@ -16,6 +16,11 @@ Gradients are hand-derived reverse-mode for this fixed graph (no autodiff
 framework): sign(.) is treated as locally constant, ReLU' is 0 at and
 below 0, and batch-norm backward includes the batch-statistics terms.
 
+forward() records its intermediates in a ForwardTrace, which backward()
+reads together with the batch it holds.  Passed back as reuse, a trace
+is refilled in place and returned, so a training loop allocates its
+storage once.
+
 Every pass runs in the dtype of the model's Phi: float32 for the models
 training builds, float64 for the finite-difference checks.
 """
@@ -23,7 +28,7 @@ training builds, float64 for the finite-difference checks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,13 +156,13 @@ class UnrolledAutoencoder:
     L + 1 layers counting the initial Phi^T y, each followed by batch
     norm, with ReLU after the last.  The network computes in the dtype
     of Phi, which every batch-norm array shares: inputs are cast to it,
-    and buffers and gradients are made in it.
+    and traces and gradients are made in it.
     """
 
     phi: np.ndarray  # (m, width)
     alpha: float
     num_updates: int
-    bn_layers: list[BatchNormLayer] = field(default_factory=list)
+    bn_layers: list[BatchNormLayer]
 
     def __post_init__(self) -> None:
         if self.phi.ndim != 2:
@@ -188,26 +193,38 @@ class UnrolledAutoencoder:
 
 
 @dataclass
-class _Buffers:
-    """Full-size storage behind a ForwardTrace, allocated once and
-    overwritten by every forward(..., reuse=trace) it can hold."""
+class ForwardTrace:
+    """Intermediates of the last forward() pass given this trace, for
+    backward().
 
-    measurements: np.ndarray  # (rows, m)
-    x_hat: np.ndarray  # (L+1, rows, width): batch-norm inputs, normalized in place
-    signs: np.ndarray  # (L, rows, width)
-    signs_proj: np.ndarray  # (L, rows, m)
-    post_bn: np.ndarray  # (rows, width)
-    output: np.ndarray  # (rows, width)
-    grads: np.ndarray | None = None  # (2, rows, width), made by the first backward
-    generation: int = 0  # forward calls written so far; a trace keeps its own
+    The arrays hold up to capacity rows; forward(..., reuse=this trace)
+    refills their leading rows with each batch that fits and returns this
+    same trace, so it always describes the batch it was last given.
+    inputs is that batch, None while a pass is under way and after a
+    pass that raised; backward() refuses the trace then.
+    """
+
+    mode: Mode
+    inputs: np.ndarray | None  # (batch, width), the caller's array
+    measurements: np.ndarray  # (capacity, m)
+    x_hat: np.ndarray  # (L+1, capacity, width): batch-norm inputs, normalized in place
+    inv_stds: list[np.ndarray]  # L+1 batch-norm 1/std vectors
+    signs: np.ndarray  # (L, capacity, width)
+    signs_proj: np.ndarray  # (L, capacity, m), sign @ Phi^T
+    post_bn: np.ndarray  # (capacity, width), output of the last batch norm
+    output: np.ndarray  # (capacity, width)
+    grads: np.ndarray | None = None  # (2, capacity, width), made by the first backward
 
     @classmethod
-    def allocate(cls, model: UnrolledAutoencoder, rows: int) -> "_Buffers":
+    def allocate(cls, model: UnrolledAutoencoder, rows: int) -> "ForwardTrace":
         m, width, steps = model.num_measurements, model.width, model.num_updates
         dtype = model.phi.dtype
         return cls(
+            mode=Mode.TRAIN,
+            inputs=None,
             measurements=np.empty((rows, m), dtype),
             x_hat=np.empty((steps + 1, rows, width), dtype),
+            inv_stds=[],
             signs=np.empty((steps, rows, width), dtype),
             signs_proj=np.empty((steps, rows, m), dtype),
             post_bn=np.empty((rows, width), dtype),
@@ -222,27 +239,6 @@ class _Buffers:
             and self.x_hat.shape[2] == model.width
             and self.measurements.shape[1] == model.num_measurements
         )
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediates recorded by forward() for the backward pass.
-
-    The arrays are leading-row views of buffers that the next
-    forward(..., reuse=this trace) overwrites; backward() then rejects
-    this trace, as its generation no longer matches the buffers'.
-    """
-
-    mode: Mode
-    inputs: np.ndarray  # (batch, width), the caller's array
-    measurements: np.ndarray  # (batch, m)
-    post_bn: np.ndarray  # (batch, width), output of the last batch norm
-    bn_caches: list[tuple[np.ndarray, np.ndarray]]  # (x_hat, inv_std), length L+1
-    signs: np.ndarray  # (L, batch, width)
-    signs_proj: np.ndarray  # (L, batch, m), sign @ Phi^T
-    output: np.ndarray
-    generation: int
-    buffers: _Buffers = field(repr=False)
 
 
 @dataclass
@@ -307,48 +303,40 @@ def forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full reconstruction pass; Train mode updates BN running statistics.
 
-    reuse takes the trace of an earlier call.  When its buffers hold this
-    batch (same model shape, at least as many rows) they are overwritten
-    in place, the leading rows for a smaller batch, so the returned
-    output and trace share memory with reuse and every array read from
-    reuse before the call now holds this batch's values.  h_batch must
-    not share memory with those buffers.
+    reuse takes the trace of an earlier call.  When it holds this batch
+    (same model shape, at least as many rows) its leading rows are
+    refilled and reuse itself is returned, with the output a view of
+    its storage; otherwise a new trace is made and reuse is left as it
+    was.  h_batch must not share memory with reuse, and backward() reads
+    it as the batch, so it must not change before that call.
     """
     h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
     rows = h_batch.shape[0] if h_batch.ndim == 2 else 0  # encode rejects the rest
-    buf = None if reuse is None else reuse.buffers
-    if buf is None or not buf.holds(model, rows):
-        buf = _Buffers.allocate(model, rows)
-    x_hat = buf.x_hat[:, :rows]
-    signs = buf.signs[:, :rows]
-    signs_proj = buf.signs_proj[:, :rows]
-    z = buf.post_bn[:rows]
+    trace = reuse
+    if trace is None or not trace.holds(model, rows):
+        trace = ForwardTrace.allocate(model, rows)
+    trace.inputs = None  # set last, so a pass that raises leaves no batch
+    trace.mode = mode
+    x_hat = trace.x_hat[:, :rows]
+    signs = trace.signs[:, :rows]
+    signs_proj = trace.signs_proj[:, :rows]
+    z = trace.post_bn[:rows]
 
     # Each layer's update is built in its x_hat block, which batch norm
-    # then normalizes in place, writing its output over z.
-    y = encode(model, h_batch, out=buf.measurements[:rows])
-    buf.generation += 1
+    # then normalizes in place, writing its output over z; of its cache
+    # (x_hat, inv_std) only inv_std is new.
+    y = encode(model, h_batch, out=trace.measurements[:rows])
     a = decoder_init(model, y, out=x_hat[0])
-    caches = [model.bn_layers[0].forward(a, mode, x_hat=a, out=z)[1]]
+    inv_stds = [model.bn_layers[0].forward(a, mode, x_hat=a, out=z)[1][1]]
     for t in range(1, model.num_updates + 1):
         s = np.sign(z, out=signs[t - 1])
         sp = np.matmul(s, model.phi.T, out=signs_proj[t - 1])
         a = _update(model, z, s, sp, t, out=x_hat[t])
-        caches.append(model.bn_layers[t].forward(a, mode, x_hat=a, out=z)[1])
+        inv_stds.append(model.bn_layers[t].forward(a, mode, x_hat=a, out=z)[1][1])
 
-    output = np.maximum(z, 0.0, out=buf.output[:rows])
-    trace = ForwardTrace(
-        mode=mode,
-        inputs=h_batch,
-        measurements=y,
-        post_bn=z,
-        bn_caches=caches,
-        signs=signs,
-        signs_proj=signs_proj,
-        output=output,
-        generation=buf.generation,
-        buffers=buf,
-    )
+    output = np.maximum(z, 0.0, out=trace.output[:rows])
+    trace.inv_stds = inv_stds
+    trace.inputs = h_batch
     return output, trace
 
 
@@ -371,22 +359,17 @@ def mse_loss(
     return float(np.sum(diff)) / h_batch.shape[0]
 
 
-def backward(
-    model: UnrolledAutoencoder, trace: ForwardTrace, h_batch: np.ndarray
-) -> Gradients:
-    """Exact reverse-mode gradients of the reconstruction loss.
+def backward(model: UnrolledAutoencoder, trace: ForwardTrace) -> Gradients:
+    """Exact reverse-mode gradients of the reconstruction loss on the
+    batch the trace was last given.
 
     Accumulates the Phi contributions from the encoder, the Phi^T y
     layer, and every (I - Phi^T Phi) term, always in factored form.  The
     sign path carries zero derivative.
     """
-    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
-    if trace.generation != trace.buffers.generation:
-        raise ValueError("trace was overwritten by a later forward(..., reuse=...)")
-    if trace.inputs.shape != h_batch.shape or not np.array_equal(
-        trace.inputs, h_batch
-    ):
-        raise ValueError("trace does not match this batch")
+    h_batch = trace.inputs
+    if h_batch is None:
+        raise ValueError("trace holds no batch: its last forward() raised")
 
     phi = model.phi
     batch = h_batch.shape[0]
@@ -395,23 +378,22 @@ def backward(
     d_gammas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
     d_betas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
 
-    # The gradient alternates between two buffers of the trace's storage;
+    # The gradient alternates between two blocks of the trace's storage;
     # the forward intermediates are only read.
-    buf = trace.buffers
-    if buf.grads is None:
-        buf.grads = np.empty((2,) + buf.output.shape, buf.output.dtype)
-    g, spare = buf.grads[0, :batch], buf.grads[1, :batch]
-    np.subtract(trace.output, h_batch, out=g)
+    if trace.grads is None:
+        trace.grads = np.empty((2,) + trace.output.shape, trace.output.dtype)
+    g, spare = trace.grads[0, :batch], trace.grads[1, :batch]
+    np.subtract(trace.output[:batch], h_batch, out=g)
     g *= 2.0 / batch
-    g *= trace.post_bn > 0  # ReLU'(x) = 0 for x <= 0
+    g *= trace.post_bn[:batch] > 0  # ReLU'(x) = 0 for x <= 0
 
     for t in range(model.num_updates, 0, -1):
         grad_x, d_gammas[t], d_betas[t] = model.bn_layers[t].backward(
-            g, trace.bn_caches[t], trace.mode, out=spare
+            g, (trace.x_hat[t, :batch], trace.inv_stds[t]), trace.mode, out=spare
         )
         g, spare = grad_x, g
-        s = trace.signs[t - 1]
-        sp = trace.signs_proj[t - 1]
+        s = trace.signs[t - 1, :batch]
+        sp = trace.signs_proj[t - 1, :batch]
         gp = g @ phi.T
         # <g, s - sp Phi> = <g, s> - <g Phi^T, sp>
         d_alpha -= (float(np.vdot(g, s)) - float(np.vdot(gp, sp))) / t
@@ -419,11 +401,11 @@ def backward(
         # dL/d post_bn[t-1] equals g: the sign branch is locally constant.
 
     g, d_gammas[0], d_betas[0] = model.bn_layers[0].backward(
-        g, trace.bn_caches[0], trace.mode, out=spare
+        g, (trace.x_hat[0, :batch], trace.inv_stds[0]), trace.mode, out=spare
     )
     # First layer a = y Phi with y = h Phi^T: direct term plus the
     # dependence through the encoder.
-    d_phi += trace.measurements.T @ g
+    d_phi += trace.measurements[:batch].T @ g
     d_y = g @ phi.T
     d_phi += d_y.T @ h_batch
 

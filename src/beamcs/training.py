@@ -170,9 +170,8 @@ def dev_loss(
     trace: ForwardTrace | None = None,
 ) -> tuple[float, ForwardTrace]:
     """Inference-mode reconstruction loss, chunked; exact because
-    inference outputs are batch-independent.  Overwrites the buffers of
-    trace and returns the loss and the trace to pass to the next
-    evaluation."""
+    inference outputs are batch-independent.  Refills trace when given
+    and returns the loss and the trace to pass to the next evaluation."""
     if samples.shape[0] == 0:
         raise ValueError("empty evaluation split")
     samples = np.asarray(samples, dtype=model.phi.dtype)
@@ -216,8 +215,8 @@ def train(
     train_losses: list[float] = []
     epoch_seconds: list[float] = []
 
-    # Every step overwrites the same batch, error and trace buffers, and
-    # every dev evaluation those of dev_trace.
+    # Every step refills the same batch and error buffers and the same
+    # trace, and every dev evaluation refills dev_trace.
     n_train = train_x.shape[0]
     batch_buf = np.empty((min(cfg.batch_size, n_train), dataset.width), train_x.dtype)
     error_buf = np.empty_like(batch_buf)
@@ -242,7 +241,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, "
                     f"batch starting at {start}"
                 )
-            _sgd_step(model, backward(model, trace, batch), cfg.learning_rate)
+            _sgd_step(model, backward(model, trace), cfg.learning_rate)
             loss_sum += loss * rows
             used += rows
         _check_finite(model, epoch)

@@ -207,7 +207,7 @@ def test_gradients_match_finite_differences_on_random_configs():
         frozen = copy.deepcopy(model)
 
         _, trace = forward(model, h, Mode.TRAIN)
-        grads = backward(model, trace, h)
+        grads = backward(model, trace)
         model = frozen  # finite differences probe untouched statistics
 
         def check(name, analytic, getter):

@@ -204,6 +204,9 @@ def test_run_sweep_validates(tiny_dataset):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN], m_values=(4, 16))
     with pytest.raises(ValueError, match="nonempty"):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN], m_values=())
+    # with no checkpoint an m = 0 cell would draw nothing, only a gap row
+    with pytest.raises(ValueError, match="positive"):
+        _sweep(tiny_dataset, [MatrixKind.LEARNED], learned={}, m_values=(0, 4))
     with pytest.raises(ValueError, match="kinds must be nonempty"):
         _sweep(tiny_dataset, [])
 

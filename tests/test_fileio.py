@@ -161,7 +161,7 @@ def test_checkpoint_usable_after_load(tmp_path, trained):
 def test_sniff_format(tmp_path, trained):
     dataset, model, _ = trained
     save_dataset(str(tmp_path / "d.bcsl"), dataset)
-    save_checkpoint(str(tmp_path / "c.bcsw"), model)
+    save_checkpoint(str(tmp_path / "c.bcsw"), model, TRAIN_CFG)
     assert sniff_format(str(tmp_path / "d.bcsl")) == "dataset"
     assert sniff_format(str(tmp_path / "c.bcsw")) == "checkpoint"
     (tmp_path / "junk").write_bytes(b"ZZZZ....")
@@ -233,6 +233,18 @@ def test_corrupt_files_raise(tmp_path, trained):
     ]:
         bad.write_bytes(_with_trailer(head, {**trailer, "ratios": ratios}))
         with pytest.raises(FileFormatError, match=f"^dataset trailer invalid: .*{message}"):
+            load_dataset(str(bad))
+    # a seed or floor that is not what the generator could have written
+    # is refused, not coerced: the smallest nonzero sample here is 0.1
+    for key, value, message in [
+        ("seed", 3.7, "seed 3.7 is not an integer"),
+        ("seed", True, "seed True is not an integer"),
+        ("floor", -0.1, r"floor -0.1 is not a number in \[0, 1\)"),
+        ("floor", "0.1", r"floor '0.1' is not a number in \[0, 1\)"),
+        ("floor", 0.9, "floor 0.9 exceeds the smallest nonzero sample 0.1"),
+    ]:
+        bad.write_bytes(_with_trailer(head, {**trailer, key: value}))
+        with pytest.raises(FileFormatError, match=f"^dataset trailer invalid: {message}"):
             load_dataset(str(bad))
 
 

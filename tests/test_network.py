@@ -162,7 +162,7 @@ def test_forward_trace_contents(rng):
     h = rng.standard_normal((5, 6))
     out, trace = forward(model, h, Mode.INFER)
     assert out.shape == trace.post_bn.shape == (5, 6)
-    assert len(trace.bn_caches) == 4
+    assert trace.x_hat.shape == (4, 5, 6) and len(trace.inv_stds) == 4
     assert trace.signs.shape == (3, 5, 6)
     assert trace.signs_proj.shape == (3, 5, 2)
     assert np.array_equal(trace.measurements, encode(model, h))
@@ -203,7 +203,7 @@ def test_zero_updates_model(rng):
     h = rng.standard_normal((3, 6))
     out, trace = forward(model, h, Mode.INFER)
     assert trace.post_bn.shape == (3, 6)
-    assert len(trace.bn_caches) == 1
+    assert len(trace.inv_stds) == 1
     assert len(trace.signs) == len(trace.signs_proj) == 0
     z, _ = model.bn_layers[0].forward(decoder_init(model, encode(model, h)), Mode.INFER)
     assert np.allclose(out, np.maximum(z, 0.0), atol=1e-14)
@@ -284,7 +284,7 @@ def test_backward_matches_finite_differences(mode, rng):
     h[h < 0.3] = 0.0
     frozen = copy.deepcopy(model)
     _, trace = forward(model, h, mode)
-    grads = backward(model, trace, h)
+    grads = backward(model, trace)
     model = frozen  # FD probes run on untouched running statistics
 
     def close(a, b):
@@ -305,12 +305,23 @@ def test_backward_matches_finite_differences(mode, rng):
         assert close(grads.d_betas[i], _fd(model, h, mode, None, lambda mo: mo.bn_layers[i].beta))
 
 
-def test_backward_rejects_wrong_batch(rng):
+def test_backward_refuses_a_trace_whose_forward_raised(rng):
+    # a 1-row train batch fails in the first batch norm, after the
+    # encoder and the first decoder layer wrote into the reused trace
     model = make_model()
-    h = rng.standard_normal((4, 6))
-    _, trace = forward(model, h, Mode.INFER)
-    with pytest.raises(ValueError, match="trace"):
-        backward(model, trace, h + 1.0)
+    _, trace = forward(model, rng.standard_normal((4, 6)), Mode.TRAIN)
+    before = trace.measurements.copy()
+    with pytest.raises(ValueError, match="batch size"):
+        forward(model, rng.standard_normal((1, 6)), Mode.TRAIN, reuse=trace)
+    assert not np.array_equal(trace.measurements[0], before[0])
+    with pytest.raises(ValueError, match="no batch"):
+        backward(model, trace)
+    # the next pass refills the trace and backward takes it again
+    twin = copy.deepcopy(model)
+    h = rng.standard_normal((3, 6))
+    _, again = forward(model, h, Mode.TRAIN, reuse=trace)
+    assert again is trace
+    assert _grads_equal(backward(model, trace), backward(twin, forward(twin, h)[1]))
 
 
 def test_backward_relu_gate(rng):
@@ -321,7 +332,7 @@ def test_backward_relu_gate(rng):
     h = np.abs(rng.standard_normal((3, 4)))
     out, trace = forward(model, h, Mode.INFER)
     assert np.array_equal(out, np.zeros_like(h))
-    grads = backward(model, trace, h)
+    grads = backward(model, trace)
     assert np.array_equal(grads.d_gammas[0], np.zeros(4))
     assert np.array_equal(grads.d_phi, np.zeros_like(model.phi))
 
@@ -342,24 +353,21 @@ def test_forward_backward_reuse_matches_fresh_calls():
     fresh = copy.deepcopy(reused)
     rng = np.random.default_rng(8)
     first = trace = None
-    stale = None
     for rows, mode in [
         (128, Mode.TRAIN), (64, Mode.TRAIN), (128, Mode.TRAIN),
         (128, Mode.INFER), (64, Mode.INFER), (128, Mode.TRAIN),
     ]:
         h = rng.uniform(0.0, 1.0, (rows, 16))
         want_out, want_trace = forward(fresh, h, mode)
-        want = backward(fresh, want_trace, h)
+        want = backward(fresh, want_trace)
         out, trace = forward(reused, h, mode, reuse=trace)
-        got = backward(reused, trace, h)
+        got = backward(reused, trace)
         if first is None:
             first = trace
-        if stale is not None:
-            # the previous trace still names its own inputs, but its
-            # buffers now hold this batch
-            with pytest.raises(ValueError, match="overwritten"):
-                backward(reused, *stale)
-        stale = (trace, h)
+        # forward refills the trace it is given and returns it
+        assert trace is first
+        assert trace.inputs is h and trace.mode is mode
+        assert np.shares_memory(out, first.output)
 
         assert np.array_equal(out, want_out)
         for a, b in zip(reused.bn_layers, fresh.bn_layers):
@@ -367,26 +375,21 @@ def test_forward_backward_reuse_matches_fresh_calls():
             assert np.array_equal(a.running_var, b.running_var)
         assert _grads_equal(got, want)
         # backward only reads the trace: a second call gives the same
-        assert _grads_equal(backward(reused, trace, h), got)
-        # every array lives in the first trace's buffers
-        assert trace.buffers is first.buffers
-        for array, owner in [
-            (out, first.output), (trace.post_bn, first.post_bn),
-            (trace.measurements, first.measurements), (trace.signs, first.signs),
-            (trace.signs_proj, first.signs_proj),
-        ] + [(x_hat, first.buffers.x_hat) for x_hat, _ in trace.bn_caches]:
-            assert np.shares_memory(array, owner)
+        assert _grads_equal(backward(reused, trace), got)
 
-    # a batch larger than the buffers gets new ones and leaves the old
+    # a batch larger than the trace gets a new one and leaves the old
     h = rng.uniform(0.0, 1.0, (200, 16))
-    out, _ = forward(reused, h, Mode.INFER, reuse=trace)
+    out, bigger = forward(reused, h, Mode.INFER, reuse=trace)
+    assert bigger is not trace
     assert np.array_equal(out, forward(fresh, h, Mode.INFER)[0])
-    assert not np.shares_memory(out, first.buffers.output)
-    assert _grads_equal(backward(reused, *stale), got)
-    # a rejected input writes nothing, so the trace stays usable
+    assert not np.shares_memory(out, trace.output)
+    assert _grads_equal(backward(reused, trace), got)
+    # a rejected input was still given to the trace, which then holds no
+    # batch
     with pytest.raises(ValueError):
-        forward(reused, np.ones((5, 15)), Mode.TRAIN, reuse=stale[0])
-    assert _grads_equal(backward(reused, *stale), got)
+        forward(reused, np.ones((5, 15)), Mode.TRAIN, reuse=trace)
+    with pytest.raises(ValueError, match="no batch"):
+        backward(reused, trace)
 
 
 # ------------------------------------------ textbook reference, paper shape
@@ -490,15 +493,17 @@ def test_forward_backward_match_textbook_at_paper_shape(mode):
 
     assert _rel(out, np.maximum(ref[1][-1], 0.0)) <= 1e-12
     assert _rel(trace.post_bn, ref[1][-1]) <= 1e-12
-    assert len(trace.bn_caches) == len(ref[2])
-    for (x_hat, inv_std), (want_x_hat, want_inv_std) in zip(trace.bn_caches, ref[2]):
+    assert len(trace.x_hat) == len(trace.inv_stds) == len(ref[2])
+    for x_hat, inv_std, (want_x_hat, want_inv_std) in zip(
+        trace.x_hat, trace.inv_stds, ref[2]
+    ):
         assert _rel(x_hat, want_x_hat) <= 1e-12
         assert _rel(inv_std, want_inv_std) <= 1e-12
     for layer, ref_layer in zip(model.bn_layers, reference.bn_layers):
         assert _rel(layer.running_mean, ref_layer.running_mean) <= 1e-12
         assert _rel(layer.running_var, ref_layer.running_var) <= 1e-12
 
-    grads = backward(model, trace, h)
+    grads = backward(model, trace)
     d_phi, d_alpha, d_gammas, d_betas = _textbook_backward(reference, h, mode, *ref)
     assert _rel(grads.d_phi, d_phi) <= 1e-10
     assert abs(grads.d_alpha - d_alpha) <= 1e-10 * abs(d_alpha)
@@ -556,7 +561,7 @@ def test_float32_matches_float64_at_paper_shape(mode):
         assert _rel_norm(a.running_mean, b.running_mean) <= 1e-4
         assert _rel_norm(a.running_var, b.running_var) <= 1e-4
 
-    g32, g64 = backward(narrow, trace32, h), backward(wide, trace64, h)
+    g32, g64 = backward(narrow, trace32), backward(wide, trace64)
     assert _rel_norm(g32.d_phi, g64.d_phi) <= 1e-4
     assert _rel_norm(np.stack(g32.d_gammas), np.stack(g64.d_gammas)) <= 1e-4
     assert _rel_norm(np.stack(g32.d_betas), np.stack(g64.d_betas)) <= 1e-4
@@ -572,28 +577,29 @@ def test_step_keeps_the_dtype_of_phi(dtype, rng):
     out, trace = forward(model, h, Mode.TRAIN)
     err = np.empty_like(out)
     assert np.isfinite(mse_loss(h, out, out=err))
-    grads = backward(model, trace, h)
+    grads = backward(model, trace)
     training._sgd_step(model, grads, 0.01)
-    buf = trace.buffers
     arrays = {
         "output": out, "squared errors": err,
-        "measurements": buf.measurements, "x_hat": buf.x_hat, "signs": buf.signs,
-        "signs_proj": buf.signs_proj, "post_bn": buf.post_bn,
-        "buffer output": buf.output, "grads": buf.grads,
+        "measurements": trace.measurements, "x_hat": trace.x_hat,
+        "signs": trace.signs, "signs_proj": trace.signs_proj,
+        "post_bn": trace.post_bn, "trace output": trace.output,
+        "grads": trace.grads,
         "d_phi": grads.d_phi, "phi": model.phi,
     }
     for i, layer in enumerate(model.bn_layers):
         arrays.update({
             f"d_gamma[{i}]": grads.d_gammas[i], f"d_beta[{i}]": grads.d_betas[i],
+            f"inv_std[{i}]": trace.inv_stds[i],
             f"gamma[{i}]": layer.gamma, f"beta[{i}]": layer.beta,
             f"running_mean[{i}]": layer.running_mean,
             f"running_var[{i}]": layer.running_var,
         })
     assert {k: v.dtype for k, v in arrays.items() if v.dtype != dtype} == {}
     assert type(grads.d_alpha) is float and type(model.alpha) is float
-    # the next step reuses those buffers in place
+    # the next step refills that trace in place
     _, again = forward(model, h, Mode.TRAIN, reuse=trace)
-    assert again.buffers is buf
+    assert again is trace
 
 
 def test_model_rejects_mixed_dtypes():
@@ -620,7 +626,7 @@ def test_reuse_by_a_model_of_another_dtype_gets_new_buffers(rng):
     _, trace = forward(wide, h, Mode.INFER)
     out, again = forward(narrow, h, Mode.INFER, reuse=trace)
     assert out.dtype == np.float32
-    assert again.buffers is not trace.buffers
+    assert again is not trace
 
 
 def test_mse_loss_computes_in_the_dtype_of_the_prediction():

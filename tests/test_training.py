@@ -237,13 +237,13 @@ def test_init_model_rounds_the_float64_draw_once():
 
 
 def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
-    # every dev evaluation of a train call overwrites the same buffers
-    buffers = []
+    # every dev evaluation of a train call refills the same trace
+    traces = []
 
     def recording_forward(model, h_batch, mode, **kwargs):
         out, trace = forward(model, h_batch, mode, **kwargs)
         if mode is Mode.INFER:
-            buffers.append(trace.buffers)
+            traces.append(trace)
         return out, trace
 
     monkeypatch.setattr(training, "forward", recording_forward)
@@ -251,8 +251,8 @@ def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
         learning_rate=0.01, batch_size=16, max_epochs=3, num_updates=1, seed=0
     )
     _, report = train(tiny_dataset, 4, cfg)
-    assert len(buffers) == len(report.dev_epochs) == 4
-    assert all(b is buffers[0] for b in buffers)
+    assert len(traces) == len(report.dev_epochs) == 4
+    assert all(t is traces[0] for t in traces)
 
 
 def test_train_evaluates_the_dev_split_through_dev_loss(tiny_dataset, monkeypatch):
