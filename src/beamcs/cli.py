@@ -1,6 +1,6 @@
 """Command-line pipeline: gen-data, train, sweep, export.
 
-Every command is deterministic given its config and seeds; data outputs
+Every command is deterministic given its config and seed; data outputs
 are byte-identical across reruns (wall-clock lives only in log columns
 and stdout).  Exit codes: 0 success, 1 usage or config error, 2
 numerical failure, 3 I/O error.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import generate_dataset
 from .config import ConfigError, ExperimentConfig, PROFILE_NAMES, load_experiment
-from .evaluate import run_sweep
+from .evaluate import MetricConfig, run_sweep
 from .fileio import (
     FileFormatError,
     export_checkpoint_json,
@@ -34,6 +34,7 @@ from .fileio import (
     sniff_format,
 )
 from .matrices import MatrixKind
+from .recovery import RecoveryConfig
 from .training import TrainingDivergedError, extract_matrix, train
 
 EXIT_OK = 0
@@ -156,8 +157,8 @@ def cmd_sweep(args) -> int:
             dataset,
             cfg.kinds,
             cfg.m_values,
-            cfg.recovery,
-            cfg.metric,
+            RecoveryConfig(),
+            MetricConfig(),
             learned=learned,
             seed=cfg.seed,
         )
@@ -205,7 +206,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="base profile for defaults (default: paper, or the config file's)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="global seed override")
+    parser.add_argument("--seed", type=int, default=None, help="seed override")
     parser.add_argument("--out", default=None, help="output directory override")
 
 

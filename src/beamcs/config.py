@@ -1,12 +1,14 @@
 """Experiment configuration: profiles, JSON config files, validation.
 
-A config document is plain JSON with sections channel / data / train /
-recovery / metric plus sweep-level keys.  Documents start from a named
-profile's defaults ("paper" = full scale, "ci" = desk scale) and
-override fields; CLI flags override last.  The global seed cascades into
-any section seed the document leaves unset.  Each section's dataclass
-declares its keys and their types: an undeclared key, or a value not of
-its field's JSON type, is an error.
+A config document is plain JSON with sections channel / data / train
+plus sweep-level keys.  Documents start from a named profile's defaults
+("paper" = full scale, "ci" = desk scale) and override fields; CLI flags
+override last.  The one seed is the document's top-level seed, which
+builds the channel and train configs.  Each section's dataclass declares
+its keys and their types: an undeclared key, a section seed among them,
+or a value not of its field's JSON type, is an error.  The solver and
+metric settings are the RecoveryConfig and MetricConfig defaults; only
+the Python API sets others.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import get_args, get_origin, get_type_hints
 from .channels import ChannelConfig, split_sizes
 from .evaluate import MetricConfig
 from .matrices import MatrixKind
-from .recovery import RecoveryConfig
 from .training import TrainConfig
 
 
@@ -42,8 +43,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
 _SHARED: dict = {
     "data": {"ratios": [0.8, 0.1, 0.1]},
     "train": {"num_updates": 9, "alpha_init": 1.0, "dev_eval_every": 5},
-    "recovery": {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200},
-    "metric": {"exact_tol": 1e-8, "block_length": 200},
     "kinds": [k.value for k in MatrixKind],
     "seed": 0,
 }
@@ -87,8 +86,6 @@ class ExperimentConfig:
     ratios: tuple[float, float, float]
     floor: float
     train: TrainConfig
-    recovery: RecoveryConfig
-    metric: MetricConfig
     m_values: tuple[int, ...]
     kinds: tuple[MatrixKind, ...]
     seed: int
@@ -106,8 +103,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"every m must be < {width} (the stacked vector width)"
             )
-        if self.m_values[-1] >= self.metric.block_length:
-            raise ConfigError("block_length must exceed every swept m")
+        if self.m_values[-1] >= (block := MetricConfig().block_length):
+            raise ConfigError(f"every m must be < {block} (MetricConfig.block_length)")
         if not self.kinds:
             raise ConfigError("kinds must be nonempty")
         if len(set(self.kinds)) != len(self.kinds):
@@ -188,22 +185,18 @@ def _typed(value, tp, key: str):
     return tp(value)
 
 
-def _read(doc, cls, names, prefix="", also=(), seed=None) -> dict:
+def _read(doc, cls, names, prefix="", also=()) -> dict:
     """The named fields of dataclass cls, read from doc with their types;
-    doc may hold no other keys than those and also.  A seed doc leaves
-    out is the given seed, where one is given."""
+    doc may hold no other keys than those and also."""
     if not isinstance(doc, dict):
         raise ConfigError(f"section {prefix[:-1]!r} must be an object")
     _reject_unknown(doc, {*names, *also}, prefix)
     hints = get_type_hints(cls)
     out = {}
     for name in names:
-        if name in doc:
-            out[name] = _typed(doc[name], hints[name], prefix + name)
-        elif name == "seed" and seed is not None:
-            out[name] = seed
-        else:
+        if name not in doc:
             raise ConfigError(f"invalid configuration: missing key {prefix}{name}")
+        out[name] = _typed(doc[name], hints[name], prefix + name)
     return out
 
 
@@ -218,14 +211,14 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     sections = {k: t for k, t in hints.items() if is_dataclass(t)}
     top = [k for k in hints if k not in sections and k not in _DATA_KEYS]
     kw = _read(doc, ExperimentConfig, top, also=("data", *sections))
-    if kw["seed"] < 0:  # checked before it cascades into the sections
+    if kw["seed"] < 0:  # checked by its own key, before the sections get it
         raise ConfigError("seed must be nonnegative")
     kw.update(_read(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
     for name, cls in sections.items():
-        names = [f.name for f in fields(cls)]
-        section = _read(doc.get(name, {}), cls, names, f"{name}.", seed=kw["seed"])
+        names = [f.name for f in fields(cls) if f.name != "seed"]
+        section = _read(doc.get(name, {}), cls, names, f"{name}.")
         try:
-            kw[name] = cls(**section)
+            kw[name] = cls(**section, seed=kw["seed"])
         except ValueError as exc:
             # a section's checks open their message with the field name
             raise ConfigError(f"invalid configuration: {name}.{exc}") from exc

@@ -149,8 +149,9 @@ def save_dataset(path: str, dataset: ChannelDataset) -> None:
 
 def load_dataset(path: str) -> ChannelDataset:
     """The dataset in a .bcsl file.  Its trailer must hold an integer
-    seed, ratios that give the header's split sizes and a floor in [0, 1)
-    no larger than any nonzero sample; its samples must be finite."""
+    seed, a list of three numbers as ratios that give the header's split
+    sizes and a floor in [0, 1) no larger than any nonzero sample; its
+    samples must be finite."""
     fields, values, trailer = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
     num_antennas, num_paths, n, n_train, n_dev, n_test = map(int, fields)
     sizes = (n_train, n_dev, n_test)
@@ -163,9 +164,12 @@ def load_dataset(path: str) -> ChannelDataset:
         cfg = ChannelConfig(
             num_antennas=num_antennas, num_paths=num_paths, seed=seed
         )
-        ratios = tuple(float(r) for r in trailer["ratios"])
+        ratios = trailer["ratios"]
+        if type(ratios) is not list or any(type(r) not in (int, float) for r in ratios):
+            raise ValueError(f"ratios {ratios!r} are not a list of numbers")
         if len(ratios) != 3:
             raise ValueError(f"need three split ratios, got {len(ratios)}")
+        ratios = tuple(float(r) for r in ratios)
         if split_sizes(n, ratios) != sizes:  # type: ignore[arg-type]
             raise ValueError(f"ratios {ratios} do not give the split {sizes}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -199,7 +203,10 @@ def save_checkpoint(
     path: str, model: UnrolledAutoencoder, train_cfg: TrainConfig
 ) -> None:
     """Writes a float32 model; any other dtype is a ValueError, since the
-    f32 payload could not hold its values."""
+    f32 payload could not hold its values, and so is a train_cfg whose
+    num_updates is not the model's, which load_checkpoint would refuse."""
+    if train_cfg.num_updates != model.num_updates:
+        raise ValueError("train_cfg.num_updates must be the model's num_updates")
     arrays = [model.phi]
     for layer in model.bn_layers:
         arrays += [layer.gamma, layer.beta, layer.running_mean, layer.running_var]
@@ -214,6 +221,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
+    """The model in a .bcsw file and its trailer.  The trailer must hold
+    exactly a train_config with TrainConfig's fields, trained with the
+    header's L; the payload must be finite."""
     fields, values, echo = _read_file(path, CHECKPOINT_MAGIC, _CHECKPOINT_FIXED)
     m, width, num_updates, alpha = fields
     m, width, num_updates = int(m), int(width), int(num_updates)
@@ -224,6 +234,18 @@ def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
         raise FileFormatError("trailing bytes after checkpoint payload")
     if not (np.isfinite(alpha) and np.isfinite(values).all()):
         raise FileFormatError("checkpoint holds a non-finite value")
+    try:
+        if type(echo) is not dict or list(echo) != ["train_config"]:
+            raise ValueError(f"{echo!r} must hold a train_config alone")
+        train_cfg = TrainConfig(**echo["train_config"])
+        if asdict(train_cfg) != echo["train_config"]:
+            raise ValueError("train_config lacks a TrainConfig field")
+        if train_cfg.num_updates != num_updates:
+            raise ValueError(
+                f"num_updates {train_cfg.num_updates} is not the header's {num_updates}"
+            )
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"checkpoint trailer invalid: {exc}") from exc
     try:
         layers = [BatchNormLayer(*layer) for layer in stats]
         model = UnrolledAutoencoder(

@@ -95,8 +95,8 @@ def _lapack():
     return lapack
 
 
-def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """scipy.linalg.cho_factor(a, lower=True), calling LAPACK dpotrf directly.
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """The factor of scipy.linalg.cho_factor(a, lower=True), from LAPACK dpotrf.
 
     The same routine, so the same bits; at the m <= 40 of a sweep scipy's
     checking wrapper costs several times the factorization.  a is copied,
@@ -107,15 +107,16 @@ def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
     # NaN then reaches every later pivot, so the last one shows it.
     if info > 0 or (c.size and math.isnan(c[-1, -1])):
         raise LinAlgError("matrix is not positive definite")
-    return c, True
+    return c
 
 
-def cho_solve(c_and_lower: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """scipy.linalg.cho_solve for a cho_factor factor, via LAPACK dpotrs.
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """scipy.linalg.cho_solve((c, True), b) for a cho_factor factor c, via
+    LAPACK dpotrs.
 
     b is copied, never overwritten; nothing checks it for NaN or inf.
     """
-    x, _ = _lapack().dpotrs(c_and_lower[0], b, lower=1, overwrite_b=0)
+    x, _ = _lapack().dpotrs(c, b, lower=1, overwrite_b=0)
     return x
 
 
@@ -273,7 +274,7 @@ class BasisPursuitSolver:
         sign = np.sign(h_s)
         if not (sign == np.sign(x[support] - x[n + support])).all():
             return None
-        pivots = np.diagonal(chol[0])
+        pivots = np.diagonal(chol)
         if pivots.min() <= _PIVOT_RATIO * pivots.max():
             return None  # Phi_S is numerically rank-deficient
         # Fuchs: Phi_S injective, Phi_S^T lam = sign(h_S) and

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import beamcs
+from beamcs import MetricConfig, RecoveryConfig
 from beamcs.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -18,7 +19,6 @@ from beamcs.cli import (
     checkpoint_name,
     main,
 )
-from beamcs.config import load_experiment
 from beamcs.fileio import load_checkpoint
 
 CFG = {
@@ -63,7 +63,7 @@ def test_pipeline_artifacts(run_dir):
 
 
 def test_report_contents(run_dir):
-    root, out = run_dir
+    _, out = run_dir
     doc = json.loads(Path(out, "report.json").read_text())
     assert doc["m_values"] == [4, 6]
     assert {r["kind"] for r in doc["rows"]} == {"learned", "gaussian"}
@@ -71,9 +71,9 @@ def test_report_contents(run_dir):
     assert all(r["note"] == "" for r in doc["rows"])
     assert doc["dataset"]["num_antennas"] == 8
     assert doc["dataset"]["num_samples"] == 60
-    cfg = load_experiment(str(root / "cfg.json"), None)
-    assert doc["metric"] == asdict(cfg.metric)
-    assert doc["recovery"] == asdict(cfg.recovery)
+    # the solver and metric settings no document holds are the defaults
+    assert doc["metric"] == asdict(MetricConfig())
+    assert doc["recovery"] == asdict(RecoveryConfig())
     assert "config" not in doc
 
 
@@ -155,11 +155,16 @@ def test_usage_errors(run_dir, tmp_path):
 
 
 def test_unsupported_solver_is_a_usage_error(tmp_path, capsys):
-    # a key the config does not read fails loudly instead of being dropped
+    # a key the config does not read fails loudly instead of being dropped;
+    # the solver and metric sections and the section seeds are such keys
     cfg = tmp_path / "cfg.json"
     out = str(tmp_path / "out")
     for extra, key in [
-        ({"recovery": {"solver": "basis_pursuit_lp"}}, "recovery.solver"),
+        ({"recovery": {"solver": "basis_pursuit_lp"}}, "recovery"),
+        ({"recovery": {"feas_tol": 1e-10}}, "recovery"),
+        ({"metric": {"exact_tol": 1e-8, "block_length": 200}}, "metric"),
+        ({"channel": {**CFG["channel"], "seed": 0}}, "channel.seed"),
+        ({"train": {**CFG["train"], "seed": 0}}, "train.seed"),
         ({"channel": {**CFG["channel"], "antenna_spacing_ratio": 0.5}},
          "channel.antenna_spacing_ratio"),
         ({"train": {**CFG["train"], "learning_rat": 0.5}}, "train.learning_rat"),

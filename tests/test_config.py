@@ -32,7 +32,6 @@ def test_paper_profile_defaults():
     assert cfg.train.num_updates == 9
     assert cfg.m_values == (20, 25, 30, 35, 40)
     assert cfg.kinds == tuple(MatrixKind)
-    assert cfg.metric.block_length == 200
     # the headline numbers need the plain [0, 1] map
     assert cfg.floor == 0.0
 
@@ -99,18 +98,11 @@ def test_bad_config_file(tmp_path):
 
 
 def test_seed_cascades():
+    # the one seed builds both sections; neither section has a seed key
     cfg = load_experiment(None, "ci", overrides={"seed": 5})
     assert cfg.seed == 5
     assert cfg.channel.seed == 5
     assert cfg.train.seed == 5
-
-
-def test_explicit_section_seed_wins():
-    cfg = load_experiment(
-        None, "ci", overrides={"seed": 5, "train": {"seed": 9}}
-    )
-    assert cfg.channel.seed == 5
-    assert cfg.train.seed == 9
 
 
 @pytest.mark.parametrize(
@@ -121,11 +113,12 @@ def test_explicit_section_seed_wins():
         ({"m_values": [12, 8]}, "strictly increasing"),
         ({"m_values": [0, 8]}, "positive"),
         ({"m_values": [8, 64]}, "stacked vector width"),
-        ({"m_values": [8, 63], "metric": {"block_length": 50}}, "block_length"),
+        # at the paper width, where the width check lets m = 200 through
+        ({"channel": {"num_antennas": 256}, "m_values": [20, 200]}, "block_length"),
         ({"kinds": ["gaussian", "gaussian"]}, "distinct"),
         ({"kinds": ["rademacher"]}, "kinds must be one of"),
         ({"channel": {"angle_mode": "on_grid"}}, "unknown config key: channel.angle_mode$"),
-        ({"recovery": {"solver": "basis_pursuit_lp"}}, "unknown config key: recovery.solver"),
+        ({"recovery": {"solver": "basis_pursuit_lp"}}, "unknown config key: recovery$"),
         ({"data": {"ratios": [0.5, 0.5]}}, "exactly 3"),
         ({"data": {"floor": 1.0}}, "floor"),
         ({"data": {"floor": -0.2}}, "floor"),
@@ -137,8 +130,8 @@ def test_explicit_section_seed_wins():
         ({"data": {"ratio": [0.8, 0.1, 0.1]}}, "unknown config key: data.ratio$"),
         ({"data": {"seed": 4}}, "unknown config key: data.seed$"),
         ({"train": {"learning_rat": 0.5}}, "unknown config key: train.learning_rat$"),
-        ({"recovery": {"max_iter": 50}}, "unknown config key: recovery.max_iter$"),
-        ({"metric": {"exact_tol_": 1e-6}}, "unknown config key: metric.exact_tol_$"),
+        ({"metric": {"exact_tol": 1e-8}}, "unknown config key: metric$"),
+        ({"channel": {"seed": 0}}, "unknown config key: channel.seed$"),
         ({"m_value": [8]}, "unknown config key: m_value$"),
         ({"sed": 1, "kind": []}, "unknown config key: kind, sed$"),
         # the data section is checked here, not later by generate_dataset
@@ -148,17 +141,18 @@ def test_explicit_section_seed_wins():
         ({"data": {"zero_tol": 1e-12}}, "unknown config key: data.zero_tol$"),  # deleted
         ({"data": {"num_samples": 3}}, "num_samples must be at least 10"),
         ({"data": {"floor": float("nan")}}, "floor must lie in"),
-        ({"metric": {"exact_tol": float("nan")}}, "exact_tol must be positive and finite"),
+        ({"recovery": {}, "metric": {}}, "unknown config key: metric, recovery$"),
         # deleted keys are unknown keys like any other
         ({"train": {"early_stop_patience": 0}}, "unknown config key: train.early_stop_patience$"),
         ({"train": {"init_stddev": None}}, "unknown config key: train.init_stddev$"),
         ({"channel": {"gain_model": "complex_gaussian"}}, "unknown config key: channel.gain_model$"),
-        ({"metric": {"base_rate": 1.0}}, "unknown config key: metric.base_rate$"),
+        ({"seed": 3, "train": {"seed": 3}}, "unknown config key: train.seed$"),
         ({"kinds": []}, "kinds must be nonempty"),
-        # a negative seed is refused here, by its key, not later by numpy
-        ({"train": {"seed": -1}}, "invalid configuration: train.seed must be nonnegative"),
+        # a negative seed is refused here, by its key, not later by numpy;
+        # a section seed is an unknown key whatever its value
+        ({"train": {"seed": -1}}, "unknown config key: train.seed$"),
         ({"seed": -1, "channel": {"seed": 0}, "train": {"seed": 0}}, "^seed must be nonnegative$"),
-        # also when it would cascade into the section seeds
+        # also when no section seed was ever in the document
         ({"seed": -1}, "^seed must be nonnegative$"),
     ],
 )
@@ -186,7 +180,6 @@ def test_section_must_be_object():
 ALTERNATIVES = {
     ("channel", "num_antennas"): 40,
     ("channel", "num_paths"): 1,
-    ("channel", "seed"): 7,
     ("data", "num_samples"): 300,
     ("data", "ratios"): [0.6, 0.2, 0.2],
     ("data", "floor"): 0.25,
@@ -195,13 +188,7 @@ ALTERNATIVES = {
     ("train", "max_epochs"): 3,
     ("train", "num_updates"): 4,
     ("train", "alpha_init"): 0.5,
-    ("train", "seed"): 8,
     ("train", "dev_eval_every"): 2,
-    ("recovery", "feas_tol"): 1e-8,
-    ("recovery", "opt_tol"): 1e-7,
-    ("recovery", "max_iters"): 50,
-    ("metric", "exact_tol"): 1e-6,
-    ("metric", "block_length"): 100,
     ("m_values",): [10, 30],
     ("kinds",): ["gaussian", "learned"],
     ("seed",): 9,
@@ -246,9 +233,8 @@ def _built(cfg, path):
 @pytest.mark.parametrize("profile", PROFILE_NAMES)
 def test_every_key_reaches_the_built_config(profile):
     doc = profile_defaults(profile)
-    for section in ("channel", "train"):  # the seeds the global one fills
-        doc[section]["seed"] = doc["seed"]
     assert set(_leaves(doc)) == set(ALTERNATIVES)
+    assert len(ALTERNATIVES) == 15
     cfg = build_experiment(doc)
     assert all(_built(cfg, path) == _read_leaf(doc, path) for path in ALTERNATIVES)
     for path, value in ALTERNATIVES.items():
@@ -290,20 +276,14 @@ def _wrong_values(value):
     return [True, "0.5", math.nan, math.inf, -math.inf]
 
 
-def _with_section_seeds(profile):
-    doc = profile_defaults(profile)
-    doc["channel"]["seed"] = doc["train"]["seed"] = 0
-    return doc
-
-
 @pytest.mark.parametrize(
     "profile, path",
-    [(p, path) for p in PROFILE_NAMES for path in _leaves(_with_section_seeds(p))],
+    [(p, path) for p in PROFILE_NAMES for path in _leaves(profile_defaults(p))],
     ids=lambda v: ".".join(v) if isinstance(v, tuple) else v,
 )
 def test_every_profile_key_rejects_wrong_types(profile, path):
     # no bool, string or fractional number for an int, no NaN or infinity
-    doc = _with_section_seeds(profile)
+    doc = profile_defaults(profile)
     node = doc
     for key in path:
         node = node[key]

@@ -1,6 +1,6 @@
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -141,9 +141,13 @@ def test_checkpoint_train_config_matches_config_echo(tmp_path, trained, profile)
     _, model, _ = trained
     cfg = load_experiment(None, profile)
     path = tmp_path / "c.bcsw"
-    save_checkpoint(str(path), model, cfg.train)
+    # the profile's L is not this model's: refused rather than written
+    with pytest.raises(ValueError, match="num_updates"):
+        save_checkpoint(str(path), model, cfg.train)
+    train_cfg = replace(cfg.train, num_updates=model.num_updates)
+    save_checkpoint(str(path), model, train_cfg)
     _, echo = load_checkpoint(str(path))
-    assert echo["train_config"] == asdict(cfg.train)
+    assert echo["train_config"] == asdict(train_cfg)
 
 
 def test_checkpoint_usable_after_load(tmp_path, trained):
@@ -229,7 +233,12 @@ def test_corrupt_files_raise(tmp_path, trained):
         ([0.4, 0.3, 0.3, 0.0], "need three split ratios, got 4"),
         ([0.5, 0.3, 0.3], "split ratios must sum to 1"),
         ([0.6, 0.2, 0.2], r"do not give the split \(48, 6, 6\)"),
-        ("0.8", "could not convert"),
+        # checked, not coerced: only a list of three JSON numbers
+        ("0.8", "ratios '0.8' are not a list of numbers"),
+        (["0.8", "0.1", "0.1"], "are not a list of numbers"),
+        ([0.8, 0.1, "0.1"], "are not a list of numbers"),
+        ([True, False, False], "are not a list of numbers"),
+        ({"0.8": 1, "0.1": 2, "0.10": 3}, "are not a list of numbers"),
     ]:
         bad.write_bytes(_with_trailer(head, {**trailer, "ratios": ratios}))
         with pytest.raises(FileFormatError, match=f"^dataset trailer invalid: .*{message}"):
@@ -246,6 +255,24 @@ def test_corrupt_files_raise(tmp_path, trained):
         bad.write_bytes(_with_trailer(head, {**trailer, key: value}))
         with pytest.raises(FileFormatError, match=f"^dataset trailer invalid: {message}"):
             load_dataset(str(bad))
+
+    # checkpoint trailers that are not the TrainConfig of this model
+    head, trailer = _split_trailer((tmp_path / "c.bcsw").read_bytes())
+    bad = tmp_path / "bad_c.bcsw"
+    train_cfg = trailer["train_config"]
+    for echo, message in [
+        ([], r"\[\] must hold a train_config alone"),
+        ({**trailer, "seed": 1}, "must hold a train_config alone"),
+        ({"train_config": "x"}, "must be a mapping"),
+        ({"train_config": {**train_cfg, "init_stddev": 0.1}}, "unexpected keyword"),
+        ({"train_config": {"num_updates": 2}}, "lacks a TrainConfig field"),
+        ({"train_config": {**train_cfg, "batch_size": 1}}, "batch_size must be >= 2"),
+        ({"train_config": {**train_cfg, "num_updates": 7}},
+         "num_updates 7 is not the header's 2"),
+    ]:
+        bad.write_bytes(_with_trailer(head, echo))
+        with pytest.raises(FileFormatError, match=f"^checkpoint trailer invalid: .*{message}"):
+            load_checkpoint(str(bad))
 
 
 def test_training_csv(tmp_path, trained):

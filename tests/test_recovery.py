@@ -268,15 +268,15 @@ def test_step_to_boundary_skips_signed_zero_and_nan_steps(rng, fill, zero_v):
 def test_regularized_cho_factor_leaves_definite_matrix_alone(rng):
     b = rng.standard_normal((6, 9))
     mat = b @ b.T
-    c, lower = recovery._regularized_cho_factor(mat)
-    assert lower and np.array_equal(c, cho_factor(mat, lower=True)[0])
+    c = recovery._regularized_cho_factor(mat)
+    assert np.array_equal(c, cho_factor(mat, lower=True)[0])
 
 
 def test_regularized_cho_factor_first_regularization():
     mat = 4.0 * np.ones((2, 2))  # singular PSD, scale = trace / 2 = 4
     with pytest.raises(np.linalg.LinAlgError):
         cho_factor(mat, lower=True)
-    c, _ = recovery._regularized_cho_factor(mat)
+    c = recovery._regularized_cho_factor(mat)
     expected, _ = cho_factor(mat + 4e-14 * np.eye(2), lower=True)
     assert np.array_equal(c, expected)
 
@@ -318,10 +318,10 @@ def test_cholesky_helpers_match_scipy_bitwise(rng, m):
     for a in mats:
         b = rng.standard_normal(m)
         a_before, b_before = a.copy(), b.copy()
-        c, lower = recovery.cho_factor(a)
+        c = recovery.cho_factor(a)
         want = cho_factor(a, lower=True)
-        assert lower is True and np.array_equal(c, want[0])
-        assert np.array_equal(recovery.cho_solve((c, lower), b), cho_solve(want, b))
+        assert np.array_equal(c, want[0])
+        assert np.array_equal(recovery.cho_solve(c, b), cho_solve(want, b))
         assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
@@ -335,12 +335,12 @@ def test_solve_leaves_inputs_and_cached_factor_unchanged(rng):
     phi, _, y = sparse_instance(rng)
     solver = BasisPursuitSolver(phi)
     phi_before, y_before = solver.phi.copy(), y.copy()
-    gram_before = solver._gram_chol[0].copy()
+    gram_before = solver._gram_chol.copy()
     first = solver.solve(y)
     second = solver.solve(y)
     assert np.array_equal(solver.phi, phi_before)
     assert np.array_equal(y, y_before)
-    assert np.array_equal(solver._gram_chol[0], gram_before)
+    assert np.array_equal(solver._gram_chol, gram_before)
     assert np.array_equal(first.h_hat, second.h_hat)
     assert first.residual == second.residual
     assert first.iterations == second.iterations
@@ -555,10 +555,10 @@ def test_non_finite_iterate_is_a_numerical_failure(rng, monkeypatch):
     solve = recovery.cho_solve
     calls = []
 
-    def inf_after_the_first(c_and_lower, b):
+    def inf_after_the_first(c, b):
         # the first solve is the least-norm start, outside the IPM loop
         calls.append(b)
-        x = solve(c_and_lower, b)
+        x = solve(c, b)
         return x if len(calls) == 1 else np.full_like(x, np.inf)
 
     monkeypatch.setattr(recovery, "cho_solve", inf_after_the_first)
