@@ -22,7 +22,6 @@ from .channels import (
 )
 from .config import ConfigError, ExperimentConfig, load_experiment, profile_defaults
 from .evaluate import (
-    MetricConfig,
     SweepReport,
     SweepRow,
     effective_rate,
@@ -80,7 +79,6 @@ __all__ = [
     "Gradients",
     "MatrixKind",
     "MeasurementMatrix",
-    "MetricConfig",
     "Mode",
     "RecoveryConfig",
     "RecoveryResult",

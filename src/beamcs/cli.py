@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import generate_dataset
 from .config import ConfigError, ExperimentConfig, PROFILE_NAMES, load_experiment
-from .evaluate import MetricConfig, run_sweep
+from .evaluate import check_sweep, run_sweep
 from .fileio import (
     FileFormatError,
     export_checkpoint_json,
@@ -34,7 +34,6 @@ from .fileio import (
     sniff_format,
 )
 from .matrices import MatrixKind
-from .recovery import RecoveryConfig
 from .training import TrainingDivergedError, extract_matrix, train
 
 EXIT_OK = 0
@@ -114,9 +113,9 @@ def cmd_train(args) -> int:
     cfg = _experiment(args)
     data_path = args.data or os.path.join(cfg.out_dir, "dataset.bcsl")
     dataset = load_dataset(data_path)
+    with _input_errors():  # every m fits the dataset before any training
+        check_sweep(cfg.m_values, cfg.kinds, dataset.width)
     for m in cfg.m_values:
-        if not m < dataset.width:
-            raise ConfigError(f"m={m} must be < dataset width {dataset.width}")
         tic = time.perf_counter()
         with _input_errors():  # e.g. an empty train or dev split
             model, report = train(dataset, m, cfg.train)
@@ -154,13 +153,7 @@ def cmd_sweep(args) -> int:
     # the width, or an empty test split
     with _input_errors():
         report = run_sweep(
-            dataset,
-            cfg.kinds,
-            cfg.m_values,
-            RecoveryConfig(),
-            MetricConfig(),
-            learned=learned,
-            seed=cfg.seed,
+            dataset, cfg.kinds, cfg.m_values, learned=learned, seed=cfg.seed
         )
     save_report_csv(os.path.join(cfg.out_dir, "report.csv"), report)
     save_report_json(os.path.join(cfg.out_dir, "report.json"), report, dataset)

@@ -6,9 +6,11 @@ plus sweep-level keys.  Documents start from a named profile's defaults
 override last.  The one seed is the document's top-level seed, which
 builds the channel and train configs.  Each section's dataclass declares
 its keys and their types: an undeclared key, a section seed among them,
-or a value not of its field's JSON type, is an error.  The solver and
-metric settings are the RecoveryConfig and MetricConfig defaults; only
-the Python API sets others.
+or a value not of its field's JSON type, is an error.  read_fields is
+that one typed reader; the file trailers go through it too.  The sweep
+grid must pass evaluate.check_sweep at the width 2N.  The solver
+settings are the RecoveryConfig defaults and the metric definitions are
+evaluate's constants; no document sets them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
 from .channels import ChannelConfig, split_sizes
-from .evaluate import MetricConfig
+from .evaluate import check_sweep
 from .matrices import MatrixKind
 from .training import TrainConfig
 
@@ -92,23 +94,6 @@ class ExperimentConfig:
     out_dir: str
 
     def __post_init__(self) -> None:
-        width = 2 * self.channel.num_antennas
-        if not self.m_values:
-            raise ConfigError("m_values must be nonempty")
-        if any(m2 <= m1 for m1, m2 in zip(self.m_values, self.m_values[1:])):
-            raise ConfigError("m_values must be strictly increasing")
-        if self.m_values[0] < 1:
-            raise ConfigError("m_values must be positive")
-        if self.m_values[-1] >= width:
-            raise ConfigError(
-                f"every m must be < {width} (the stacked vector width)"
-            )
-        if self.m_values[-1] >= (block := MetricConfig().block_length):
-            raise ConfigError(f"every m must be < {block} (MetricConfig.block_length)")
-        if not self.kinds:
-            raise ConfigError("kinds must be nonempty")
-        if len(set(self.kinds)) != len(self.kinds):
-            raise ConfigError("kinds must be distinct")
         if not 0.0 <= self.floor < 1.0:
             raise ConfigError("floor must lie in [0, 1)")
         if self.num_samples < 10:
@@ -116,6 +101,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         try:
+            check_sweep(self.m_values, self.kinds, 2 * self.channel.num_antennas)
             split_sizes(self.num_samples, self.ratios)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -185,11 +171,12 @@ def _typed(value, tp, key: str):
     return tp(value)
 
 
-def _read(doc, cls, names, prefix="", also=()) -> dict:
-    """The named fields of dataclass cls, read from doc with their types;
-    doc may hold no other keys than those and also."""
+def read_fields(doc, cls, names, prefix="", also=()) -> dict:
+    """The named fields of dataclass cls, read from the JSON object doc
+    with their declared types; doc may hold no other keys than those and
+    also.  Any other doc is a ConfigError."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"section {prefix[:-1]!r} must be an object")
+        raise ConfigError(f"{prefix[:-1] or 'document'} must be an object, got {doc!r}")
     _reject_unknown(doc, {*names, *also}, prefix)
     hints = get_type_hints(cls)
     out = {}
@@ -210,13 +197,13 @@ def build_experiment(doc: dict) -> ExperimentConfig:
     hints = get_type_hints(ExperimentConfig)
     sections = {k: t for k, t in hints.items() if is_dataclass(t)}
     top = [k for k in hints if k not in sections and k not in _DATA_KEYS]
-    kw = _read(doc, ExperimentConfig, top, also=("data", *sections))
+    kw = read_fields(doc, ExperimentConfig, top, also=("data", *sections))
     if kw["seed"] < 0:  # checked by its own key, before the sections get it
         raise ConfigError("seed must be nonnegative")
-    kw.update(_read(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
+    kw.update(read_fields(doc.get("data", {}), ExperimentConfig, _DATA_KEYS, "data."))
     for name, cls in sections.items():
         names = [f.name for f in fields(cls) if f.name != "seed"]
-        section = _read(doc.get(name, {}), cls, names, f"{name}.")
+        section = read_fields(doc.get(name, {}), cls, names, f"{name}.")
         try:
             kw[name] = cls(**section, seed=kw["seed"])
         except ValueError as exc:

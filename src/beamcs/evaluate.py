@@ -3,7 +3,10 @@
 All metrics operate in the preprocessed domain, where compression,
 recovery, and the exact-recovery threshold are defined.  A sweep cell
 compresses every test sample with one matrix, recovers each with basis
-pursuit, and computes all three metrics from that single solver pass.
+pursuit under the RecoveryConfig defaults, and computes all three
+metrics from that single solver pass.  The metric definitions are the
+paper's constants: EXACT_TOL for exact recovery and BLOCK_LENGTH for
+the effective rate.
 """
 
 from __future__ import annotations
@@ -19,21 +22,10 @@ from .matrices import MatrixKind, MeasurementMatrix, generate_baseline
 from .recovery import BasisPursuitSolver, RecoveryConfig, RecoveryStatus
 
 _FAILURE_NOTE_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Metric conventions: exact-recovery tolerance and the transmission
-    block length that prices each measurement."""
-
-    exact_tol: float = 1e-8
-    block_length: int = 200
-
-    def __post_init__(self) -> None:
-        if not 0 < self.exact_tol < np.inf:
-            raise ValueError("exact_tol must be positive and finite")
-        if self.block_length < 1:
-            raise ValueError("block_length must be >= 1")
+# A recovery within EXACT_TOL (2-norm) is exact; each measurement costs
+# one symbol of a BLOCK_LENGTH-symbol transmission block.
+EXACT_TOL = 1e-8
+BLOCK_LENGTH = 200
 
 
 @dataclass
@@ -56,8 +48,6 @@ class SweepReport:
     rows: list[SweepRow]
     m_values: tuple[int, ...]
     kinds: tuple[str, ...]
-    metric_cfg: MetricConfig
-    recovery_cfg: RecoveryConfig
     num_test_samples: int
     notes: list[str] = field(default_factory=list)
 
@@ -97,14 +87,36 @@ def mean_nrse(truth: np.ndarray, estimates: np.ndarray) -> tuple[float, int]:
     return float(np.mean(errs / norms[keep])), excluded
 
 
-def effective_rate(p: float, m: int, block_length: int) -> float:
+def effective_rate(p: float, m: int) -> float:
     """Achievable rate, relative to the full block's, after spending m of
-    block_length symbols on measurement: (1 - m/block_length) * p."""
+    BLOCK_LENGTH symbols on measurement: (1 - m/BLOCK_LENGTH) * p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"recovery rate must lie in [0, 1], got {p}")
-    if not 0 < m < block_length:
-        raise ValueError(f"need 0 < m < block_length, got m={m}, B={block_length}")
-    return (1.0 - m / block_length) * p
+    if not 0 < m < BLOCK_LENGTH:
+        raise ValueError(f"need 0 < m < {BLOCK_LENGTH}, got m={m}")
+    return (1.0 - m / BLOCK_LENGTH) * p
+
+
+def check_sweep(
+    m_values: Sequence[int], kinds: Sequence[MatrixKind], width: int
+) -> None:
+    """ValueError unless m_values is a nonempty, strictly increasing run
+    of positive m below width and BLOCK_LENGTH, and kinds are nonempty
+    and distinct."""
+    if not m_values:
+        raise ValueError("m_values must be nonempty")
+    if any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
+        raise ValueError("m_values must be strictly increasing")
+    if m_values[0] < 1:
+        raise ValueError("m_values must be positive")
+    if m_values[-1] >= width:
+        raise ValueError(f"every m must be < {width} (the stacked vector width)")
+    if m_values[-1] >= BLOCK_LENGTH:
+        raise ValueError(f"every m must be < {BLOCK_LENGTH} (the block length)")
+    if not kinds:
+        raise ValueError("kinds must be nonempty")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("kinds must be distinct")
 
 
 def recover_all(
@@ -143,15 +155,14 @@ def run_sweep(
     dataset: ChannelDataset,
     kinds: Sequence[MatrixKind],
     m_values: Sequence[int],
-    recovery_cfg: RecoveryConfig,
-    metric_cfg: MetricConfig,
     learned: Mapping[int, MeasurementMatrix] | None = None,
     seed: int = 0,
 ) -> SweepReport:
     """Evaluates every (matrix kind, m) cell on the dataset's test split.
 
     Every baseline kind is drawn from the one seed, each kind from its
-    own stream; learned matrices come in as checkpoints.  A learned
+    own stream; learned matrices come in as checkpoints.  The grid must
+    pass check_sweep at the dataset's width.  A learned
     checkpoint missing for some m produces an explicit gap row rather
     than a silent omission or an abort; a cell whose solver reports
     non-optimal on more than half the samples gets a diagnostic note.
@@ -161,22 +172,8 @@ def run_sweep(
     if test.shape[0] == 0:
         raise ValueError("dataset has an empty test split")
     m_values = tuple(int(m) for m in m_values)
-    if len(m_values) == 0:
-        raise ValueError("m_values must be nonempty")
-    if any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
-        raise ValueError("m_values must be strictly increasing")
-    if m_values[0] < 1:
-        raise ValueError("m_values must be positive")
-    if m_values[-1] >= dataset.width:
-        raise ValueError("every m must be smaller than the vector width")
-    if m_values[-1] >= metric_cfg.block_length:
-        raise ValueError("block_length must exceed every swept m")
     kinds = tuple(kinds)
-    if not kinds:
-        raise ValueError("kinds must be nonempty")
-    for i, kind in enumerate(kinds):
-        if kind in kinds[:i]:
-            raise ValueError(f"duplicate matrix kind {kind.value}")
+    check_sweep(m_values, kinds, dataset.width)
 
     learned = dict(learned) if learned else {}
     # Every matrix is drawn, and every checkpoint checked, before the first
@@ -216,9 +213,9 @@ def run_sweep(
             notes.append(f"learned m={m}: missing checkpoint")
             continue
         tic = time.perf_counter()
-        estimates, failures = recover_all(matrix, test, recovery_cfg)
+        estimates, failures = recover_all(matrix, test, RecoveryConfig())
         seconds = time.perf_counter() - tic
-        p = exact_recovery_rate(test, estimates, metric_cfg.exact_tol)
+        p = exact_recovery_rate(test, estimates, EXACT_TOL)
         nrse, excluded = mean_nrse(test, estimates)
         note = ""
         if failures > _FAILURE_NOTE_THRESHOLD * test.shape[0]:
@@ -231,7 +228,7 @@ def run_sweep(
                 exact_rate=p,
                 mean_nrse=nrse,
                 nrse_excluded=excluded,
-                effective_rate=effective_rate(p, m, metric_cfg.block_length),
+                effective_rate=effective_rate(p, m),
                 num_samples=test.shape[0],
                 seed=None if kind is MatrixKind.LEARNED else seed,
                 solver_failures=failures,
@@ -244,8 +241,6 @@ def run_sweep(
         rows=rows,
         m_values=m_values,
         kinds=tuple(k.value for k in kinds),
-        metric_cfg=metric_cfg,
-        recovery_cfg=recovery_cfg,
         num_test_samples=test.shape[0],
     )
     report.notes = notes + nrse_trend_violations(report)

@@ -15,10 +15,11 @@ Layouts (all integers and floats little-endian):
 Each artifact records its own inputs once, taken from the inputs
 themselves: a dataset its dims, seed, split ratios and floor; a
 checkpoint the TrainConfig it was trained with; report.json the m
-values, kinds, metric and recovery settings it swept with, and the
-swept dataset's N, P, n and trailer.  Trailers are canonical JSON
-(sorted keys, compact separators), so identical inputs write
-byte-identical files.
+values and kinds it swept, the metric constants and recovery defaults
+it scored with, and the swept dataset's N, P, n and trailer.  Trailers
+are canonical JSON (sorted keys, compact separators), so identical
+inputs write byte-identical files.  Loaders read trailers with
+config.read_fields: each value must have its config key's JSON type.
 """
 
 from __future__ import annotations
@@ -27,13 +28,15 @@ import csv
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .channels import ChannelConfig, ChannelDataset, split_sizes
-from .evaluate import SweepReport, figure_table
+from .config import ConfigError, ExperimentConfig, read_fields
+from .evaluate import BLOCK_LENGTH, EXACT_TOL, SweepReport, figure_table
 from .network import BatchNormLayer, UnrolledAutoencoder
+from .recovery import RecoveryConfig
 from .training import TrainConfig, TrainReport
 
 DATASET_MAGIC = b"BCSL"
@@ -87,7 +90,7 @@ def _read_file(path: str, magic: bytes, fixed: struct.Struct):
     expected, stored = _STORED[magic]
     if version != expected:
         raise FileFormatError(f"unsupported format version {version}")
-    fields = fixed.unpack_from(blob, head)
+    header = fixed.unpack_from(blob, head)
     (trailer_len,) = _TRAILER_LEN.unpack_from(blob, len(blob) - _TRAILER_LEN.size)
     payload_end = len(blob) - _TRAILER_LEN.size - trailer_len
     if payload_end < head + fixed.size:
@@ -100,7 +103,7 @@ def _read_file(path: str, magic: bytes, fixed: struct.Struct):
     count, ragged = divmod(payload_end - start, stored.itemsize)
     if ragged:
         raise FileFormatError("truncated file: incomplete array payload")
-    return fields, np.frombuffer(blob, stored, count, start), echo
+    return header, np.frombuffer(blob, stored, count, start), echo
 
 
 def _take(values: np.ndarray, offset: int, shape: tuple[int, ...]):
@@ -148,31 +151,24 @@ def save_dataset(path: str, dataset: ChannelDataset) -> None:
 
 
 def load_dataset(path: str) -> ChannelDataset:
-    """The dataset in a .bcsl file.  Its trailer must hold an integer
-    seed, a list of three numbers as ratios that give the header's split
-    sizes and a floor in [0, 1) no larger than any nonzero sample; its
-    samples must be finite."""
-    fields, values, trailer = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
-    num_antennas, num_paths, n, n_train, n_dev, n_test = map(int, fields)
+    """The dataset in a .bcsl file.  Its trailer's seed, ratios and floor
+    are read as the config keys of those names; the ratios must give the
+    header's split sizes, and the floor must lie in [0, 1) and be no
+    larger than any nonzero sample.  Its samples must be finite."""
+    header, values, trailer = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
+    num_antennas, num_paths, n, n_train, n_dev, n_test = map(int, header)
     sizes = (n_train, n_dev, n_test)
     try:
-        seed, floor = trailer["seed"], trailer["floor"]
-        if type(seed) is not int:  # a JSON integer, not a bool or a float
-            raise ValueError(f"seed {seed!r} is not an integer")
-        if type(floor) not in (int, float) or not 0.0 <= floor < 1.0:
-            raise ValueError(f"floor {floor!r} is not a number in [0, 1)")
-        cfg = ChannelConfig(
-            num_antennas=num_antennas, num_paths=num_paths, seed=seed
-        )
-        ratios = trailer["ratios"]
-        if type(ratios) is not list or any(type(r) not in (int, float) for r in ratios):
-            raise ValueError(f"ratios {ratios!r} are not a list of numbers")
-        if len(ratios) != 3:
-            raise ValueError(f"need three split ratios, got {len(ratios)}")
-        ratios = tuple(float(r) for r in ratios)
-        if split_sizes(n, ratios) != sizes:  # type: ignore[arg-type]
+        # older version-4 writers added keys that no reader uses
+        names = ("seed", "ratios", "floor")
+        kw = read_fields(trailer, ExperimentConfig, names, also=trailer)
+        seed, ratios, floor = kw["seed"], kw["ratios"], kw["floor"]
+        cfg = ChannelConfig(num_antennas=num_antennas, num_paths=num_paths, seed=seed)
+        if not 0.0 <= floor < 1.0:
+            raise ValueError(f"floor {floor!r} is not in [0, 1)")
+        if split_sizes(n, ratios) != sizes:
             raise ValueError(f"ratios {ratios} do not give the split {sizes}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         raise FileFormatError(f"dataset trailer invalid: {exc}") from exc
     samples, off = _take(values, 0, (n, 2 * num_antennas))
     if off != values.size:
@@ -191,8 +187,8 @@ def load_dataset(path: str) -> ChannelDataset:
         num_dev=n_dev,
         num_test=n_test,
         config=cfg,
-        ratios=ratios,  # type: ignore[arg-type]
-        floor=float(floor),
+        ratios=ratios,
+        floor=floor,
     )
 
 
@@ -222,10 +218,10 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
     """The model in a .bcsw file and its trailer.  The trailer must hold
-    exactly a train_config with TrainConfig's fields, trained with the
-    header's L; the payload must be finite."""
-    fields, values, echo = _read_file(path, CHECKPOINT_MAGIC, _CHECKPOINT_FIXED)
-    m, width, num_updates, alpha = fields
+    exactly a train_config whose keys are read as TrainConfig's fields,
+    trained with the header's L; the payload must be finite."""
+    header, values, echo = _read_file(path, CHECKPOINT_MAGIC, _CHECKPOINT_FIXED)
+    m, width, num_updates, alpha = header
     m, width, num_updates = int(m), int(width), int(num_updates)
     phi, off = _take(values, 0, (m, width))
     # gamma, beta, running mean, running variance per layer
@@ -235,16 +231,16 @@ def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
     if not (np.isfinite(alpha) and np.isfinite(values).all()):
         raise FileFormatError("checkpoint holds a non-finite value")
     try:
-        if type(echo) is not dict or list(echo) != ["train_config"]:
-            raise ValueError(f"{echo!r} must hold a train_config alone")
-        train_cfg = TrainConfig(**echo["train_config"])
-        if asdict(train_cfg) != echo["train_config"]:
-            raise ValueError("train_config lacks a TrainConfig field")
+        # an object whose one key, train_config, holds TrainConfig's fields
+        read_fields(echo, TrainConfig, (), also=("train_config",))
+        names = [f.name for f in fields(TrainConfig)]
+        kw = read_fields(echo.get("train_config"), TrainConfig, names, "train_config.")
+        train_cfg = TrainConfig(**kw)
         if train_cfg.num_updates != num_updates:
             raise ValueError(
                 f"num_updates {train_cfg.num_updates} is not the header's {num_updates}"
             )
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         raise FileFormatError(f"checkpoint trailer invalid: {exc}") from exc
     try:
         layers = [BatchNormLayer(*layer) for layer in stats]
@@ -323,8 +319,8 @@ def save_report_json(path: str, report: SweepReport, dataset: ChannelDataset) ->
         },
         "m_values": list(report.m_values),
         "kinds": list(report.kinds),
-        "metric": asdict(report.metric_cfg),
-        "recovery": asdict(report.recovery_cfg),
+        "metric": {"exact_tol": EXACT_TOL, "block_length": BLOCK_LENGTH},
+        "recovery": asdict(RecoveryConfig()),
         "num_test_samples": report.num_test_samples,
         "rows": [{c: getattr(r, c) for c in _REPORT_COLUMNS} for r in report.rows],
         "notes": report.notes,

@@ -21,9 +21,7 @@ from beamcs import (
     BatchNormLayer,
     ChannelConfig,
     MatrixKind,
-    MetricConfig,
     Mode,
-    RecoveryConfig,
     RecoveryStatus,
     TrainConfig,
     UnrolledAutoencoder,
@@ -354,7 +352,7 @@ def test_core_invariants_and_bitwise_determinism(tmp_path):
     for _ in range(50):
         p = float(rng.uniform(0.0, 1.0))
         m = int(rng.integers(1, 200))
-        assert effective_rate(p, m, 200) == (1 - m / 200) * p
+        assert effective_rate(p, m) == (1 - m / 200) * p
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -417,8 +415,6 @@ def test_small_scale_training_beats_gaussian_baseline():
             dataset,
             [MatrixKind.LEARNED, MatrixKind.GAUSSIAN],
             m_values,
-            RecoveryConfig(),
-            MetricConfig(),
             learned=learned,
             seed=seed,
         )

@@ -4,13 +4,11 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import beamcs
-from beamcs import MetricConfig, RecoveryConfig
 from beamcs.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -71,9 +69,9 @@ def test_report_contents(run_dir):
     assert all(r["note"] == "" for r in doc["rows"])
     assert doc["dataset"]["num_antennas"] == 8
     assert doc["dataset"]["num_samples"] == 60
-    # the solver and metric settings no document holds are the defaults
-    assert doc["metric"] == asdict(MetricConfig())
-    assert doc["recovery"] == asdict(RecoveryConfig())
+    # the paper's metric definitions and the solver defaults
+    assert doc["metric"] == {"exact_tol": 1e-8, "block_length": 200}
+    assert doc["recovery"] == {"feas_tol": 1e-10, "opt_tol": 1e-9, "max_iters": 200}
     assert "config" not in doc
 
 
@@ -368,6 +366,50 @@ def test_train_on_an_empty_split_is_a_usage_error(tmp_path, capsys):
     assert not any(name.endswith(".bcsw") for name in os.listdir(out))
 
 
+def test_train_refuses_an_m_too_wide_for_the_dataset_before_training(
+    run_dir, tmp_path, capsys
+):
+    # the ci profile's width 64 admits m = 40; the width-16 dataset does not,
+    # and m = 4 and 6 are not trained first only to be thrown away
+    _, out = run_dir
+    dest = tmp_path / "out"
+    capsys.readouterr()
+    assert main([
+        "train", "--profile", "ci", "--seed", "0", "--m", "4,6,40",
+        "--data", os.path.join(out, "dataset.bcsl"), "--out", str(dest),
+    ]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: every m must be < 16 (the stacked vector width)\n"
+    assert os.listdir(dest) == []
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("batch_size", 8.5), ("seed", True), ("max_epochs", 1.0), ("num_updates", 2.0)],
+)
+def test_checkpoint_trailer_of_the_wrong_type_is_a_file_error(
+    run_dir, tmp_path, capsys, key, value
+):
+    # each value is read as the config would read train.<key>: refused
+    _, out = run_dir
+    blob = Path(out, checkpoint_name(4)).read_bytes()
+    (trailer_len,) = struct.unpack("<Q", blob[-8:])
+    payload_end = len(blob) - 8 - trailer_len
+    trailer = json.loads(blob[payload_end:-8])
+    trailer["train_config"][key] = value
+    text = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
+    bad = tmp_path / checkpoint_name(4)
+    bad.write_bytes(blob[:payload_end] + text + struct.pack("<Q", len(text)))
+    dest = tmp_path / "m4.json"
+    capsys.readouterr()
+    assert main(["export", "--in", str(bad), "--format", "json", "--out", str(dest)]) == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"file error: checkpoint trailer invalid: train_config.{key} "
+        f"must be of type int, got {value!r}\n"
+    )
+    assert not dest.exists()
+
+
 # Byte offsets in the run_dir's checkpoint_m4.bcsw (m=4, width 16): an
 # 8-byte prefix, m, width, L as u64, then alpha as f64, then Phi and each
 # layer's gamma, beta, running mean and running variance as f32.
@@ -461,7 +503,7 @@ def test_dataset_ratios_that_contradict_its_split_are_a_file_error(
         capsys.readouterr()
         assert main(command) == EXIT_IO
         err = capsys.readouterr().err
-        assert err == "file error: dataset trailer invalid: need three split ratios, got 1\n"
+        assert err == "file error: dataset trailer invalid: ratios must have exactly 3 entries\n"
     assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
 
 

@@ -114,7 +114,7 @@ def test_seed_cascades():
         ({"m_values": [0, 8]}, "positive"),
         ({"m_values": [8, 64]}, "stacked vector width"),
         # at the paper width, where the width check lets m = 200 through
-        ({"channel": {"num_antennas": 256}, "m_values": [20, 200]}, "block_length"),
+        ({"channel": {"num_antennas": 256}, "m_values": [20, 200]}, "the block length"),
         ({"kinds": ["gaussian", "gaussian"]}, "distinct"),
         ({"kinds": ["rademacher"]}, "kinds must be one of"),
         ({"channel": {"angle_mode": "on_grid"}}, "unknown config key: channel.angle_mode$"),

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from beamcs import (
     MatrixKind,
     MeasurementMatrix,
-    MetricConfig,
     RecoveryConfig,
     effective_rate,
     exact_recovery_rate,
@@ -22,7 +21,6 @@ from beamcs.evaluate import (
 )
 
 RECOVERY = RecoveryConfig()
-METRIC = MetricConfig(exact_tol=1e-8, block_length=200)
 
 
 def test_exact_recovery_rate_counts():
@@ -70,26 +68,16 @@ def test_mean_nrse_excludes_zero_rows():
     st.integers(min_value=1, max_value=199),
 )
 def test_effective_rate_identity(p, m):
-    assert effective_rate(p, m, 200) == (1.0 - m / 200) * p
+    assert effective_rate(p, m) == (1.0 - m / 200) * p
 
 
 def test_effective_rate_validates():
     with pytest.raises(ValueError):
-        effective_rate(1.5, 10, 200)
+        effective_rate(1.5, 10)
     with pytest.raises(ValueError):
-        effective_rate(0.5, 200, 200)
+        effective_rate(0.5, 200)
     with pytest.raises(ValueError):
-        effective_rate(0.5, 0, 200)
-
-
-def test_metric_config_validation():
-    with pytest.raises(ValueError):
-        MetricConfig(exact_tol=0.0)
-    with pytest.raises(ValueError):
-        MetricConfig(block_length=0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="exact_tol"):
-            MetricConfig(exact_tol=bad)
+        effective_rate(0.5, 0)
 
 
 def test_recover_all_on_easy_instance(tiny_dataset):
@@ -110,9 +98,7 @@ def test_recover_all_validates(tiny_dataset):
 
 
 def _sweep(tiny_dataset, kinds, learned=None, m_values=(4, 8)):
-    return run_sweep(
-        tiny_dataset, kinds, m_values, RECOVERY, METRIC, learned=learned, seed=1
-    )
+    return run_sweep(tiny_dataset, kinds, m_values, learned=learned, seed=1)
 
 
 def test_run_sweep_baselines(tiny_dataset):
@@ -196,7 +182,7 @@ def test_run_sweep_rejects_rank_deficient_learned(tiny_dataset):
 
 
 def test_run_sweep_validates(tiny_dataset):
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="kinds must be distinct"):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN, MatrixKind.GAUSSIAN])
     with pytest.raises(ValueError, match="increasing"):
         _sweep(tiny_dataset, [MatrixKind.GAUSSIAN], m_values=(8, 4))

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from beamcs import MatrixKind, MetricConfig, RecoveryConfig, TrainConfig, train
+from beamcs import MatrixKind, TrainConfig, train
 from beamcs.evaluate import run_sweep
 from beamcs.fileio import (
     FileFormatError,
@@ -229,16 +229,16 @@ def test_corrupt_files_raise(tmp_path, trained):
     head, trailer = _split_trailer((tmp_path / "d.bcsl").read_bytes())
     bad = tmp_path / "bad_d.bcsl"
     for ratios, message in [
-        ([0.5], "need three split ratios, got 1"),
-        ([0.4, 0.3, 0.3, 0.0], "need three split ratios, got 4"),
+        ([0.5], "ratios must have exactly 3 entries"),
+        ([0.4, 0.3, 0.3, 0.0], "ratios must have exactly 3 entries"),
         ([0.5, 0.3, 0.3], "split ratios must sum to 1"),
         ([0.6, 0.2, 0.2], r"do not give the split \(48, 6, 6\)"),
         # checked, not coerced: only a list of three JSON numbers
-        ("0.8", "ratios '0.8' are not a list of numbers"),
-        (["0.8", "0.1", "0.1"], "are not a list of numbers"),
-        ([0.8, 0.1, "0.1"], "are not a list of numbers"),
-        ([True, False, False], "are not a list of numbers"),
-        ({"0.8": 1, "0.1": 2, "0.10": 3}, "are not a list of numbers"),
+        ("0.8", "ratios must be a list, got '0.8'"),
+        (["0.8", "0.1", "0.1"], "ratios must be of type float, got '0.8'"),
+        ([0.8, 0.1, "0.1"], "ratios must be of type float, got '0.1'"),
+        ([True, False, False], "ratios must be of type float, got True"),
+        ({"0.8": 1, "0.1": 2, "0.10": 3}, "ratios must be a list, got {"),
     ]:
         bad.write_bytes(_with_trailer(head, {**trailer, "ratios": ratios}))
         with pytest.raises(FileFormatError, match=f"^dataset trailer invalid: .*{message}"):
@@ -246,10 +246,10 @@ def test_corrupt_files_raise(tmp_path, trained):
     # a seed or floor that is not what the generator could have written
     # is refused, not coerced: the smallest nonzero sample here is 0.1
     for key, value, message in [
-        ("seed", 3.7, "seed 3.7 is not an integer"),
-        ("seed", True, "seed True is not an integer"),
-        ("floor", -0.1, r"floor -0.1 is not a number in \[0, 1\)"),
-        ("floor", "0.1", r"floor '0.1' is not a number in \[0, 1\)"),
+        ("seed", 3.7, "seed must be of type int, got 3.7"),
+        ("seed", True, "seed must be of type int, got True"),
+        ("floor", -0.1, r"floor -0.1 is not in \[0, 1\)"),
+        ("floor", "0.1", "floor must be of type float, got '0.1'"),
         ("floor", 0.9, "floor 0.9 exceeds the smallest nonzero sample 0.1"),
     ]:
         bad.write_bytes(_with_trailer(head, {**trailer, key: value}))
@@ -261,14 +261,24 @@ def test_corrupt_files_raise(tmp_path, trained):
     bad = tmp_path / "bad_c.bcsw"
     train_cfg = trailer["train_config"]
     for echo, message in [
-        ([], r"\[\] must hold a train_config alone"),
-        ({**trailer, "seed": 1}, "must hold a train_config alone"),
-        ({"train_config": "x"}, "must be a mapping"),
-        ({"train_config": {**train_cfg, "init_stddev": 0.1}}, "unexpected keyword"),
-        ({"train_config": {"num_updates": 2}}, "lacks a TrainConfig field"),
+        ([], r"document must be an object, got \[\]$"),
+        ({**trailer, "seed": 1}, "unknown config key: seed$"),
+        ({"train_config": "x"}, "train_config must be an object, got 'x'$"),
+        ({"train_config": {**train_cfg, "init_stddev": 0.1}},
+         "unknown config key: train_config.init_stddev$"),
+        ({"train_config": {"num_updates": 2}}, "missing key train_config.learning_rate$"),
         ({"train_config": {**train_cfg, "batch_size": 1}}, "batch_size must be >= 2"),
         ({"train_config": {**train_cfg, "num_updates": 7}},
          "num_updates 7 is not the header's 2"),
+        # values the config reader refuses: no float for an int, no bool
+        ({"train_config": {**train_cfg, "batch_size": 8.5}},
+         "train_config.batch_size must be of type int, got 8.5$"),
+        ({"train_config": {**train_cfg, "seed": True}},
+         "train_config.seed must be of type int, got True$"),
+        ({"train_config": {**train_cfg, "max_epochs": 1.0}},
+         "train_config.max_epochs must be of type int, got 1.0$"),
+        ({"train_config": {**train_cfg, "num_updates": 2.0}},
+         "train_config.num_updates must be of type int, got 2.0$"),
     ]:
         bad.write_bytes(_with_trailer(head, echo))
         with pytest.raises(FileFormatError, match=f"^checkpoint trailer invalid: .*{message}"):
@@ -296,8 +306,6 @@ def _report(trained):
         dataset,
         [MatrixKind.LEARNED, MatrixKind.GAUSSIAN],
         (4, 8),
-        RecoveryConfig(),
-        MetricConfig(),
         learned={4: extract_matrix(model)},
     )
 
