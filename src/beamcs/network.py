@@ -17,9 +17,10 @@ framework): sign(.) is treated as locally constant, ReLU' is 0 at and
 below 0, and batch-norm backward includes the batch-statistics terms.
 
 forward() records its intermediates in a ForwardTrace, which backward()
-reads together with the batch it holds.  Passed back as reuse, a trace
-is refilled in place and returned, so a training loop allocates its
-storage once.
+reads together with the batch it holds: per layer the centred batch-norm
+input and its 1/std vector, and per update the signs and their
+projection.  Passed back as reuse, a trace is refilled in place and
+returned, so a training loop allocates its storage once.
 
 Every pass runs in the dtype of the model's Phi: float32 for the models
 training builds, float64 for the finite-difference checks.
@@ -28,6 +29,7 @@ training builds, float64 for the finite-difference checks.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,16 @@ BN_MOMENTUM = 0.99
 class Mode(enum.Enum):
     TRAIN = "train"
     INFER = "infer"
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(rows: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only ones vector: ones @ x sums the columns of a (rows, width)
+    block as one BLAS matrix-vector product, faster than a numpy axis-0
+    reduction."""
+    ones = np.ones(rows, dtype)
+    ones.flags.writeable = False
+    return ones
 
 
 @dataclass
@@ -58,7 +70,7 @@ class BatchNormLayer:
     running_var: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(self.running_var < 0):
+        if not np.all(self.running_var >= 0):  # a NaN fails this too
             raise ValueError("running variance must be nonnegative")
         shapes = {
             self.gamma.shape,
@@ -85,25 +97,28 @@ class BatchNormLayer:
         x: np.ndarray,
         mode: Mode,
         *,
-        x_hat: np.ndarray | None = None,
+        x_c: np.ndarray | None = None,
         out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Normalize a (batch, width) block; returns (output, cache).
 
-        cache = (x_hat, inv_std) feeds backward().  Train mode requires a
-        batch of at least 2 and folds the batch statistics into the
-        running statistics.  x_hat and out, when given, are written
-        and returned instead of fresh arrays; x_hat may be x itself, which
-        then is normalized in place.
+        cache = (x_c, inv_std) feeds backward(): x_c is the input centred
+        by the batch (train) or running (infer) mean, and x_c * inv_std is
+        the normalized x_hat, which is never formed.  Train mode requires
+        a batch of at least 2 and folds the batch statistics into the
+        running statistics.  x_c and out, when given, are written and
+        returned instead of fresh arrays; x_c may be x itself, which then
+        is centred in place.
         """
         if x.ndim != 2 or x.shape[1] != self.gamma.shape[0]:
             raise ValueError(f"expected (batch, {self.gamma.shape[0]}), got {x.shape}")
         if mode is Mode.TRAIN:
-            if x.shape[0] < 2:
+            batch = x.shape[0]
+            if batch < 2:
                 raise ValueError("train-mode batch norm needs batch size >= 2")
-            mean = x.mean(axis=0)
-            x_hat = np.subtract(x, mean, out=x_hat)
-            var = np.einsum("ij,ij->j", x_hat, x_hat) / x.shape[0]
+            mean = (_ones(batch, x.dtype) @ x) / batch
+            x_c = np.subtract(x, mean, out=x_c)
+            var = np.einsum("ij,ij->j", x_c, x_c) / batch
             self.running_mean = (
                 BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
             )
@@ -111,13 +126,13 @@ class BatchNormLayer:
                 BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
             )
         else:
-            x_hat = np.subtract(x, self.running_mean, out=x_hat)
+            x_c = np.subtract(x, self.running_mean, out=x_c)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat *= inv_std
-        out = np.multiply(self.gamma, x_hat, out=out)
+        # gamma x_hat + beta, with the scaling folded into one pass
+        out = np.multiply(x_c, self.gamma * inv_std, out=out)
         out += self.beta
-        return out, (x_hat, inv_std)
+        return out, (x_c, inv_std)
 
     def backward(
         self,
@@ -127,21 +142,24 @@ class BatchNormLayer:
         *,
         out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (grad_x, grad_gamma, grad_beta).
+        """Returns (grad_x, grad_gamma, grad_beta) for forward()'s cache
+        (x_c, inv_std).
 
+        grad_gamma is inv_std times the column sums of grad_out * x_c.
         With grad_xhat = gamma * grad_out, the batch sums the train-mode
         gradient needs are gamma * grad_beta and gamma * grad_gamma, so
-        grad_x = gamma inv_std (g - grad_beta/B - x_hat grad_gamma/B).
+        grad_x = gamma inv_std (g - grad_beta/B - x_c inv_std grad_gamma/B).
         grad_x is written into out when given, which must not be grad_out.
         """
-        x_hat, inv_std = cache
-        grad_beta = grad_out.sum(axis=0)
-        grad_gamma = np.einsum("ij,ij->j", grad_out, x_hat)
+        x_c, inv_std = cache
+        batch = grad_out.shape[0]
+        grad_beta = _ones(batch, grad_out.dtype) @ grad_out
+        grad_gamma = np.einsum("ij,ij->j", grad_out, x_c)
+        grad_gamma *= inv_std
         scale = self.gamma * inv_std
         if mode is Mode.INFER:
             return np.multiply(grad_out, scale, out=out), grad_gamma, grad_beta
-        batch = grad_out.shape[0]
-        grad_x = np.multiply(x_hat, grad_gamma / batch, out=out)
+        grad_x = np.multiply(x_c, grad_gamma * (inv_std / batch), out=out)
         np.subtract(grad_out, grad_x, out=grad_x)
         grad_x -= grad_beta / batch
         grad_x *= scale
@@ -207,9 +225,10 @@ class ForwardTrace:
     mode: Mode
     inputs: np.ndarray | None  # (batch, width), the caller's array
     measurements: np.ndarray  # (capacity, m)
-    x_hat: np.ndarray  # (L+1, capacity, width): batch-norm inputs, normalized in place
+    x_hat: np.ndarray  # (L+1, capacity, width): batch-norm inputs, centred in place
     inv_stds: list[np.ndarray]  # L+1 batch-norm 1/std vectors
     signs: np.ndarray  # (L, capacity, width)
+    sign_masks: np.ndarray  # (2, capacity, width) bool: z > 0 and z < 0 of one update
     signs_proj: np.ndarray  # (L, capacity, m), sign @ Phi^T
     post_bn: np.ndarray  # (capacity, width), output of the last batch norm
     output: np.ndarray  # (capacity, width)
@@ -226,6 +245,7 @@ class ForwardTrace:
             x_hat=np.empty((steps + 1, rows, width), dtype),
             inv_stds=[],
             signs=np.empty((steps, rows, width), dtype),
+            sign_masks=np.empty((2, rows, width), bool),
             signs_proj=np.empty((steps, rows, m), dtype),
             post_bn=np.empty((rows, width), dtype),
             output=np.empty((rows, width), dtype),
@@ -320,19 +340,28 @@ def forward(
     x_hat = trace.x_hat[:, :rows]
     signs = trace.signs[:, :rows]
     signs_proj = trace.signs_proj[:, :rows]
+    positive, negative = trace.sign_masks[:, :rows]
     z = trace.post_bn[:rows]
 
     # Each layer's update is built in its x_hat block, which batch norm
-    # then normalizes in place, writing its output over z; of its cache
-    # (x_hat, inv_std) only inv_std is new.
+    # then centres in place, writing its output over z; of its cache
+    # (x_c, inv_std) only inv_std is new.
     y = encode(model, h_batch, out=trace.measurements[:rows])
     a = decoder_init(model, y, out=x_hat[0])
-    inv_stds = [model.bn_layers[0].forward(a, mode, x_hat=a, out=z)[1][1]]
+    inv_stds = [model.bn_layers[0].forward(a, mode, x_c=a, out=z)[1][1]]
     for t in range(1, model.num_updates + 1):
-        s = np.sign(z, out=signs[t - 1])
+        # sign(z) as (z > 0) - (z < 0): the bits of np.sign, ±0 included,
+        # and faster; a NaN gives 0 where np.sign gives NaN, but the NaN in
+        # z makes the loss NaN all the same
+        np.greater(z, 0.0, out=positive)
+        np.less(z, 0.0, out=negative)
+        s = np.subtract(
+            positive.view(np.int8), negative.view(np.int8),
+            out=signs[t - 1], casting="unsafe",
+        )
         sp = np.matmul(s, model.phi.T, out=signs_proj[t - 1])
         a = _update(model, z, s, sp, t, out=x_hat[t])
-        inv_stds.append(model.bn_layers[t].forward(a, mode, x_hat=a, out=z)[1][1])
+        inv_stds.append(model.bn_layers[t].forward(a, mode, x_c=a, out=z)[1][1])
 
     output = np.maximum(z, 0.0, out=trace.output[:rows])
     trace.inv_stds = inv_stds

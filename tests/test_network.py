@@ -44,10 +44,13 @@ def make_model(width=6, m=2, num_updates=2, seed=0):
 def test_bn_train_standardizes_batch(rng):
     layer = BatchNormLayer.identity(4)
     x = rng.standard_normal((64, 4)) * 3.0 + 5.0
-    out, (x_hat, inv_std) = layer.forward(x, Mode.TRAIN)
-    assert np.allclose(x_hat.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(x_hat.var(axis=0), 1.0, atol=1e-3)  # eps shrinks it a bit
-    assert np.array_equal(out, x_hat)  # identity affine params
+    out, (x_c, inv_std) = layer.forward(x, Mode.TRAIN)
+    # the cache holds the centred input; x_c * inv_std is the textbook x_hat
+    want_x_hat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + BN_EPS)
+    assert _rel(x_c * inv_std, want_x_hat) <= 1e-12
+    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(out.var(axis=0), 1.0, atol=1e-3)  # eps shrinks it a bit
+    assert np.array_equal(out, x_c * inv_std)  # identity affine params
 
 
 def test_bn_running_statistics_update(rng):
@@ -100,6 +103,13 @@ def test_bn_validation():
             beta=np.zeros(3),
             running_mean=np.zeros(3),
             running_var=-np.ones(3),
+        )
+    with pytest.raises(ValueError, match="nonnegative"):
+        BatchNormLayer(
+            gamma=np.ones(3),
+            beta=np.zeros(3),
+            running_mean=np.zeros(3),
+            running_var=np.array([1.0, np.nan, 1.0]),
         )
     with pytest.raises(ValueError):
         BatchNormLayer(
@@ -168,6 +178,32 @@ def test_forward_trace_contents(rng):
     assert np.array_equal(trace.measurements, encode(model, h))
     assert np.array_equal(out, np.maximum(trace.post_bn, 0.0))
     assert (out >= 0.0).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_signs_are_np_sign_bit_for_bit(dtype, rng):
+    # forward takes sign(z) from two comparisons; on every non-NaN value,
+    # signed zeros, subnormals and infinities included, its stored signs
+    # must be the bits np.sign gives.  Layer 0's first columns output
+    # chosen constants: the huge running mean makes each centred input
+    # negative, gamma = 0 scales it to -0.0, and -0.0 + beta is beta.
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf], dtype)
+    k, rows, width = special.size, 8, 16
+    model = _as_dtype(make_model(width=width, m=3, num_updates=1, seed=2), dtype)
+    layer = model.bn_layers[0]
+    layer.gamma[:k] = 0.0
+    layer.beta[:k] = special
+    layer.running_mean[:k] = 1e30
+    h = rng.uniform(0.0, 1.0, (rows, width))
+
+    _, trace = forward(model, h, Mode.INFER)
+    z, _ = layer.forward(decoder_init(model, encode(model, h)), Mode.INFER)
+    ints = np.dtype(f"i{np.dtype(dtype).itemsize}")
+    assert np.array_equal(z[:, :k].view(ints), np.tile(special.view(ints), (rows, 1)))
+    assert (z[:, k:] > 0).any() and (z[:, k:] < 0).any()
+    assert trace.signs.dtype == dtype
+    assert np.array_equal(trace.signs[0].view(ints), np.sign(z).view(ints))
 
 
 def test_forward_infer_is_batch_independent(rng):
@@ -493,11 +529,12 @@ def test_forward_backward_match_textbook_at_paper_shape(mode):
 
     assert _rel(out, np.maximum(ref[1][-1], 0.0)) <= 1e-12
     assert _rel(trace.post_bn, ref[1][-1]) <= 1e-12
+    # the trace holds each batch-norm input centred, not yet scaled
     assert len(trace.x_hat) == len(trace.inv_stds) == len(ref[2])
-    for x_hat, inv_std, (want_x_hat, want_inv_std) in zip(
+    for x_c, inv_std, (want_x_hat, want_inv_std) in zip(
         trace.x_hat, trace.inv_stds, ref[2]
     ):
-        assert _rel(x_hat, want_x_hat) <= 1e-12
+        assert _rel(x_c * inv_std, want_x_hat) <= 1e-12
         assert _rel(inv_std, want_inv_std) <= 1e-12
     for layer, ref_layer in zip(model.bn_layers, reference.bn_layers):
         assert _rel(layer.running_mean, ref_layer.running_mean) <= 1e-12

@@ -138,6 +138,17 @@ def test_train_divergence_raises(tiny_dataset):
         train(tiny_dataset, 4, cfg)
 
 
+def test_nan_in_train_split_raises(tiny_dataset):
+    # forward's sign of a NaN is 0, not NaN; the NaN still reaches the
+    # loss, so train stops before any backward pass
+    from dataclasses import replace
+
+    samples = tiny_dataset.samples.copy()
+    samples[3, 5] = np.nan
+    with pytest.raises(TrainingDivergedError, match="training loss at epoch 1"):
+        train(replace(tiny_dataset, samples=samples), 4, FAST)
+
+
 def test_train_rejects_empty_splits(tiny_dataset):
     from dataclasses import replace
 
