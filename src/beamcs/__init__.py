@@ -7,19 +7,7 @@ an evaluation harness compares the learned matrix against random
 baselines by exact-recovery rate, normalized error, and effective rate.
 """
 
-from .channels import (
-    ChannelConfig,
-    ChannelDataset,
-    SpatialChannel,
-    dft_grid_matrix,
-    generate_dataset,
-    generate_spatial_channel,
-    grid_directions,
-    preprocess,
-    stack_real,
-    steering_vector,
-    unstack_real,
-)
+from .channels import ChannelConfig, ChannelDataset, generate_dataset, preprocess
 from .config import ConfigError, ExperimentConfig, load_experiment, profile_defaults
 from .evaluate import (
     SweepReport,
@@ -36,7 +24,7 @@ from .fileio import (
     save_checkpoint,
     save_dataset,
 )
-from .matrices import MatrixKind, MeasurementMatrix, generate_baseline, measure
+from .matrices import MatrixKind, MeasurementMatrix, generate_baseline
 from .network import (
     BatchNormLayer,
     ForwardTrace,
@@ -49,13 +37,7 @@ from .network import (
     forward,
     mse_loss,
 )
-from .recovery import (
-    BasisPursuitSolver,
-    RecoveryConfig,
-    RecoveryResult,
-    RecoveryStatus,
-    basis_pursuit,
-)
+from .recovery import BasisPursuitSolver, RecoveryConfig, RecoveryResult, RecoveryStatus
 from .training import (
     TrainConfig,
     TrainReport,
@@ -83,7 +65,6 @@ __all__ = [
     "RecoveryConfig",
     "RecoveryResult",
     "RecoveryStatus",
-    "SpatialChannel",
     "SweepReport",
     "SweepRow",
     "TrainConfig",
@@ -91,9 +72,7 @@ __all__ = [
     "TrainingDivergedError",
     "UnrolledAutoencoder",
     "backward",
-    "basis_pursuit",
     "decoder_init",
-    "dft_grid_matrix",
     "effective_rate",
     "encode",
     "exact_recovery_rate",
@@ -101,22 +80,16 @@ __all__ = [
     "forward",
     "generate_baseline",
     "generate_dataset",
-    "generate_spatial_channel",
-    "grid_directions",
     "init_model",
     "load_checkpoint",
     "load_dataset",
     "load_experiment",
     "mean_nrse",
-    "measure",
     "mse_loss",
     "preprocess",
     "profile_defaults",
     "run_sweep",
     "save_checkpoint",
     "save_dataset",
-    "stack_real",
-    "steering_vector",
     "train",
-    "unstack_real",
 ]

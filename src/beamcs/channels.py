@@ -5,11 +5,12 @@ Multiplying by the unitary DFT grid matrix turns it into a beamspace
 vector that is sparse when the number of propagation paths is small.
 Every path lies on the DFT grid, so a channel with gains g_i at grid
 indices k_i has the beamspace vector sqrt(N/P) * g_i at k_i, exactly
-zero elsewhere: generate_dataset writes it directly, and the antenna
-route (generate_spatial_channel, dft_grid_matrix) is the reference it
-matches.  The real pipeline stacks real on imaginary parts and rescales
-the nonzero entries into [floor, 1] so they sit in the working range of
-the autoencoder and of the recovery threshold.
+zero elsewhere: generate_dataset writes it directly.  The antenna route
+(steering vectors times the DFT grid matrix) is the reference it
+matches; it lives in the tests (tests/reference_channels.py).  The real
+pipeline stacks real on imaginary parts and rescales the nonzero
+entries into [floor, 1] so they sit in the working range of the
+autoencoder and of the recovery threshold.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 class ChannelConfig:
     """Physical parameters of the synthetic channel generator.
 
-    The array is a half-wavelength ULA; that spacing is built into the
-    steering and grid formulas.  Path directions are drawn from the DFT
+    The array is a half-wavelength ULA, so its N grid directions are
+    (k - (N-1)/2)/N.  Path directions are drawn from the DFT
     grid without replacement, so every beamspace vector is exactly
     sparse.  Path gains are circularly symmetric complex Gaussian with
     unit variance.
@@ -46,46 +47,6 @@ class ChannelConfig:
             raise ValueError("seed must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class SpatialChannel:
-    """Antenna-domain channel: coefficient vector plus its generating paths."""
-
-    coeffs: np.ndarray  # complex, shape (N,)
-    paths: tuple[tuple[complex, float], ...]  # (gain, spatial direction)
-
-
-def steering_vector(phi: float, num_antennas: int) -> np.ndarray:
-    """Array response of an N-element half-wavelength ULA toward direction phi.
-
-    Entry n is exp(-j*2*pi*phi*(n - (N-1)/2)) / sqrt(N), so the vector
-    always has unit 2-norm.
-    """
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
-    n = np.arange(num_antennas) - (num_antennas - 1) / 2.0
-    return np.exp(-2j * np.pi * phi * n) / math.sqrt(num_antennas)
-
-
-def grid_directions(num_antennas: int) -> np.ndarray:
-    """The N spatial directions predefined by the array, (m - (N-1)/2)/N."""
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
-    m = np.arange(num_antennas)
-    return (m - (num_antennas - 1) / 2.0) / num_antennas
-
-
-def dft_grid_matrix(num_antennas: int) -> np.ndarray:
-    """Unitary N x N matrix whose row m is the conjugate of the m-th grid steering vector.
-
-    Applying it to a steering vector aligned with grid direction m yields
-    the m-th standard basis vector.
-    """
-    n = np.arange(num_antennas) - (num_antennas - 1) / 2.0
-    phis = grid_directions(num_antennas)
-    # Row m = steering_vector(phis[m])^H.
-    return np.exp(2j * np.pi * np.outer(phis, n)) / math.sqrt(num_antennas)
-
-
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream: order-independent and reproducible."""
     return np.random.Generator(
@@ -102,40 +63,6 @@ def _draw_gains(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     re = rng.standard_normal(cfg.num_paths)
     im = rng.standard_normal(cfg.num_paths)
     return (re + 1j * im) / math.sqrt(2.0)
-
-
-def generate_spatial_channel(
-    cfg: ChannelConfig, rng: np.random.Generator
-) -> SpatialChannel:
-    """Draw one multipath channel: sqrt(N/P) * sum_i gain_i * steering(phi_i)."""
-    directions = grid_directions(cfg.num_antennas)[_draw_indices(cfg, rng)]
-    gains = _draw_gains(cfg, rng)
-    n = np.arange(cfg.num_antennas) - (cfg.num_antennas - 1) / 2.0
-    # Columns are steering vectors for the drawn directions.
-    steering = np.exp(-2j * np.pi * np.outer(n, directions)) / math.sqrt(
-        cfg.num_antennas
-    )
-    scale = math.sqrt(cfg.num_antennas / cfg.num_paths)
-    coeffs = scale * (steering @ gains)
-    paths = tuple(
-        (complex(g), float(phi)) for g, phi in zip(gains, directions)
-    )
-    return SpatialChannel(coeffs=coeffs, paths=paths)
-
-
-def stack_real(coeffs: np.ndarray) -> np.ndarray:
-    """Stack a complex N-vector into a real 2N-vector, real part first."""
-    coeffs = np.asarray(coeffs)
-    return np.concatenate([coeffs.real, coeffs.imag])
-
-
-def unstack_real(values: np.ndarray) -> np.ndarray:
-    """Inverse of stack_real.  Rejects odd-length input."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.shape[0] % 2 != 0:
-        raise ValueError(f"expected an even-length real vector, got shape {values.shape}")
-    half = values.shape[0] // 2
-    return values[:half] + 1j * values[half:]
 
 
 def preprocess(values: np.ndarray, floor: float = 0.1) -> np.ndarray:
@@ -233,8 +160,8 @@ def generate_dataset(
 
     Each sample derives its own counter-based stream from (cfg.seed, index),
     so generation is a pure function of the config and is order-independent.
-    Sample i holds the beamspace vector of generate_spatial_channel's
-    draw from sample_rng(cfg.seed, i), built without the DFT product.
+    Sample i holds the beamspace vector of the paths drawn from
+    sample_rng(cfg.seed, i), built without the DFT product.
     """
     if num_samples < 10:
         raise ValueError("num_samples must be at least 10")

@@ -1,4 +1,4 @@
-"""Command-line pipeline: gen-data, train, sweep, export.
+"""Command-line pipeline: gen-data, train, sweep.
 
 Every command is deterministic given its config and seed; data outputs
 are byte-identical across reruns (wall-clock lives only in log columns
@@ -21,8 +21,6 @@ from .config import ConfigError, ExperimentConfig, PROFILE_NAMES, load_experimen
 from .evaluate import check_sweep, run_sweep
 from .fileio import (
     FileFormatError,
-    export_checkpoint_json,
-    export_dataset_csv,
     load_checkpoint,
     load_dataset,
     save_checkpoint,
@@ -31,7 +29,6 @@ from .fileio import (
     save_report_csv,
     save_report_json,
     save_training_csv,
-    sniff_format,
 )
 from .matrices import MatrixKind
 from .training import TrainingDivergedError, extract_matrix, train
@@ -176,21 +173,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    kind = sniff_format(args.input)
-    fmt = args.format
-    if kind == "checkpoint":
-        if fmt != "json":
-            raise ConfigError("checkpoint files export to --format json")
-        export_checkpoint_json(args.input, args.output)
-    else:
-        if fmt != "csv":
-            raise ConfigError("dataset files export to --format csv")
-        export_dataset_csv(args.input, args.output)
-    print(f"exported {kind} {args.input} -> {args.output}")
-    return EXIT_OK
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file", default=None)
     parser.add_argument(
@@ -236,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None, help="comma-separated m values")
     p.add_argument("--kinds", default=None, help="comma-separated matrix kinds")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("export", help="convert a binary artifact to CSV/JSON")
-    p.add_argument("--in", dest="input", required=True, help="input file")
-    p.add_argument("--format", choices=["csv", "json"], required=True)
-    p.add_argument("--out", dest="output", required=True, help="output file")
-    p.set_defaults(func=cmd_export)
 
     return parser
 

@@ -44,7 +44,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 # Values both profiles share; each profile below adds its scale keys.
 _SHARED: dict = {
     "data": {"ratios": [0.8, 0.1, 0.1]},
-    "train": {"num_updates": 9, "alpha_init": 1.0, "dev_eval_every": 5},
+    "train": {"num_updates": 9, "dev_eval_every": 5},
     "kinds": [k.value for k in MatrixKind],
     "seed": 0,
 }
@@ -57,8 +57,9 @@ _PROFILES: dict[str, dict] = {
         "paper": {
             "channel": {"num_antennas": 256, "num_paths": 3},
             # Plain [0, 1] rescaling: the minimum nonzero of each sample
-            # lands on exactly 0, so recovery sees one entry fewer.  The
-            # headline percentages are only reached with this map.
+            # lands on exactly 0, so recovery sees one entry fewer.  Its
+            # effect on the headline percentages against floor 0.1 is
+            # unmeasured (ROADMAP item 1, probe c).
             "data": {"num_samples": 20000, "floor": 0.0},
             "train": {"learning_rate": 0.01, "batch_size": 128, "max_epochs": 1000},
             "m_values": [20, 25, 30, 35, 40],
@@ -129,7 +130,7 @@ def load_document(
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-    base_name = profile or doc.get("profile") or "paper"
+    base_name = profile if profile is not None else doc.get("profile", "paper")
     if not isinstance(base_name, str):
         raise ConfigError("profile must be a string")
     merged = _deep_merge(profile_defaults(base_name), doc)

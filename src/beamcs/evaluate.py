@@ -40,7 +40,7 @@ class SweepRow:
     seed: int | None
     solver_failures: int
     note: str = ""
-    seconds: float = 0.0  # wall-clock; kept out of deterministic exports
+    seconds: float = 0.0  # wall-clock; kept out of the deterministic reports
 
 
 @dataclass

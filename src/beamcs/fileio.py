@@ -1,4 +1,4 @@
-"""Binary containers and text exports for datasets and checkpoints.
+"""Binary containers for datasets and checkpoints, and the text reports.
 
 Layouts (all integers and floats little-endian):
 
@@ -6,7 +6,7 @@ Layouts (all integers and floats little-endian):
                    n_train, n_dev, n_test), samples n x 2N f64
                    row-major, JSON trailer (seed, split ratios, floor),
                    u64 trailer length.
-  BCSW checkpoint  magic "BCSW", u32 version 2, u64 x3 (m, width, L), f64
+  BCSW checkpoint  magic "BCSW", u32 version 3, u64 x3 (m, width, L), f64
                    alpha, Phi m x width f32 row-major, then gamma/beta/
                    running-mean/running-var f32 per layer, JSON trailer
                    (the TrainConfig), u64 length.  The f32 payload is the
@@ -49,7 +49,7 @@ _TRAILER_LEN = struct.Struct("<Q")
 # Per container: (format version, payload dtype).
 _STORED = {
     DATASET_MAGIC: (4, np.dtype("<f8")),
-    CHECKPOINT_MAGIC: (2, np.dtype("<f4")),
+    CHECKPOINT_MAGIC: (3, np.dtype("<f4")),
 }
 
 
@@ -112,16 +112,6 @@ def _take(values: np.ndarray, offset: int, shape: tuple[int, ...]):
     if end > values.size:
         raise FileFormatError("truncated file: incomplete array payload")
     return values[offset:end].reshape(shape).astype(values.dtype.type), end
-
-
-def sniff_format(path: str) -> str:
-    """Returns 'dataset' or 'checkpoint' from the file magic."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    names = {DATASET_MAGIC: "dataset", CHECKPOINT_MAGIC: "checkpoint"}
-    if magic not in names:
-        raise FileFormatError(f"unrecognized magic {magic!r}")
-    return names[magic]
 
 
 # ---------------------------------------------------------------- datasets
@@ -216,10 +206,11 @@ def save_checkpoint(
     _write_file(path, CHECKPOINT_MAGIC, fixed, arrays, echo)
 
 
-def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
-    """The model in a .bcsw file and its trailer.  The trailer must hold
-    exactly a train_config whose keys are read as TrainConfig's fields,
-    trained with the header's L; the payload must be finite."""
+def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, TrainConfig]:
+    """The model in a .bcsw file and the TrainConfig it was trained with.
+    The trailer must hold exactly a train_config whose keys are read as
+    TrainConfig's fields, trained with the header's L; the payload must
+    be finite."""
     header, values, echo = _read_file(path, CHECKPOINT_MAGIC, _CHECKPOINT_FIXED)
     m, width, num_updates, alpha = header
     m, width, num_updates = int(m), int(width), int(num_updates)
@@ -249,7 +240,7 @@ def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, dict]:
         )
     except ValueError as exc:
         raise FileFormatError(f"invalid checkpoint: {exc}") from exc
-    return model, echo
+    return model, train_cfg
 
 
 # ------------------------------------------------------------- text outputs
@@ -356,37 +347,3 @@ def save_figure_csvs(prefix: str, report: SweepReport) -> list[str]:
                 )
         written.append(path)
     return written
-
-
-# ---------------------------------------------------------------- exporters
-
-
-def export_checkpoint_json(path_in: str, path_out: str) -> None:
-    """Model parameters as JSON: dims, alpha, config echo, BN vectors."""
-    model, echo = load_checkpoint(path_in)
-    doc = {
-        "m": model.num_measurements,
-        "width": model.width,
-        "num_updates": model.num_updates,
-        "alpha": model.alpha,
-        "echo": echo,
-        "bn_layers": [
-            {
-                "gamma": layer.gamma.tolist(),
-                "beta": layer.beta.tolist(),
-                "running_mean": layer.running_mean.tolist(),
-                "running_var": layer.running_var.tolist(),
-            }
-            for layer in model.bn_layers
-        ],
-        "phi": model.phi.tolist(),
-    }
-    with open(path_out, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def export_dataset_csv(path_in: str, path_out: str) -> None:
-    """The samples, one row each."""
-    dataset = load_dataset(path_in)
-    np.savetxt(path_out, dataset.samples, delimiter=",", fmt="%.17g")

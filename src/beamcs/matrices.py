@@ -144,13 +144,3 @@ def generate_baseline(
 
     return MeasurementMatrix(data=data, kind=kind)
 
-
-def measure(matrix: MeasurementMatrix, values: np.ndarray) -> np.ndarray:
-    """Compress a channel vector (or a column-stacked batch): y = Phi h."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != matrix.num_columns:
-        raise ValueError(
-            f"dimension mismatch: matrix has {matrix.num_columns} columns, "
-            f"vector has leading dimension {values.shape[0]}"
-        )
-    return matrix.data @ values

@@ -1,7 +1,7 @@
 """Sparse recovery from compressed measurements.
 
-basis_pursuit solves min ||h||_1 s.t. Phi h = y through a Mehrotra
-predictor-corrector interior-point method on the equivalent LP
+BasisPursuitSolver solves min ||h||_1 s.t. Phi h = y through a
+Mehrotra predictor-corrector interior-point method on the equivalent LP
 min 1'z s.t. A z = y, z >= 0 with A = [Phi, -Phi] and z = [h+; h-].
 A is never formed: every product goes through Phi alone, A v =
 Phi (v+ - v-), A^T lam = [Phi^T lam; -Phi^T lam], and the normal matrix
@@ -33,9 +33,9 @@ and the interior-point termination test, polish and max_iters exit are
 those of a solve without crossover.
 
 scipy is imported here alone, and only at the first factorization
-(_lapack): generating data, training and exporting factor nothing, so
-they start on numpy alone, without the ~0.3 s (2-core x86 box) and
-~28 MB of peak RSS that loading scipy.linalg adds to a process.
+(_lapack): generating data and training factor nothing, so they start
+on numpy alone, without the ~0.3 s (2-core x86 box) and ~28 MB of
+peak RSS that loading scipy.linalg adds to a process.
 LinAlgError is numpy's, the class scipy.linalg re-exports.
 """
 
@@ -395,11 +395,4 @@ class BasisPursuitSolver:
                 )
 
         return x, iterations, False, None
-
-
-def basis_pursuit(
-    phi: np.ndarray, y: np.ndarray, cfg: RecoveryConfig | None = None
-) -> RecoveryResult:
-    """One-shot min-l1 recovery; build a BasisPursuitSolver to amortize."""
-    return BasisPursuitSolver(phi, cfg).solve(y)
 

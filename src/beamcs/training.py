@@ -38,6 +38,7 @@ _INIT_STREAM = (7, 0)
 _SHUFFLE_STREAM = (7, 1)
 
 _TRUNC_SIGMAS = 2.0
+_ALPHA_INIT = 1.0  # the step-size scalar alpha before any update
 _DEV_CHUNK = 512
 
 
@@ -58,7 +59,6 @@ class TrainConfig:
     batch_size: int = 128
     max_epochs: int = 1000
     num_updates: int = 9
-    alpha_init: float = 1.0
     seed: int = 0
     dev_eval_every: int = 1
 
@@ -71,8 +71,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.num_updates < 0:
             raise ValueError("num_updates must be nonnegative")
-        if not 0 < self.alpha_init < np.inf:
-            raise ValueError("alpha_init must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.dev_eval_every < 1:
@@ -119,7 +117,7 @@ def _truncated_normal(
 
 
 def init_model(m: int, n_cols: int, cfg: TrainConfig) -> UnrolledAutoencoder:
-    """Fresh float32 model: truncated-normal Phi, alpha_init, identity BN
+    """Fresh float32 model: truncated-normal Phi, alpha = 1.0, identity BN
     layers."""
     if not 0 < m < n_cols:
         raise ValueError(f"need 0 < m < n_cols, got m={m}, n_cols={n_cols}")
@@ -131,7 +129,7 @@ def init_model(m: int, n_cols: int, cfg: TrainConfig) -> UnrolledAutoencoder:
         for _ in range(cfg.num_updates + 1)
     ]
     return UnrolledAutoencoder(
-        phi=phi, alpha=cfg.alpha_init, num_updates=cfg.num_updates, bn_layers=layers
+        phi=phi, alpha=_ALPHA_INIT, num_updates=cfg.num_updates, bn_layers=layers
     )
 
 

@@ -26,7 +26,6 @@ from beamcs import (
     TrainConfig,
     UnrolledAutoencoder,
     backward,
-    dft_grid_matrix,
     effective_rate,
     extract_matrix,
     forward,
@@ -34,12 +33,10 @@ from beamcs import (
     mse_loss,
     preprocess,
     run_sweep,
-    stack_real,
-    steering_vector,
     train,
-    unstack_real,
 )
 from beamcs.cli import EXIT_OK, main
+from reference_channels import dft_grid_matrix, stack_real, steering_vector, unstack_real
 from reference_solvers import decoder_update, oracle_sparse_recover
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamcs import (
-    ChannelConfig,
+from beamcs import ChannelConfig, generate_dataset, preprocess
+from beamcs.channels import sample_rng, split_sizes
+from reference_channels import (
     dft_grid_matrix,
-    generate_dataset,
     generate_spatial_channel,
     grid_directions,
-    preprocess,
     stack_real,
     steering_vector,
     unstack_real,
 )
-from beamcs.channels import sample_rng, split_sizes
 
 
 def test_steering_vector_entries():

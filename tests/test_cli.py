@@ -79,8 +79,8 @@ def test_seed_flag_overrides_config(run_dir):
     root, out = run_dir
     doc = json.loads(Path(out, "report.json").read_text())
     assert doc["dataset"]["seed"] == 0
-    _, echo = load_checkpoint(os.path.join(out, checkpoint_name(4)))
-    assert echo["train_config"]["seed"] == 0
+    _, train_cfg = load_checkpoint(os.path.join(out, checkpoint_name(4)))
+    assert train_cfg.seed == 0
 
 
 def test_report_names_the_dataset_it_swept(tmp_path):
@@ -112,35 +112,13 @@ def test_checkpoint_name():
     assert checkpoint_name(25) == "checkpoint_m25.bcsw"
 
 
-def test_export_round_trips(run_dir, tmp_path):
-    _, out = run_dir
-    ckpt = os.path.join(out, "checkpoint_m4.bcsw")
-    dest = str(tmp_path / "ckpt.json")
-    assert main(["export", "--in", ckpt, "--format", "json", "--out", dest]) == EXIT_OK
-    doc = json.loads(Path(dest).read_text())
-    assert doc["m"] == 4 and doc["width"] == 16
-
-    data = os.path.join(out, "dataset.bcsl")
-    dest = str(tmp_path / "data.csv")
-    assert main(["export", "--in", data, "--format", "csv", "--out", dest]) == EXIT_OK
-    lines = Path(dest).read_text().splitlines()
-    assert len(lines) == 60  # one row per sample, no comment line
-    assert all(line.count(",") == 15 and "#" not in line for line in lines)
-
-
-def test_export_format_mismatch(run_dir, tmp_path):
-    _, out = run_dir
-    ckpt = os.path.join(out, "checkpoint_m4.bcsw")
-    dest = str(tmp_path / "x.csv")
-    assert main(["export", "--in", ckpt, "--format", "csv", "--out", dest]) == EXIT_USAGE
-
-
 def test_usage_errors(run_dir, tmp_path):
     root, _ = run_dir
     cfg = str(root / "cfg.json")
     out = str(tmp_path / "u")
     assert main(["gen-data", "--profile", "nope", "--out", out]) == EXIT_USAGE
     assert main(["bogus-command"]) == EXIT_USAGE
+    assert main(["export", "--in", cfg, "--format", "json", "--out", out]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
     # m larger than the stacked width
     bad = tmp_path / "bad.json"
@@ -383,6 +361,17 @@ def test_train_refuses_an_m_too_wide_for_the_dataset_before_training(
     assert os.listdir(dest) == []
 
 
+def _sweep_learned(run_dir, ckpts, sweep_out) -> int:
+    """Exit code of a learned-only m=4 sweep of run_dir's dataset that
+    reads its checkpoint from ckpts."""
+    root, out = run_dir
+    return main([
+        "sweep", "--config", str(root / "cfg.json"), "--out", str(sweep_out),
+        "--data", os.path.join(out, "dataset.bcsl"), "--checkpoints", str(ckpts),
+        "--m", "4", "--kinds", "learned",
+    ])
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("batch_size", 8.5), ("seed", True), ("max_epochs", 1.0), ("num_updates", 2.0)],
@@ -400,14 +389,14 @@ def test_checkpoint_trailer_of_the_wrong_type_is_a_file_error(
     text = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
     bad = tmp_path / checkpoint_name(4)
     bad.write_bytes(blob[:payload_end] + text + struct.pack("<Q", len(text)))
-    dest = tmp_path / "m4.json"
+    sweep_out = tmp_path / "sweep"
     capsys.readouterr()
-    assert main(["export", "--in", str(bad), "--format", "json", "--out", str(dest)]) == EXIT_IO
+    assert _sweep_learned(run_dir, tmp_path, sweep_out) == EXIT_IO
     assert capsys.readouterr().err == (
         f"file error: checkpoint trailer invalid: train_config.{key} "
         f"must be of type int, got {value!r}\n"
     )
-    assert not dest.exists()
+    assert not (sweep_out / "report.json").exists()
 
 
 # Byte offsets in the run_dir's checkpoint_m4.bcsw (m=4, width 16): an
@@ -427,7 +416,7 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 def test_corrupt_checkpoint_is_a_file_error(run_dir, tmp_path, capsys, corruption):
-    root, out = run_dir
+    _, out = run_dir
     offset, fmt, value = CORRUPTIONS[corruption]
     blob = bytearray(Path(out, checkpoint_name(4)).read_bytes())
     struct.pack_into(fmt, blob, offset, value)
@@ -437,20 +426,8 @@ def test_corrupt_checkpoint_is_a_file_error(run_dir, tmp_path, capsys, corruptio
     bad.write_bytes(bytes(blob))
     capsys.readouterr()
 
-    exported = tmp_path / "m4.json"
-    code = main(["export", "--in", str(bad), "--format", "json", "--out", str(exported)])
-    assert code == EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith("file error: ") and err.count("\n") == 1
-    assert not exported.exists()
-
     sweep_out = tmp_path / "sweep"
-    code = main([
-        "sweep", "--config", str(root / "cfg.json"), "--out", str(sweep_out),
-        "--data", os.path.join(out, "dataset.bcsl"), "--checkpoints", str(ckpts),
-        "--m", "4", "--kinds", "learned",
-    ])
-    assert code == EXIT_IO
+    assert _sweep_learned(run_dir, ckpts, sweep_out) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and err.count("\n") == 1
     assert not (sweep_out / "report.json").exists()
@@ -469,18 +446,11 @@ def test_non_finite_dataset_is_a_file_error(run_dir, tmp_path, capsys, where, va
     bad.mkdir()
     (bad / "dataset.bcsl").write_bytes(bytes(blob))
     cfg = ["--config", str(root / "cfg.json"), "--out", str(bad)]
-    exported = tmp_path / "dataset.csv"
-    for command in (
-        ["train", *cfg],
-        ["sweep", *cfg, "--kinds", "gaussian"],
-        ["export", "--in", str(bad / "dataset.bcsl"), "--format", "csv",
-         "--out", str(exported)],
-    ):
+    for command in (["train", *cfg], ["sweep", *cfg, "--kinds", "gaussian"]):
         capsys.readouterr()
         assert main(command) == EXIT_IO
         assert capsys.readouterr().err == "file error: dataset holds a non-finite value\n"
     assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
-    assert not exported.exists()
 
 
 def test_dataset_ratios_that_contradict_its_split_are_a_file_error(
@@ -507,20 +477,33 @@ def test_dataset_ratios_that_contradict_its_split_are_a_file_error(
     assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
 
 
+def _refused_as_version(run_dir, tmp_path, capsys, name, version) -> None:
+    """run_dir's file name, relabelled as that version, is a file error:
+    a dataset under train, a checkpoint under a learned sweep."""
+    root, out = run_dir
+    blob = bytearray(Path(out, name).read_bytes())
+    struct.pack_into("<I", blob, 4, version)
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / name).write_bytes(bytes(blob))
+    capsys.readouterr()
+    if name == "dataset.bcsl":
+        code = main(["train", "--config", str(root / "cfg.json"), "--out", str(old)])
+    else:
+        code = _sweep_learned(run_dir, old, old)
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == f"file error: unsupported format version {version}\n"
+    assert os.listdir(old) == [name]
+
+
 @pytest.mark.parametrize("name", ["dataset.bcsl", checkpoint_name(4)])
 def test_version_1_file_is_a_file_error(run_dir, tmp_path, capsys, name):
-    _, out = run_dir
-    blob = bytearray(Path(out, name).read_bytes())
-    struct.pack_into("<I", blob, 4, 1)
-    old = tmp_path / name
-    old.write_bytes(bytes(blob))
-    capsys.readouterr()
-    exported = tmp_path / "exported"
-    fmt = "csv" if name.endswith(".bcsl") else "json"
-    code = main(["export", "--in", str(old), "--format", fmt, "--out", str(exported)])
-    assert code == EXIT_IO
-    assert capsys.readouterr().err == "file error: unsupported format version 1\n"
-    assert not exported.exists()
+    _refused_as_version(run_dir, tmp_path, capsys, name, 1)
+
+
+def test_version_2_checkpoint_is_a_file_error(run_dir, tmp_path, capsys):
+    # version 2 held an alpha_init in its trailer
+    _refused_as_version(run_dir, tmp_path, capsys, checkpoint_name(4), 2)
 
 
 def test_version_2_dataset_is_a_file_error(run_dir, tmp_path, capsys):
@@ -544,7 +527,7 @@ def test_version_2_dataset_is_a_file_error(run_dir, tmp_path, capsys):
 def test_sweep_rank_deficient_phi_is_a_numerical_failure(run_dir, tmp_path, capsys):
     # a Phi whose second row repeats its first spends 4 rows on 3
     # measurements; scoring it at m=4 would flatter it
-    root, out = run_dir
+    _, out = run_dir
     blob = bytearray(Path(out, checkpoint_name(4)).read_bytes())
     row = 4 * 16  # one Phi row of the width-16 checkpoint, in bytes
     blob[_PHI + row : _PHI + 2 * row] = blob[_PHI : _PHI + row]
@@ -554,12 +537,7 @@ def test_sweep_rank_deficient_phi_is_a_numerical_failure(run_dir, tmp_path, caps
     capsys.readouterr()
 
     sweep_out = tmp_path / "sweep"
-    code = main([
-        "sweep", "--config", str(root / "cfg.json"), "--out", str(sweep_out),
-        "--data", os.path.join(out, "dataset.bcsl"), "--checkpoints", str(ckpts),
-        "--m", "4", "--kinds", "learned",
-    ])
-    assert code == EXIT_NUMERICAL
+    assert _sweep_learned(run_dir, ckpts, sweep_out) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "rank 3" in err
@@ -603,9 +581,6 @@ base = ["--config", cfg, "--out", out]
 codes = [beamcs.cli.main(argv) for argv in (
     ["gen-data", *base],
     ["train", *base],
-    ["export", "--in", out + "/dataset.bcsl", "--format", "csv", "--out", out + "/d.csv"],
-    ["export", "--in", out + "/checkpoint_m4.bcsw", "--format", "json",
-     "--out", out + "/c.json"],
 )]
 before = "scipy.linalg" in sys.modules
 codes.append(beamcs.cli.main(["sweep", *base]))
@@ -615,7 +590,7 @@ print(json.dumps({"codes": codes, "before": before, "after": "scipy.linalg" in s
 
 def test_only_sweep_loads_scipy(tmp_path):
     # a fresh interpreter, since this one has loaded scipy for the tests:
-    # gen-data, train and export run on numpy alone, and the first
+    # gen-data and train run on numpy alone, and the first
     # basis-pursuit factorization loads scipy's LAPACK
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CFG))
@@ -625,4 +600,4 @@ def test_only_sweep_loads_scipy(tmp_path):
         timeout=300,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [EXIT_OK] * 5, "before": False, "after": True}
+    assert result == {"codes": [EXIT_OK] * 3, "before": False, "after": True}

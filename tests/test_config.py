@@ -89,12 +89,20 @@ def test_default_profile_is_paper():
 
 def test_bad_config_file(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_document(str(path), None)
-    path.write_text("[1, 2]")
-    with pytest.raises(ConfigError, match="JSON object"):
-        load_document(str(path), None)
+    for text, message in [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+        # a profile of the wrong JSON type is refused, a falsy one too,
+        # rather than read as no profile at all
+        ('{"profile": 0}', "profile must be a string"),
+        ('{"profile": false}', "profile must be a string"),
+        ('{"profile": ""}', "unknown profile ''"),
+        ('{"profile": []}', "profile must be a string"),
+        ('{"profile": null}', "profile must be a string"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_document(str(path), None)
 
 
 def test_seed_cascades():
@@ -187,7 +195,6 @@ ALTERNATIVES = {
     ("train", "batch_size"): 32,
     ("train", "max_epochs"): 3,
     ("train", "num_updates"): 4,
-    ("train", "alpha_init"): 0.5,
     ("train", "dev_eval_every"): 2,
     ("m_values",): [10, 30],
     ("kinds",): ["gaussian", "learned"],
@@ -234,7 +241,7 @@ def _built(cfg, path):
 def test_every_key_reaches_the_built_config(profile):
     doc = profile_defaults(profile)
     assert set(_leaves(doc)) == set(ALTERNATIVES)
-    assert len(ALTERNATIVES) == 15
+    assert len(ALTERNATIVES) == 14
     cfg = build_experiment(doc)
     assert all(_built(cfg, path) == _read_leaf(doc, path) for path in ALTERNATIVES)
     for path, value in ALTERNATIVES.items():

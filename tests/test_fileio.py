@@ -9,8 +9,6 @@ from beamcs import MatrixKind, TrainConfig, train
 from beamcs.evaluate import run_sweep
 from beamcs.fileio import (
     FileFormatError,
-    export_checkpoint_json,
-    export_dataset_csv,
     load_checkpoint,
     load_dataset,
     save_checkpoint,
@@ -19,7 +17,6 @@ from beamcs.fileio import (
     save_report_csv,
     save_report_json,
     save_training_csv,
-    sniff_format,
 )
 
 TRAIN_CFG = TrainConfig(
@@ -119,7 +116,7 @@ def test_checkpoint_round_trip(tmp_path, trained):
     _, model, _ = trained
     path = tmp_path / "c.bcsw"
     save_checkpoint(str(path), model, TRAIN_CFG)
-    loaded, echo = load_checkpoint(str(path))
+    loaded, train_cfg = load_checkpoint(str(path))
     assert np.array_equal(loaded.phi, model.phi)
     assert loaded.alpha == model.alpha
     assert loaded.num_updates == model.num_updates
@@ -128,9 +125,10 @@ def test_checkpoint_round_trip(tmp_path, trained):
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.running_mean, b.running_mean)
         assert np.array_equal(a.running_var, b.running_var)
-    assert echo["train_config"]["learning_rate"] == TRAIN_CFG.learning_rate
-    assert echo["train_config"]["seed"] == TRAIN_CFG.seed
-    assert "seed" not in echo  # one seed per trailer
+    assert train_cfg == TRAIN_CFG
+    # one seed per trailer: the TrainConfig's, and nothing beside it
+    _, trailer = _split_trailer(path.read_bytes())
+    assert trailer == {"train_config": asdict(TRAIN_CFG)}
 
 
 @pytest.mark.parametrize("profile", ["paper", "ci"])
@@ -146,8 +144,10 @@ def test_checkpoint_train_config_matches_config_echo(tmp_path, trained, profile)
         save_checkpoint(str(path), model, cfg.train)
     train_cfg = replace(cfg.train, num_updates=model.num_updates)
     save_checkpoint(str(path), model, train_cfg)
-    _, echo = load_checkpoint(str(path))
-    assert echo["train_config"] == asdict(train_cfg)
+    _, loaded_cfg = load_checkpoint(str(path))
+    assert loaded_cfg == train_cfg
+    _, trailer = _split_trailer(path.read_bytes())
+    assert trailer["train_config"] == asdict(train_cfg)
 
 
 def test_checkpoint_usable_after_load(tmp_path, trained):
@@ -162,27 +162,17 @@ def test_checkpoint_usable_after_load(tmp_path, trained):
     assert np.array_equal(a, b)
 
 
-def test_sniff_format(tmp_path, trained):
-    dataset, model, _ = trained
-    save_dataset(str(tmp_path / "d.bcsl"), dataset)
-    save_checkpoint(str(tmp_path / "c.bcsw"), model, TRAIN_CFG)
-    assert sniff_format(str(tmp_path / "d.bcsl")) == "dataset"
-    assert sniff_format(str(tmp_path / "c.bcsw")) == "checkpoint"
-    (tmp_path / "junk").write_bytes(b"ZZZZ....")
-    with pytest.raises(FileFormatError):
-        sniff_format(str(tmp_path / "junk"))
-
-
 def test_corrupt_files_raise(tmp_path, trained):
     dataset, model, _ = trained
     save_dataset(str(tmp_path / "d.bcsl"), dataset)
     save_checkpoint(str(tmp_path / "c.bcsw"), model, TRAIN_CFG)
     for name, load, other_load, versions, payload_start, fmt in [
-        # version 2 stored per-sample params, version 3 a zero tolerance,
-        # version 1 f64 checkpoints; the payload follows the 8-byte prefix
+        # dataset version 2 stored per-sample params, version 3 a zero
+        # tolerance; checkpoint version 1 held f64 arrays, version 2 an
+        # alpha_init in its trailer; the payload follows the 8-byte prefix
         # and the fixed fields
         ("d.bcsl", load_dataset, load_checkpoint, (1, 2, 3, 99), 8 + 48, "<d"),
-        ("c.bcsw", load_checkpoint, load_dataset, (1, 3, 99), 8 + 32, "<f"),
+        ("c.bcsw", load_checkpoint, load_dataset, (1, 2, 99), 8 + 32, "<f"),
     ]:
         blob = (tmp_path / name).read_bytes()
         trailer_len = struct.unpack("<Q", blob[-8:])[0]
@@ -386,34 +376,7 @@ def test_figure_csvs(tmp_path, trained):
     assert lines[2].split(",")[1] == ""  # the m=8 learned gap is blank
 
 
-def test_export_dataset_csv(tmp_path, trained):
-    dataset, _, _ = trained
-    src, out = tmp_path / "d.bcsl", tmp_path / "d.csv"
-    save_dataset(str(src), dataset)
-    export_dataset_csv(str(src), str(out))
-    lines = out.read_text().splitlines()
-    assert len(lines) == 60
-    assert all(line.count(",") == 15 and "#" not in line for line in lines)
-    back = np.loadtxt(str(out), delimiter=",")
-    assert back.shape == (60, 16)
-    assert np.array_equal(back, dataset.samples)
-
-
-def test_export_checkpoint_json(tmp_path, trained):
-    _, model, _ = trained
-    src, out = tmp_path / "c.bcsw", tmp_path / "c.json"
-    save_checkpoint(str(src), model, TRAIN_CFG)
-    export_checkpoint_json(str(src), str(out))
-    doc = json.loads(out.read_text())
-    assert set(doc) == {"m", "width", "num_updates", "alpha", "echo", "bn_layers", "phi"}
-    assert doc["m"] == 4 and doc["width"] == 16 and doc["num_updates"] == 2
-    assert doc["alpha"] == model.alpha
-    assert len(doc["bn_layers"]) == 3
-    assert np.array_equal(np.asarray(doc["phi"]), model.phi)
-    assert doc["echo"]["train_config"]["batch_size"] == 16
-
-
-# ------------------------------------- dataset v4 and checkpoint v2 layouts
+# ------------------------------------- dataset v4 and checkpoint v3 layouts
 
 
 _PREFIX = 8  # magic, u32 version
@@ -429,9 +392,9 @@ def test_file_sizes_follow_from_the_dims(tmp_path, trained):
     data, ckpt = tmp_path / "d.bcsl", tmp_path / "c.bcsw"
     save_dataset(str(data), dataset)
     save_checkpoint(str(ckpt), model, TRAIN_CFG)
-    # each format has its own version: datasets 4, checkpoints 2
+    # each format has its own version: datasets 4, checkpoints 3
     assert struct.unpack_from("<I", data.read_bytes(), 4) == (4,)
-    assert struct.unpack_from("<I", ckpt.read_bytes(), 4) == (2,)
+    assert struct.unpack_from("<I", ckpt.read_bytes(), 4) == (3,)
     # header, f64 samples (n x 2N), trailer, its length
     n, width = dataset.samples.shape
     header = _PREFIX + 8 * 6

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamcs import MatrixKind, MeasurementMatrix, generate_baseline, measure
+from beamcs import MatrixKind, MeasurementMatrix, generate_baseline
 from beamcs.evaluate import sweep_baseline
 from beamcs.matrices import KIND_TAGS, PHASE_LEVELS, realify_rows
 
@@ -153,11 +153,3 @@ def test_matrix_data_read_only():
     src[0, 0] = 5.0
     assert mat2.data[0, 0] == 0.0
 
-
-def test_measure():
-    mat = MeasurementMatrix(
-        data=np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]), kind=MatrixKind.GAUSSIAN
-    )
-    assert np.array_equal(measure(mat, np.array([1.0, 2.0, 3.0])), [7.0, 2.0])
-    with pytest.raises(ValueError, match="mismatch"):
-        measure(mat, np.ones(4))

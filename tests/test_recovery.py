@@ -15,7 +15,6 @@ from beamcs import (
     MatrixKind,
     RecoveryConfig,
     RecoveryStatus,
-    basis_pursuit,
     generate_dataset,
 )
 from beamcs.evaluate import sweep_baseline
@@ -37,7 +36,7 @@ def test_recovers_sparse_signal(rng):
     recovered = 0
     for _ in range(10):
         phi, h, y = sparse_instance(rng)
-        res = basis_pursuit(phi, y)
+        res = BasisPursuitSolver(phi).solve(y)
         assert res.status is RecoveryStatus.OPTIMAL
         assert res.residual <= 1e-10
         assert res.objective <= np.abs(h).sum() + 1e-8
@@ -50,13 +49,13 @@ def test_objective_never_exceeds_truth(rng):
     # the true signal is feasible, so the minimum l1 value is at most its
     for _ in range(10):
         phi, h, y = sparse_instance(rng, m=6, n=24, k=3)
-        res = basis_pursuit(phi, y)
+        res = BasisPursuitSolver(phi).solve(y)
         assert res.objective <= np.abs(h).sum() + 1e-8
 
 
 def test_zero_measurement_shortcut():
     phi = np.random.default_rng(0).standard_normal((4, 12))
-    res = basis_pursuit(phi, np.zeros(4))
+    res = BasisPursuitSolver(phi).solve(np.zeros(4))
     assert res.status is RecoveryStatus.OPTIMAL
     assert np.array_equal(res.h_hat, np.zeros(12))
     assert res.iterations == 0
@@ -71,7 +70,7 @@ def test_solver_reuse_matches_one_shot(rng):
     for _ in range(5):
         _, h, y = sparse_instance(rng)
         a = solver.solve(y)
-        b = basis_pursuit(phi, y)
+        b = BasisPursuitSolver(phi).solve(y)
         assert np.array_equal(a.h_hat, b.h_hat)
         assert a.status == b.status
 
@@ -85,8 +84,6 @@ def test_rank_deficient_rows_consistent(rng):
     with pytest.raises(np.linalg.LinAlgError, match=r"\(5, 16\).*rank 4"):
         BasisPursuitSolver(phi)
     with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
-        basis_pursuit(phi, y)
-    with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
         projected_subgradient(phi, y)
 
 
@@ -98,7 +95,7 @@ def test_rank_deficient_rows_inconsistent(rng):
     y = np.ones(5)
     y[4] = -1.0
     with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
-        basis_pursuit(phi, y)
+        BasisPursuitSolver(phi).solve(y)
     with pytest.raises(np.linalg.LinAlgError, match="rank 4"):
         projected_subgradient(phi, y)
 
@@ -156,7 +153,7 @@ def test_recovery_config_validation():
 
 def test_max_iters_reported(rng):
     phi, _, y = sparse_instance(rng)
-    res = basis_pursuit(phi, y, RecoveryConfig(max_iters=1))
+    res = BasisPursuitSolver(phi, RecoveryConfig(max_iters=1)).solve(y)
     assert res.status is RecoveryStatus.MAX_ITERS
     assert res.iterations == 1
 
@@ -166,7 +163,7 @@ def test_projected_subgradient_agrees_with_lp(rng):
     for _ in range(3):
         phi, h, y = sparse_instance(rng, m=8, n=16, k=2)
         sub = projected_subgradient(phi, y, cfg=cfg)
-        lp = basis_pursuit(phi, y)
+        lp = BasisPursuitSolver(phi).solve(y)
         # subgradient converges slowly; objectives agree loosely
         assert sub.objective >= lp.objective - 1e-9
         assert sub.objective <= lp.objective + 0.05 * max(1.0, lp.objective)
