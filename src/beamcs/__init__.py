@@ -42,7 +42,6 @@ from .training import (
     TrainConfig,
     TrainReport,
     TrainingDivergedError,
-    extract_matrix,
     init_model,
     train,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "effective_rate",
     "encode",
     "exact_recovery_rate",
-    "extract_matrix",
     "forward",
     "generate_baseline",
     "generate_dataset",

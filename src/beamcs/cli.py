@@ -30,8 +30,8 @@ from .fileio import (
     save_report_json,
     save_training_csv,
 )
-from .matrices import MatrixKind
-from .training import TrainingDivergedError, extract_matrix, train
+from .matrices import MatrixKind, MeasurementMatrix
+from .training import TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,12 +89,7 @@ def _experiment(args) -> ExperimentConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _experiment(args)
-    dataset = generate_dataset(
-        cfg.channel,
-        cfg.num_samples,
-        ratios=cfg.ratios,
-        floor=cfg.floor,
-    )
+    dataset = generate_dataset(cfg.channel, cfg.num_samples, floor=cfg.floor)
     path = args.data or os.path.join(cfg.out_dir, "dataset.bcsl")
     save_dataset(path, dataset)
     print(
@@ -145,7 +140,7 @@ def cmd_sweep(args) -> int:
                         f"{path} holds a Phi of shape {model.phi.shape}; "
                         f"m={m} on this dataset needs {(m, dataset.width)}"
                     )
-                learned[m] = extract_matrix(model)
+                learned[m] = MeasurementMatrix(model.phi)
     # run_sweep checks the dataset against the config: an m too large for
     # the width, or an empty test split
     with _input_errors():

@@ -8,9 +8,10 @@ builds the channel and train configs.  Each section's dataclass declares
 its keys and their types: an undeclared key, a section seed among them,
 or a value not of its field's JSON type, is an error.  read_fields is
 that one typed reader; the file trailers go through it too.  The sweep
-grid must pass evaluate.check_sweep at the width 2N.  The solver
-settings are the RecoveryConfig defaults and the metric definitions are
-evaluate's constants; no document sets them.
+grid must pass evaluate.check_sweep at the width 2N.  The dataset
+split is generate_dataset's 0.8/0.1/0.1, the solver settings are the
+RecoveryConfig defaults and the metric definitions are evaluate's
+constants; no document sets them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
-from .channels import ChannelConfig, split_sizes
+from .channels import ChannelConfig
 from .evaluate import check_sweep
 from .matrices import MatrixKind
 from .training import TrainConfig
@@ -43,7 +44,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 # Values both profiles share; each profile below adds its scale keys.
 _SHARED: dict = {
-    "data": {"ratios": [0.8, 0.1, 0.1]},
     "train": {"num_updates": 9, "dev_eval_every": 5},
     "kinds": [k.value for k in MatrixKind],
     "seed": 0,
@@ -86,7 +86,6 @@ class ExperimentConfig:
 
     channel: ChannelConfig
     num_samples: int
-    ratios: tuple[float, float, float]
     floor: float
     train: TrainConfig
     m_values: tuple[int, ...]
@@ -103,7 +102,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
         try:
             check_sweep(self.m_values, self.kinds, 2 * self.channel.num_antennas)
-            split_sizes(self.num_samples, self.ratios)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -149,7 +147,7 @@ def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
 
 
 # ExperimentConfig fields that the document holds in its data section.
-_DATA_KEYS = ("num_samples", "ratios", "floor")
+_DATA_KEYS = ("num_samples", "floor")
 
 
 def _typed(value, tp, key: str):

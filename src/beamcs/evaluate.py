@@ -52,16 +52,23 @@ class SweepReport:
     notes: list[str] = field(default_factory=list)
 
 
-def exact_recovery_rate(
-    truth: np.ndarray, estimates: np.ndarray, exact_tol: float
-) -> float:
-    """Fraction of rows with reconstruction 2-norm error <= exact_tol."""
+def _paired(truth, estimates) -> tuple[np.ndarray, np.ndarray]:
+    """truth and estimates as float arrays of one nonempty (samples,
+    width) shape; anything else is a ValueError."""
     truth = np.asarray(truth, dtype=float)
     estimates = np.asarray(estimates, dtype=float)
     if truth.shape != estimates.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {estimates.shape}")
     if truth.ndim != 2 or truth.shape[0] == 0:
         raise ValueError("need a nonempty (samples, width) array")
+    return truth, estimates
+
+
+def exact_recovery_rate(
+    truth: np.ndarray, estimates: np.ndarray, exact_tol: float
+) -> float:
+    """Fraction of rows with reconstruction 2-norm error <= exact_tol."""
+    truth, estimates = _paired(truth, estimates)
     errs = np.linalg.norm(truth - estimates, axis=1)
     return float(np.count_nonzero(errs <= exact_tol)) / truth.shape[0]
 
@@ -72,12 +79,7 @@ def mean_nrse(truth: np.ndarray, estimates: np.ndarray) -> tuple[float, int]:
     Zero-norm truth rows cannot be normalized; they are excluded from the
     mean and returned as a count.  Raises if every row is zero-norm.
     """
-    truth = np.asarray(truth, dtype=float)
-    estimates = np.asarray(estimates, dtype=float)
-    if truth.shape != estimates.shape:
-        raise ValueError(f"shape mismatch: {truth.shape} vs {estimates.shape}")
-    if truth.ndim != 2 or truth.shape[0] == 0:
-        raise ValueError("need a nonempty (samples, width) array")
+    truth, estimates = _paired(truth, estimates)
     norms = np.linalg.norm(truth, axis=1)
     keep = norms > 0.0
     excluded = int(truth.shape[0] - np.count_nonzero(keep))

@@ -19,7 +19,8 @@ values and kinds it swept, the metric constants and recovery defaults
 it scored with, and the swept dataset's N, P, n and trailer.  Trailers
 are canonical JSON (sorted keys, compact separators), so identical
 inputs write byte-identical files.  Loaders read trailers with
-config.read_fields: each value must have its config key's JSON type.
+config.read_fields: each value must have its field's JSON type, and a
+key the reader does not name is an error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .channels import ChannelConfig, ChannelDataset, split_sizes
-from .config import ConfigError, ExperimentConfig, read_fields
+from .config import ConfigError, read_fields
 from .evaluate import BLOCK_LENGTH, EXACT_TOL, SweepReport, figure_table
 from .network import BatchNormLayer, UnrolledAutoencoder
 from .recovery import RecoveryConfig
@@ -141,17 +142,17 @@ def save_dataset(path: str, dataset: ChannelDataset) -> None:
 
 
 def load_dataset(path: str) -> ChannelDataset:
-    """The dataset in a .bcsl file.  Its trailer's seed, ratios and floor
-    are read as the config keys of those names; the ratios must give the
-    header's split sizes, and the floor must lie in [0, 1) and be no
-    larger than any nonzero sample.  Its samples must be finite."""
+    """The dataset in a .bcsl file.  Its trailer must hold exactly seed,
+    ratios and floor, read as the ChannelConfig and ChannelDataset fields
+    of those names; the ratios must give the header's split sizes, and
+    the floor must lie in [0, 1) and be no larger than any nonzero
+    sample.  Its samples must be finite."""
     header, values, trailer = _read_file(path, DATASET_MAGIC, _DATASET_FIXED)
     num_antennas, num_paths, n, n_train, n_dev, n_test = map(int, header)
     sizes = (n_train, n_dev, n_test)
     try:
-        # older version-4 writers added keys that no reader uses
-        names = ("seed", "ratios", "floor")
-        kw = read_fields(trailer, ExperimentConfig, names, also=trailer)
+        kw = read_fields(trailer, ChannelDataset, ("ratios", "floor"), also=("seed",))
+        kw |= read_fields(trailer, ChannelConfig, ("seed",), also=kw)
         seed, ratios, floor = kw["seed"], kw["ratios"], kw["floor"]
         cfg = ChannelConfig(num_antennas=num_antennas, num_paths=num_paths, seed=seed)
         if not 0.0 <= floor < 1.0:

@@ -1,10 +1,13 @@
 """Measurement matrices: the five random baselines plus the learned kind.
 
-All matrices are real m x n with m < n.  The two complex constructions
-(partial Fourier and phase shifter) are realified by expanding each
-complex row into two real rows (real part, imaginary part), so m real
-measurements carry m/2 complex ones; an odd m keeps only the real part
-of the last complex row.
+A MeasurementMatrix is a validated read-only float64 copy of a real
+m x n map with m < n.  generate_baseline draws the five random kinds; a
+trained model's matrix is MeasurementMatrix(model.phi), which widens
+its float32 Phi.  The two complex constructions (partial Fourier and
+phase shifter) are realified by expanding each complex row into two
+real rows (real part, imaginary part), so m real measurements carry m/2
+complex ones; an odd m keeps only the real part of the last complex
+row.
 
 Those complex rows have n entries and act on the stacked real channel
 vector [Re h; Im h] of length n, which is what every kind measures: row
@@ -33,9 +36,8 @@ class MatrixKind(enum.Enum):
     PHASE_SHIFTER = "phase_shifter"
 
 
-# Stable numeric tags that separate the RNG streams of the kinds.
+# Stable numeric tags that separate the RNG streams of the baseline kinds.
 KIND_TAGS: dict[MatrixKind, int] = {
-    MatrixKind.LEARNED: 0,
     MatrixKind.GAUSSIAN: 1,
     MatrixKind.BERNOULLI: 2,
     MatrixKind.PARTIAL_FOURIER: 3,
@@ -49,10 +51,9 @@ PHASE_LEVELS = 4
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """Immutable real m x n linear map and the family it belongs to."""
+    """Immutable real m x n linear map, held as a float64 copy."""
 
     data: np.ndarray
-    kind: MatrixKind
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
@@ -142,5 +143,5 @@ def generate_baseline(
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown kind {kind}")
 
-    return MeasurementMatrix(data=data, kind=kind)
+    return MeasurementMatrix(data)
 

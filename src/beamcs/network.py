@@ -20,7 +20,9 @@ forward() records its intermediates in a ForwardTrace, which backward()
 reads together with the batch it holds: per layer the centred batch-norm
 input and its 1/std vector, and per update the signs and their
 projection.  Passed back as reuse, a trace is refilled in place and
-returned, so a training loop allocates its storage once.
+returned, so a training loop allocates its storage once.  Only a
+train-mode pass leaves a batch for backward(): inference mode scores
+the dev split and is never differentiated.
 
 Every pass runs in the dtype of the model's Phi: float32 for the models
 training builds, float64 for the finite-difference checks.
@@ -138,16 +140,15 @@ class BatchNormLayer:
         self,
         grad_out: np.ndarray,
         cache: tuple[np.ndarray, np.ndarray],
-        mode: Mode,
         *,
         out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (grad_x, grad_gamma, grad_beta) for forward()'s cache
-        (x_c, inv_std).
+        """Returns (grad_x, grad_gamma, grad_beta) for the cache (x_c,
+        inv_std) of a train-mode forward(), through the batch statistics.
 
         grad_gamma is inv_std times the column sums of grad_out * x_c.
-        With grad_xhat = gamma * grad_out, the batch sums the train-mode
-        gradient needs are gamma * grad_beta and gamma * grad_gamma, so
+        With grad_xhat = gamma * grad_out, the batch sums the gradient
+        needs are gamma * grad_beta and gamma * grad_gamma, so
         grad_x = gamma inv_std (g - grad_beta/B - x_c inv_std grad_gamma/B).
         grad_x is written into out when given, which must not be grad_out.
         """
@@ -156,13 +157,10 @@ class BatchNormLayer:
         grad_beta = _ones(batch, grad_out.dtype) @ grad_out
         grad_gamma = np.einsum("ij,ij->j", grad_out, x_c)
         grad_gamma *= inv_std
-        scale = self.gamma * inv_std
-        if mode is Mode.INFER:
-            return np.multiply(grad_out, scale, out=out), grad_gamma, grad_beta
         grad_x = np.multiply(x_c, grad_gamma * (inv_std / batch), out=out)
         np.subtract(grad_out, grad_x, out=grad_x)
         grad_x -= grad_beta / batch
-        grad_x *= scale
+        grad_x *= self.gamma * inv_std
         return grad_x, grad_gamma, grad_beta
 
 
@@ -218,11 +216,11 @@ class ForwardTrace:
     The arrays hold up to capacity rows; forward(..., reuse=this trace)
     refills their leading rows with each batch that fits and returns this
     same trace, so it always describes the batch it was last given.
-    inputs is that batch, None while a pass is under way and after a
-    pass that raised; backward() refuses the trace then.
+    inputs is that batch once a train-mode pass completes; it is None
+    while a pass is under way and after an infer-mode pass or a pass
+    that raised, and backward() refuses the trace then.
     """
 
-    mode: Mode
     inputs: np.ndarray | None  # (batch, width), the caller's array
     measurements: np.ndarray  # (capacity, m)
     x_hat: np.ndarray  # (L+1, capacity, width): batch-norm inputs, centred in place
@@ -239,7 +237,6 @@ class ForwardTrace:
         m, width, steps = model.num_measurements, model.width, model.num_updates
         dtype = model.phi.dtype
         return cls(
-            mode=Mode.TRAIN,
             inputs=None,
             measurements=np.empty((rows, m), dtype),
             x_hat=np.empty((steps + 1, rows, width), dtype),
@@ -327,16 +324,16 @@ def forward(
     (same model shape, at least as many rows) its leading rows are
     refilled and reuse itself is returned, with the output a view of
     its storage; otherwise a new trace is made and reuse is left as it
-    was.  h_batch must not share memory with reuse, and backward() reads
-    it as the batch, so it must not change before that call.
+    was.  h_batch must not share memory with reuse; after a train-mode
+    pass backward() reads it as the batch, so it must not change before
+    that call.
     """
     h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
     rows = h_batch.shape[0] if h_batch.ndim == 2 else 0  # encode rejects the rest
     trace = reuse
     if trace is None or not trace.holds(model, rows):
         trace = ForwardTrace.allocate(model, rows)
-    trace.inputs = None  # set last, so a pass that raises leaves no batch
-    trace.mode = mode
+    trace.inputs = None  # set last, by train mode only: see ForwardTrace
     x_hat = trace.x_hat[:, :rows]
     signs = trace.signs[:, :rows]
     signs_proj = trace.signs_proj[:, :rows]
@@ -365,7 +362,8 @@ def forward(
 
     output = np.maximum(z, 0.0, out=trace.output[:rows])
     trace.inv_stds = inv_stds
-    trace.inputs = h_batch
+    if mode is Mode.TRAIN:
+        trace.inputs = h_batch
     return output, trace
 
 
@@ -398,7 +396,9 @@ def backward(model: UnrolledAutoencoder, trace: ForwardTrace) -> Gradients:
     """
     h_batch = trace.inputs
     if h_batch is None:
-        raise ValueError("trace holds no batch: its last forward() raised")
+        raise ValueError(
+            "trace holds no batch: its last forward() raised or ran in infer mode"
+        )
 
     phi = model.phi
     batch = h_batch.shape[0]
@@ -418,7 +418,7 @@ def backward(model: UnrolledAutoencoder, trace: ForwardTrace) -> Gradients:
 
     for t in range(model.num_updates, 0, -1):
         grad_x, d_gammas[t], d_betas[t] = model.bn_layers[t].backward(
-            g, (trace.x_hat[t, :batch], trace.inv_stds[t]), trace.mode, out=spare
+            g, (trace.x_hat[t, :batch], trace.inv_stds[t]), out=spare
         )
         g, spare = grad_x, g
         s = trace.signs[t - 1, :batch]
@@ -430,7 +430,7 @@ def backward(model: UnrolledAutoencoder, trace: ForwardTrace) -> Gradients:
         # dL/d post_bn[t-1] equals g: the sign branch is locally constant.
 
     g, d_gammas[0], d_betas[0] = model.bn_layers[0].backward(
-        g, (trace.x_hat[0, :batch], trace.inv_stds[0]), trace.mode, out=spare
+        g, (trace.x_hat[0, :batch], trace.inv_stds[0]), out=spare
     )
     # First layer a = y Phi with y = h Phi^T: direct term plus the
     # dependence through the encoder.

@@ -7,8 +7,8 @@ fixed schedule, and every run takes all max_epochs epochs.  Runs are
 bit-reproducible functions of (dataset, config, seed).
 
 Models train in float32: Phi is drawn in float64 and rounded once, and
-the network computes in the dtype of Phi.  The learned matrix is widened
-back to float64 for recovery.
+the network computes in the dtype of Phi.  MeasurementMatrix(model.phi)
+widens the learned matrix back to float64 for recovery.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelDataset
-from .matrices import MatrixKind, MeasurementMatrix
 from .network import (
     BatchNormLayer,
     ForwardTrace,
@@ -266,9 +265,3 @@ def train(
         best_dev_loss=best_loss,
     )
     return best, report
-
-
-def extract_matrix(model: UnrolledAutoencoder) -> MeasurementMatrix:
-    """The trained compression matrix, widened to float64; the decoder is
-    not needed to use it."""
-    return MeasurementMatrix(kind=MatrixKind.LEARNED, data=model.phi)

@@ -21,13 +21,13 @@ from beamcs import (
     BatchNormLayer,
     ChannelConfig,
     MatrixKind,
+    MeasurementMatrix,
     Mode,
     RecoveryStatus,
     TrainConfig,
     UnrolledAutoencoder,
     backward,
     effective_rate,
-    extract_matrix,
     forward,
     generate_dataset,
     mse_loss,
@@ -407,7 +407,7 @@ def test_small_scale_training_beats_gaussian_baseline():
                     seed=seed,
                 ),
             )
-            learned[m] = extract_matrix(model)
+            learned[m] = MeasurementMatrix(model.phi)
         report = run_sweep(
             dataset,
             [MatrixKind.LEARNED, MatrixKind.GAUSSIAN],

@@ -211,8 +211,12 @@ def test_split_sizes():
     assert split_sizes(20000, (0.8, 0.1, 0.1)) == (16000, 2000, 2000)
     n_train, n_dev, n_test = split_sizes(17, (0.8, 0.1, 0.1))
     assert n_train + n_dev + n_test == 17
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must sum to 1"):
         split_sizes(100, (0.5, 0.1, 0.1))
+    with pytest.raises(ValueError, match="must sum to 1"):
+        split_sizes(100, (float("nan"), 0.0, 1.0))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        split_sizes(100, (1.2, -0.1, -0.1))
 
 
 def test_generate_dataset_shapes_and_values(tiny_dataset):

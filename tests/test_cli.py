@@ -161,10 +161,10 @@ def test_bad_data_section_is_a_usage_error(tmp_path, capsys):
     # caught when the config is built, not as a traceback from gen-data
     cfg = tmp_path / "cfg.json"
     out = str(tmp_path / "out")
-    cfg.write_text(json.dumps({**CFG, "data": {"ratios": [0.5, 0.3, 0.3]}}))
+    cfg.write_text(json.dumps({**CFG, "data": {"num_samples": 60, "floor": 1.5}}))
     assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith("error: split ratios must sum to 1") and err.count("\n") == 1
+    assert err.startswith("error: floor must lie in [0, 1)") and err.count("\n") == 1
     assert not os.path.exists(out)
 
 
@@ -332,13 +332,16 @@ def test_gen_data_is_deterministic(run_dir, tmp_path):
 
 
 def test_train_on_an_empty_split_is_a_usage_error(tmp_path, capsys):
-    # the ratios pass config validation, but train needs a dev split
+    # a valid dataset file whose split has no dev samples: train needs one
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**CFG, "data": {"ratios": [1.0, 0.0, 0.0]}}))
+    cfg.write_text(json.dumps(CFG))
+    data = str(tmp_path / "all_train.bcsl")
+    channel = beamcs.ChannelConfig(num_antennas=8, num_paths=2, seed=0)
+    beamcs.save_dataset(data, beamcs.generate_dataset(channel, 60, ratios=(1.0, 0.0, 0.0)))
     out = str(tmp_path / "out")
-    assert main(["gen-data", "--config", str(cfg), "--out", out]) == EXIT_OK
     capsys.readouterr()
-    assert main(["train", "--config", str(cfg), "--out", out]) == EXIT_USAGE
+    command = ["train", "--config", str(cfg), "--data", data, "--out", out]
+    assert main(command) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "error: dataset must have nonempty train and dev splits\n"
     assert not any(name.endswith(".bcsw") for name in os.listdir(out))
@@ -461,19 +464,29 @@ def test_dataset_ratios_that_contradict_its_split_are_a_file_error(
     (trailer_len,) = struct.unpack("<Q", blob[-8:])
     payload_end = len(blob) - 8 - trailer_len
     trailer = json.loads(blob[payload_end:-8])
-    trailer["ratios"] = [0.5]
-    text = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
+
+    def write(path, trailer):
+        text = json.dumps(trailer, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:payload_end] + text + struct.pack("<Q", len(text)))
+
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "dataset.bcsl").write_bytes(
-        blob[:payload_end] + text + struct.pack("<Q", len(text))
-    )
+    write(bad / "dataset.bcsl", {**trailer, "ratios": [0.5]})
     cfg = ["--config", str(root / "cfg.json"), "--out", str(bad), "--m", "4"]
     for command in (["train", *cfg], ["sweep", *cfg, "--kinds", "gaussian"]):
         capsys.readouterr()
         assert main(command) == EXIT_IO
         err = capsys.readouterr().err
         assert err == "file error: dataset trailer invalid: ratios must have exactly 3 entries\n"
+    assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
+
+    # a trailer key that no reader uses is refused, not dropped
+    extra = tmp_path / "extra.bcsl"
+    write(extra, {**trailer, "gain_model": "complex_gaussian"})
+    capsys.readouterr()
+    assert main(["train", *cfg, "--data", str(extra)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == "file error: dataset trailer invalid: unknown config key: gain_model\n"
     assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
 
 

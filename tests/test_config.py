@@ -127,7 +127,8 @@ def test_seed_cascades():
         ({"kinds": ["rademacher"]}, "kinds must be one of"),
         ({"channel": {"angle_mode": "on_grid"}}, "unknown config key: channel.angle_mode$"),
         ({"recovery": {"solver": "basis_pursuit_lp"}}, "unknown config key: recovery$"),
-        ({"data": {"ratios": [0.5, 0.5]}}, "exactly 3"),
+        # the split is generate_dataset's; no document sets it
+        ({"data": {"ratios": [0.8, 0.1, 0.1]}}, "unknown config key: data.ratios$"),
         ({"data": {"floor": 1.0}}, "floor"),
         ({"data": {"floor": -0.2}}, "floor"),
         ({"train": {"batch_size": 1}}, "invalid configuration"),
@@ -143,9 +144,9 @@ def test_seed_cascades():
         ({"m_value": [8]}, "unknown config key: m_value$"),
         ({"sed": 1, "kind": []}, "unknown config key: kind, sed$"),
         # the data section is checked here, not later by generate_dataset
-        ({"data": {"ratios": [0.5, 0.3, 0.3]}}, "ratios must sum to 1"),
-        ({"data": {"ratios": [1.2, -0.1, -0.1]}}, "ratios must be nonnegative"),
-        ({"data": {"ratios": [float("nan"), 0.0, 1.0]}}, "ratios must sum to 1"),
+        ({"data": {"ratios": [0.5, 0.3, 0.3]}}, "unknown config key: data.ratios$"),
+        ({"data": [2000, 0.1]}, "^data must be an object"),
+        ({"data": {"num_samples": 9}}, "num_samples must be at least 10"),
         ({"data": {"zero_tol": 1e-12}}, "unknown config key: data.zero_tol$"),  # deleted
         ({"data": {"num_samples": 3}}, "num_samples must be at least 10"),
         ({"data": {"floor": float("nan")}}, "floor must lie in"),
@@ -189,7 +190,6 @@ ALTERNATIVES = {
     ("channel", "num_antennas"): 40,
     ("channel", "num_paths"): 1,
     ("data", "num_samples"): 300,
-    ("data", "ratios"): [0.6, 0.2, 0.2],
     ("data", "floor"): 0.25,
     ("train", "learning_rate"): 0.5,
     ("train", "batch_size"): 32,
@@ -241,7 +241,7 @@ def _built(cfg, path):
 def test_every_key_reaches_the_built_config(profile):
     doc = profile_defaults(profile)
     assert set(_leaves(doc)) == set(ALTERNATIVES)
-    assert len(ALTERNATIVES) == 14
+    assert len(ALTERNATIVES) == 13
     cfg = build_experiment(doc)
     assert all(_built(cfg, path) == _read_leaf(doc, path) for path in ALTERNATIVES)
     for path, value in ALTERNATIVES.items():

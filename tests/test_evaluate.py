@@ -151,13 +151,13 @@ def test_run_sweep_complex_kinds_at_odd_m(tiny_dataset):
 
 
 def test_run_sweep_learned_and_gap_rows(tiny_dataset):
-    from beamcs import TrainConfig, extract_matrix, train
+    from beamcs import TrainConfig, train
 
     cfg = TrainConfig(
         learning_rate=0.05, batch_size=16, max_epochs=3, num_updates=2, seed=0
     )
     model, _ = train(tiny_dataset, 8, cfg)
-    learned = {8: extract_matrix(model)}
+    learned = {8: MeasurementMatrix(model.phi)}
     report = _sweep(tiny_dataset, [MatrixKind.LEARNED], learned=learned)
     gap = next(r for r in report.rows if r.m == 4)
     filled = next(r for r in report.rows if r.m == 8)
@@ -176,7 +176,7 @@ def test_run_sweep_rejects_wrong_checkpoint_shape(tiny_dataset):
 
 def test_run_sweep_rejects_rank_deficient_learned(tiny_dataset):
     base = generate_baseline(MatrixKind.GAUSSIAN, 7, 16, seed=0).data
-    repeated = MeasurementMatrix(np.vstack([base, base[0]]), MatrixKind.LEARNED)
+    repeated = MeasurementMatrix(np.vstack([base, base[0]]))
     with pytest.raises(np.linalg.LinAlgError, match="rank 7"):
         _sweep(tiny_dataset, [MatrixKind.LEARNED], learned={8: repeated})
 
@@ -216,7 +216,7 @@ def test_nrse_trend_violation_detection(tiny_dataset):
 
 
 def test_figure_table(tiny_dataset):
-    from beamcs import TrainConfig, extract_matrix, train
+    from beamcs import TrainConfig, train
 
     cfg = TrainConfig(
         learning_rate=0.05, batch_size=16, max_epochs=2, num_updates=1, seed=0
@@ -225,7 +225,7 @@ def test_figure_table(tiny_dataset):
     report = _sweep(
         tiny_dataset,
         [MatrixKind.LEARNED, MatrixKind.GAUSSIAN],
-        learned={8: extract_matrix(model)},
+        learned={8: MeasurementMatrix(model.phi)},
     )
     header, table = figure_table(report, "exact_rate")
     assert header == ["m", "learned", "gaussian"]

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from beamcs import MatrixKind, TrainConfig, train
+from beamcs import MatrixKind, MeasurementMatrix, TrainConfig, train
 from beamcs.evaluate import run_sweep
 from beamcs.fileio import (
     FileFormatError,
@@ -61,7 +61,8 @@ def test_dataset_round_trip(tmp_path, trained):
 
 
 def test_dataset_with_a_gain_model_entry_loads(tmp_path, trained):
-    # a trailer entry no code reads, like the gain_model of older trailers
+    # a trailer entry no code reads, like the gain_model of older
+    # trailers, is refused by name
     dataset, _, _ = trained
     path = tmp_path / "d.bcsl"
     save_dataset(str(path), dataset)
@@ -69,13 +70,13 @@ def test_dataset_with_a_gain_model_entry_loads(tmp_path, trained):
     assert "gain_model" not in trailer
     trailer["gain_model"] = "complex_gaussian"
     path.write_bytes(_with_trailer(head, trailer))
-    loaded = load_dataset(str(path))
-    assert np.array_equal(loaded.samples, dataset.samples)
-    assert loaded.config == dataset.config
+    with pytest.raises(FileFormatError, match="unknown config key: gain_model$"):
+        load_dataset(str(path))
 
 
 # Earlier writers of version-4 datasets added the generating config to
-# the trailer, as below for this module's dataset; no reader uses it.
+# the trailer, as below for this module's dataset; gen-data rewrites
+# such a file with the trailer the reader takes.
 _OLD_CONFIG_BLOCK = {
     "channel": {"num_antennas": 8, "num_paths": 2, "seed": 11},
     "data": {"num_samples": 60, "ratios": [0.8, 0.1, 0.1], "floor": 0.1},
@@ -92,15 +93,15 @@ _OLD_CONFIG_BLOCK = {
 
 
 def test_dataset_with_the_old_config_block_loads(tmp_path, trained):
+    # refused by its key; the same file without the block loads
     dataset, _, _ = trained
     new, old = tmp_path / "new.bcsl", tmp_path / "old.bcsl"
     save_dataset(str(new), dataset)
     head, trailer = _split_trailer(new.read_bytes())
     old.write_bytes(_with_trailer(head, {**trailer, "config": _OLD_CONFIG_BLOCK}))
-    a, b = load_dataset(str(new)), load_dataset(str(old))
-    assert a.samples.tobytes() == b.samples.tobytes()
-    assert (a.num_train, a.num_dev, a.num_test) == (b.num_train, b.num_dev, b.num_test)
-    assert (a.config, a.ratios, a.floor) == (b.config, b.ratios, b.floor)
+    with pytest.raises(FileFormatError, match="unknown config key: config$"):
+        load_dataset(str(old))
+    b = load_dataset(str(new))
     assert b.config.seed == 11 and b.ratios == (0.8, 0.1, 0.1) and b.floor == 0.1
 
 
@@ -222,6 +223,8 @@ def test_corrupt_files_raise(tmp_path, trained):
         ([0.5], "ratios must have exactly 3 entries"),
         ([0.4, 0.3, 0.3, 0.0], "ratios must have exactly 3 entries"),
         ([0.5, 0.3, 0.3], "split ratios must sum to 1"),
+        ([1.2, -0.1, -0.1], "split ratios must be nonnegative"),
+        ([float("nan"), 0.0, 1.0], "split ratios must sum to 1"),
         ([0.6, 0.2, 0.2], r"do not give the split \(48, 6, 6\)"),
         # checked, not coerced: only a list of three JSON numbers
         ("0.8", "ratios must be a list, got '0.8'"),
@@ -290,13 +293,11 @@ def test_training_csv(tmp_path, trained):
 
 def _report(trained):
     dataset, model, _ = trained
-    from beamcs import extract_matrix
-
     return run_sweep(
         dataset,
         [MatrixKind.LEARNED, MatrixKind.GAUSSIAN],
         (4, 8),
-        learned={4: extract_matrix(model)},
+        learned={4: MeasurementMatrix(model.phi)},
     )
 
 

@@ -3,12 +3,11 @@ import pytest
 
 from beamcs import (
     ChannelConfig,
-    MatrixKind,
+    MeasurementMatrix,
     Mode,
     TrainConfig,
     TrainingDivergedError,
     backward,
-    extract_matrix,
     forward,
     generate_dataset,
     init_model,
@@ -216,8 +215,7 @@ def test_train_config_validation():
 
 def test_extract_matrix(tiny_dataset):
     model, _ = train(tiny_dataset, 4, FAST)
-    mat = extract_matrix(model)
-    assert mat.kind is MatrixKind.LEARNED
+    mat = MeasurementMatrix(model.phi)
     assert np.array_equal(mat.data, model.phi)
     assert mat.data.shape == (4, tiny_dataset.width)
 
@@ -232,7 +230,7 @@ def test_train_returns_a_float32_model(tiny_dataset):
         for arr in (layer.gamma, layer.beta, layer.running_mean, layer.running_var):
             assert arr.dtype == np.float32
     # recovery gets the learned matrix in float64
-    assert extract_matrix(model).data.dtype == np.float64
+    assert MeasurementMatrix(model.phi).data.dtype == np.float64
 
 
 def test_init_model_rounds_the_float64_draw_once():
