@@ -138,14 +138,6 @@ def load_document(
     return merged
 
 
-def _reject_unknown(doc: dict, known: set[str], prefix: str = "") -> None:
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(
-            "unknown config key: " + ", ".join(f"{prefix}{k}" for k in unknown)
-        )
-
-
 # ExperimentConfig fields that the document holds in its data section.
 _DATA_KEYS = ("num_samples", "floor")
 
@@ -170,13 +162,18 @@ def _typed(value, tp, key: str):
     return tp(value)
 
 
-def read_fields(doc, cls, names, prefix="", also=()) -> dict:
+def read_fields(doc, cls, names, prefix="", also=(), noun="config") -> dict:
     """The named fields of dataclass cls, read from the JSON object doc
     with their declared types; doc may hold no other keys than those and
-    also.  Any other doc is a ConfigError."""
+    also.  Any other doc is a ConfigError; one that names a key the
+    reader does not calls it an "unknown {noun} key", so a file trailer
+    is read with noun="trailer"."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{prefix[:-1] or 'document'} must be an object, got {doc!r}")
-    _reject_unknown(doc, {*names, *also}, prefix)
+    unknown = sorted(set(doc) - {*names, *also})
+    if unknown:
+        keys = ", ".join(prefix + k for k in unknown)
+        raise ConfigError(f"unknown {noun} key: {keys}")
     hints = get_type_hints(cls)
     out = {}
     for name in names:

@@ -20,7 +20,7 @@ it scored with, and the swept dataset's N, P, n and trailer.  Trailers
 are canonical JSON (sorted keys, compact separators), so identical
 inputs write byte-identical files.  Loaders read trailers with
 config.read_fields: each value must have its field's JSON type, and a
-key the reader does not name is an error.
+key the reader does not name is an error, an "unknown trailer key".
 """
 
 from __future__ import annotations
@@ -151,8 +151,10 @@ def load_dataset(path: str) -> ChannelDataset:
     num_antennas, num_paths, n, n_train, n_dev, n_test = map(int, header)
     sizes = (n_train, n_dev, n_test)
     try:
-        kw = read_fields(trailer, ChannelDataset, ("ratios", "floor"), also=("seed",))
-        kw |= read_fields(trailer, ChannelConfig, ("seed",), also=kw)
+        kw = read_fields(
+            trailer, ChannelDataset, ("ratios", "floor"), also=("seed",), noun="trailer"
+        )
+        kw |= read_fields(trailer, ChannelConfig, ("seed",), also=kw, noun="trailer")
         seed, ratios, floor = kw["seed"], kw["ratios"], kw["floor"]
         cfg = ChannelConfig(num_antennas=num_antennas, num_paths=num_paths, seed=seed)
         if not 0.0 <= floor < 1.0:
@@ -224,9 +226,11 @@ def load_checkpoint(path: str) -> tuple[UnrolledAutoencoder, TrainConfig]:
         raise FileFormatError("checkpoint holds a non-finite value")
     try:
         # an object whose one key, train_config, holds TrainConfig's fields
-        read_fields(echo, TrainConfig, (), also=("train_config",))
+        read_fields(echo, TrainConfig, (), also=("train_config",), noun="trailer")
         names = [f.name for f in fields(TrainConfig)]
-        kw = read_fields(echo.get("train_config"), TrainConfig, names, "train_config.")
+        kw = read_fields(
+            echo.get("train_config"), TrainConfig, names, "train_config.", noun="trailer"
+        )
         train_cfg = TrainConfig(**kw)
         if train_cfg.num_updates != num_updates:
             raise ValueError(

@@ -19,10 +19,16 @@ below 0, and batch-norm backward includes the batch-statistics terms.
 forward() records its intermediates in a ForwardTrace, which backward()
 reads together with the batch it holds: per layer the centred batch-norm
 input and its 1/std vector, and per update the signs and their
-projection.  Passed back as reuse, a trace is refilled in place and
-returned, so a training loop allocates its storage once.  Only a
-train-mode pass leaves a batch for backward(): inference mode scores
-the dev split and is never differentiated.
+projection.  A trace's blocks, backward()'s two gradient blocks among
+them, are carved from one allocation, each starting on a page boundary:
+where a pass's input and output lie modulo the page size follows from
+the shapes, not from the allocator, and at the paper's shapes no pass
+writes its output a few bytes above its input (4K aliasing).  Passed
+back as reuse, a trace is refilled in place and returned: a training
+run allocates one, which every SGD step and every dev evaluation
+shares.  Only a train-mode pass leaves a batch
+for backward(): inference mode scores the dev split and is never
+differentiated.
 
 Every pass runs in the dtype of the model's Phi: float32 for the models
 training builds, float64 for the finite-difference checks.
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +47,31 @@ import numpy as np
 # Batch-norm constants shared by every layer.
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99
+
+_PAGE = 4096  # bytes
+
+
+def page_aligned(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Uninitialized arrays of the given (shape, dtype), carved from one
+    allocation, each starting on a page boundary.
+
+    A pass whose output lies a little above its input modulo the page
+    size stalls: each load shares its low 12 address bits with a store
+    just made (4K aliasing).  Where blocks are laid out by the allocator,
+    which offsets a pass gets is chance; here a pass from the leading
+    rows of one block into those of another reads and writes at equal
+    offsets.
+    """
+    offsets = [0]
+    for shape, dtype in specs:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        offsets.append(offsets[-1] - (-nbytes // _PAGE) * _PAGE)
+    raw = np.empty(offsets[-1] + _PAGE, np.uint8)
+    base = -raw.ctypes.data % _PAGE
+    return [
+        np.ndarray(shape, dtype, buffer=raw, offset=base + offset)
+        for (shape, dtype), offset in zip(specs, offsets)
+    ]
 
 
 class Mode(enum.Enum):
@@ -216,6 +248,7 @@ class ForwardTrace:
     The arrays hold up to capacity rows; forward(..., reuse=this trace)
     refills their leading rows with each batch that fits and returns this
     same trace, so it always describes the batch it was last given.
+    grads is backward()'s working storage.
     inputs is that batch once a train-mode pass completes; it is None
     while a pass is under way and after an infer-mode pass or a pass
     that raised, and backward() refuses the trace then.
@@ -230,23 +263,25 @@ class ForwardTrace:
     signs_proj: np.ndarray  # (L, capacity, m), sign @ Phi^T
     post_bn: np.ndarray  # (capacity, width), output of the last batch norm
     output: np.ndarray  # (capacity, width)
-    grads: np.ndarray | None = None  # (2, capacity, width), made by the first backward
+    grads: np.ndarray  # (2, capacity, width), backward()'s two gradient blocks
 
     @classmethod
     def allocate(cls, model: UnrolledAutoencoder, rows: int) -> "ForwardTrace":
+        """A trace of capacity rows whose blocks are page_aligned."""
         m, width, steps = model.num_measurements, model.width, model.num_updates
         dtype = model.phi.dtype
-        return cls(
-            inputs=None,
-            measurements=np.empty((rows, m), dtype),
-            x_hat=np.empty((steps + 1, rows, width), dtype),
-            inv_stds=[],
-            signs=np.empty((steps, rows, width), dtype),
-            sign_masks=np.empty((2, rows, width), bool),
-            signs_proj=np.empty((steps, rows, m), dtype),
-            post_bn=np.empty((rows, width), dtype),
-            output=np.empty((rows, width), dtype),
-        )
+        blocks = {
+            "measurements": ((rows, m), dtype),
+            "x_hat": ((steps + 1, rows, width), dtype),
+            "signs": ((steps, rows, width), dtype),
+            "sign_masks": ((2, rows, width), bool),
+            "signs_proj": ((steps, rows, m), dtype),
+            "post_bn": ((rows, width), dtype),
+            "output": ((rows, width), dtype),
+            "grads": ((2, rows, width), dtype),
+        }
+        arrays = page_aligned(*blocks.values())
+        return cls(inputs=None, inv_stds=[], **dict(zip(blocks, arrays)))
 
     def holds(self, model: UnrolledAutoencoder, rows: int) -> bool:
         return (
@@ -407,10 +442,8 @@ def backward(model: UnrolledAutoencoder, trace: ForwardTrace) -> Gradients:
     d_gammas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
     d_betas: list[np.ndarray] = [np.empty(0)] * (model.num_updates + 1)
 
-    # The gradient alternates between two blocks of the trace's storage;
+    # The gradient alternates between the trace's two gradient blocks;
     # the forward intermediates are only read.
-    if trace.grads is None:
-        trace.grads = np.empty((2,) + trace.output.shape, trace.output.dtype)
     g, spare = trace.grads[0, :batch], trace.grads[1, :batch]
     np.subtract(trace.output[:batch], h_batch, out=g)
     g *= 2.0 / batch

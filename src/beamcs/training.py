@@ -29,6 +29,7 @@ from .network import (
     backward,
     forward,
     mse_loss,
+    page_aligned,
 )
 
 # Philox stream tags under the run seed; length-2 keys cannot collide
@@ -204,20 +205,26 @@ def train(
     train_x = train_x.astype(model.phi.dtype)
     dev_x = dev_x.astype(model.phi.dtype)
 
+    # One trace, with the rows of a batch or of a dev chunk, serves every
+    # step and every dev evaluation; every step refills the same batch and
+    # error buffers, page-aligned like the trace's blocks.
+    n_train = train_x.shape[0]
+    batch_rows = min(cfg.batch_size, n_train)
+    trace = ForwardTrace.allocate(
+        model, max(batch_rows, min(_DEV_CHUNK, dev_x.shape[0]))
+    )
+    batch_buf, error_buf = page_aligned(
+        *[((batch_rows, dataset.width), train_x.dtype)] * 2
+    )
+
     best = copy.deepcopy(model)
-    best_loss, dev_trace = dev_loss(model, dev_x)
+    best_loss, trace = dev_loss(model, dev_x, trace)
     best_epoch = 0
     dev_epochs = [0]
     dev_losses = [best_loss]
     train_losses: list[float] = []
     epoch_seconds: list[float] = []
 
-    # Every step refills the same batch and error buffers and the same
-    # trace, and every dev evaluation refills dev_trace.
-    n_train = train_x.shape[0]
-    batch_buf = np.empty((min(cfg.batch_size, n_train), dataset.width), train_x.dtype)
-    error_buf = np.empty_like(batch_buf)
-    trace = None
     for epoch in range(1, cfg.max_epochs + 1):
         tic = time.perf_counter()
         perm = shuffle_rng.permutation(n_train)
@@ -246,7 +253,7 @@ def train(
         epoch_seconds.append(time.perf_counter() - tic)
 
         if epoch % cfg.dev_eval_every == 0 or epoch == cfg.max_epochs:
-            loss, dev_trace = dev_loss(model, dev_x, dev_trace)
+            loss, trace = dev_loss(model, dev_x, trace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite dev loss at epoch {epoch}")
             dev_epochs.append(epoch)

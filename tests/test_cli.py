@@ -486,7 +486,7 @@ def test_dataset_ratios_that_contradict_its_split_are_a_file_error(
     capsys.readouterr()
     assert main(["train", *cfg, "--data", str(extra)]) == EXIT_IO
     err = capsys.readouterr().err
-    assert err == "file error: dataset trailer invalid: unknown config key: gain_model\n"
+    assert err == "file error: dataset trailer invalid: unknown trailer key: gain_model\n"
     assert sorted(os.listdir(bad)) == ["dataset.bcsl"]
 
 

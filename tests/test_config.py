@@ -14,7 +14,9 @@ from beamcs.config import (
     load_document,
     load_experiment,
     profile_defaults,
+    read_fields,
 )
+from beamcs.training import TrainConfig
 
 
 def test_profile_names():
@@ -182,6 +184,17 @@ def test_section_must_be_object():
     doc["train"] = "fast"
     with pytest.raises(ConfigError, match="must be an object"):
         build_experiment(doc)
+
+
+def test_unknown_keys_are_named_by_their_reader():
+    # a config document's extra key is a config key; a file trailer,
+    # read by the same reader, names its own
+    doc = {"seed": 1, "learning_rat": 0.5}
+    with pytest.raises(ConfigError, match="^unknown config key: train.learning_rat$"):
+        read_fields(doc, TrainConfig, ("seed",), "train.")
+    with pytest.raises(ConfigError, match="^unknown trailer key: learning_rat$"):
+        read_fields(doc, TrainConfig, ("seed",), noun="trailer")
+    assert read_fields(doc, TrainConfig, ("seed",), also=("learning_rat",)) == {"seed": 1}
 
 
 # A second valid value for every leaf of a document, different from its

@@ -60,7 +60,7 @@ def test_dataset_round_trip(tmp_path, trained):
     assert trailer == {"seed": 11, "ratios": [0.8, 0.1, 0.1], "floor": 0.1}
 
 
-def test_dataset_with_a_gain_model_entry_loads(tmp_path, trained):
+def test_dataset_with_a_gain_model_entry_is_refused(tmp_path, trained):
     # a trailer entry no code reads, like the gain_model of older
     # trailers, is refused by name
     dataset, _, _ = trained
@@ -70,7 +70,7 @@ def test_dataset_with_a_gain_model_entry_loads(tmp_path, trained):
     assert "gain_model" not in trailer
     trailer["gain_model"] = "complex_gaussian"
     path.write_bytes(_with_trailer(head, trailer))
-    with pytest.raises(FileFormatError, match="unknown config key: gain_model$"):
+    with pytest.raises(FileFormatError, match="^dataset trailer invalid: unknown trailer key: gain_model$"):
         load_dataset(str(path))
 
 
@@ -92,14 +92,14 @@ _OLD_CONFIG_BLOCK = {
 }
 
 
-def test_dataset_with_the_old_config_block_loads(tmp_path, trained):
+def test_dataset_with_the_old_config_block_is_refused(tmp_path, trained):
     # refused by its key; the same file without the block loads
     dataset, _, _ = trained
     new, old = tmp_path / "new.bcsl", tmp_path / "old.bcsl"
     save_dataset(str(new), dataset)
     head, trailer = _split_trailer(new.read_bytes())
     old.write_bytes(_with_trailer(head, {**trailer, "config": _OLD_CONFIG_BLOCK}))
-    with pytest.raises(FileFormatError, match="unknown config key: config$"):
+    with pytest.raises(FileFormatError, match="^dataset trailer invalid: unknown trailer key: config$"):
         load_dataset(str(old))
     b = load_dataset(str(new))
     assert b.config.seed == 11 and b.ratios == (0.8, 0.1, 0.1) and b.floor == 0.1
@@ -255,10 +255,10 @@ def test_corrupt_files_raise(tmp_path, trained):
     train_cfg = trailer["train_config"]
     for echo, message in [
         ([], r"document must be an object, got \[\]$"),
-        ({**trailer, "seed": 1}, "unknown config key: seed$"),
+        ({**trailer, "seed": 1}, "unknown trailer key: seed$"),
         ({"train_config": "x"}, "train_config must be an object, got 'x'$"),
         ({"train_config": {**train_cfg, "init_stddev": 0.1}},
-         "unknown config key: train_config.init_stddev$"),
+         "unknown trailer key: train_config.init_stddev$"),
         ({"train_config": {"num_updates": 2}}, "missing key train_config.learning_rate$"),
         ({"train_config": {**train_cfg, "batch_size": 1}}, "batch_size must be >= 2"),
         ({"train_config": {**train_cfg, "num_updates": 7}},

@@ -1,4 +1,6 @@
 import copy
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from beamcs import (
     mse_loss,
 )
 from beamcs import training
-from beamcs.network import BN_EPS, BN_MOMENTUM
+from beamcs.network import BN_EPS, BN_MOMENTUM, ForwardTrace
 from reference_solvers import decoder_update
 
 
@@ -178,6 +180,49 @@ def test_forward_trace_contents(rng):
     assert np.array_equal(trace.measurements, encode(model, h))
     assert np.array_equal(out, np.maximum(trace.post_bn, 0.0))
     assert (out >= 0.0).all()
+
+
+@pytest.mark.parametrize("num_updates", [0, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trace_blocks_start_on_pages_and_share_no_memory(num_updates, dtype, rng):
+    model = _as_dtype(make_model(width=6, m=2, num_updates=num_updates), dtype)
+    _, trace = forward(model, rng.standard_normal((5, 6)), Mode.TRAIN)
+    # the trace's own arrays: not inputs, the caller's batch
+    blocks = {
+        f.name: getattr(trace, f.name)
+        for f in fields(trace)
+        if f.name != "inputs" and isinstance(getattr(trace, f.name), np.ndarray)
+    }
+    assert set(blocks) == {
+        "measurements", "x_hat", "signs", "sign_masks", "signs_proj",
+        "post_bn", "output", "grads",
+    }
+    assert trace.grads.shape == (2, 5, 6) and trace.grads.dtype == dtype
+    for name, block in blocks.items():
+        assert block.ctypes.data % 4096 == 0, name
+    names = list(blocks)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            assert not np.shares_memory(blocks[a], blocks[b]), (a, b)
+
+
+def test_backward_allocates_no_gradient_block(rng):
+    # the gradient alternates between the trace's two grads blocks, made
+    # with the trace: backward's fresh memory stays below one
+    # (batch, width) block, and each call gives the same gradients
+    model = make_model(width=64, m=2, num_updates=2)
+    h = rng.standard_normal((1024, 64))
+    _, trace = forward(model, h, Mode.TRAIN)
+    grads = trace.grads
+    tracemalloc.start()
+    try:
+        first = backward(model, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nbytes
+    assert trace.grads is grads
+    assert _grads_equal(backward(model, trace), first)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -15,6 +15,7 @@ from beamcs import (
     train,
 )
 from beamcs import training
+from beamcs.network import ForwardTrace
 from beamcs.training import dev_loss
 
 FAST = TrainConfig(
@@ -243,13 +244,14 @@ def test_init_model_rounds_the_float64_draw_once():
 
 
 def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
-    # every dev evaluation of a train call refills the same trace
-    traces = []
+    # every forward of a train call, SGD step or dev evaluation, is given
+    # the same trace and refills it
+    given, returned = [], []
 
-    def recording_forward(model, h_batch, mode, **kwargs):
-        out, trace = forward(model, h_batch, mode, **kwargs)
-        if mode is Mode.INFER:
-            traces.append(trace)
+    def recording_forward(model, h_batch, mode, reuse=None):
+        out, trace = forward(model, h_batch, mode, reuse=reuse)
+        given.append(reuse)
+        returned.append(trace)
         return out, trace
 
     monkeypatch.setattr(training, "forward", recording_forward)
@@ -257,8 +259,39 @@ def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
         learning_rate=0.01, batch_size=16, max_epochs=3, num_updates=1, seed=0
     )
     _, report = train(tiny_dataset, 4, cfg)
-    assert len(traces) == len(report.dev_epochs) == 4
-    assert all(t is traces[0] for t in traces)
+    steps = 3 * (tiny_dataset.num_train // 16)
+    assert len(report.dev_epochs) == 4
+    assert len(returned) == steps + len(report.dev_epochs)
+    assert all(t is returned[0] for t in given + returned)
+
+
+@pytest.mark.parametrize(
+    "batch_size, dev_chunk, rows",
+    [
+        (16, 512, 16),  # the dev split is smaller than a batch
+        (64, 512, 48),  # the batch is the whole train split
+        (4, 512, 6),  # the dev split is larger than a batch
+        (4, 4, 4),  # and larger than a dev chunk
+        (2, 4, 4),  # a dev chunk is larger than a batch
+    ],
+)
+def test_train_allocates_one_trace(tiny_dataset, monkeypatch, batch_size, dev_chunk, rows):
+    # with the rows of a batch or of a dev chunk, whichever is more
+    sizes = []
+    allocate = ForwardTrace.allocate
+
+    def counting_allocate(cls, model, rows):
+        sizes.append(rows)
+        return allocate(model, rows)
+
+    monkeypatch.setattr(ForwardTrace, "allocate", classmethod(counting_allocate))
+    monkeypatch.setattr(training, "_DEV_CHUNK", dev_chunk)
+    cfg = TrainConfig(
+        learning_rate=0.01, batch_size=batch_size, max_epochs=2, num_updates=1, seed=0
+    )
+    train(tiny_dataset, 4, cfg)
+    assert (tiny_dataset.num_train, tiny_dataset.num_dev) == (48, 6)
+    assert sizes == [rows]
 
 
 def test_train_evaluates_the_dev_split_through_dev_loss(tiny_dataset, monkeypatch):
