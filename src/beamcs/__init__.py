@@ -32,8 +32,6 @@ from .network import (
     Mode,
     UnrolledAutoencoder,
     backward,
-    decoder_init,
-    encode,
     forward,
     mse_loss,
 )
@@ -71,9 +69,7 @@ __all__ = [
     "TrainingDivergedError",
     "UnrolledAutoencoder",
     "backward",
-    "decoder_init",
     "effective_rate",
-    "encode",
     "exact_recovery_rate",
     "forward",
     "generate_baseline",

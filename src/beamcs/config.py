@@ -121,11 +121,11 @@ def load_document(
     """Profile defaults <- config file <- explicit overrides, merged."""
     doc: dict = {}
     if config_path is not None:
-        try:
-            with open(config_path) as fh:
+        with open(config_path) as fh:
+            try:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
+                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
     base_name = profile if profile is not None else doc.get("profile", "paper")
@@ -159,7 +159,12 @@ def _typed(value, tp, key: str):
     json_types = {int: int, float: (int, float), str: str}[tp]
     if isinstance(value, bool) or not isinstance(value, json_types):
         raise ConfigError(f"{key} must be of type {tp.__name__}, got {value!r}")
-    return tp(value)
+    try:
+        return tp(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(
+            f"{key} must be of type {tp.__name__}, got an integer too large for it"
+        ) from None
 
 
 def read_fields(doc, cls, names, prefix="", also=(), noun="config") -> dict:

@@ -98,7 +98,7 @@ def _read_file(path: str, magic: bytes, fixed: struct.Struct):
         raise FileFormatError("corrupt trailer length")
     try:
         echo = json.loads(blob[payload_end : len(blob) - _TRAILER_LEN.size])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
         raise FileFormatError(f"corrupt echo trailer: {exc}") from exc
     start = head + fixed.size
     count, ragged = divmod(payload_end - start, stored.itemsize)

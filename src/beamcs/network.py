@@ -16,17 +16,17 @@ Gradients are hand-derived reverse-mode for this fixed graph (no autodiff
 framework): sign(.) is treated as locally constant, ReLU' is 0 at and
 below 0, and batch-norm backward includes the batch-statistics terms.
 
-forward() records its intermediates in a ForwardTrace, which backward()
-reads together with the batch it holds: per layer the centred batch-norm
+forward() fills a ForwardTrace that the caller allocates and passes in,
+and refuses one that does not fit the batch; backward() reads the trace
+together with the batch it holds: per layer the centred batch-norm
 input and its 1/std vector, and per update the signs and their
 projection.  A trace's blocks, backward()'s two gradient blocks among
 them, are carved from one allocation, each starting on a page boundary:
 where a pass's input and output lie modulo the page size follows from
 the shapes, not from the allocator, and at the paper's shapes no pass
-writes its output a few bytes above its input (4K aliasing).  Passed
-back as reuse, a trace is refilled in place and returned: a training
-run allocates one, which every SGD step and every dev evaluation
-shares.  Only a train-mode pass leaves a batch
+writes its output a few bytes above its input (4K aliasing).  A
+training run allocates one trace, which every SGD step and every dev
+evaluation refills in place.  Only a train-mode pass leaves a batch
 for backward(): inference mode scores the dev split and is never
 differentiated.
 
@@ -126,33 +126,24 @@ class BatchNormLayer:
             running_var=np.ones(width, dtype),
         )
 
-    def forward(
-        self,
-        x: np.ndarray,
-        mode: Mode,
-        *,
-        x_c: np.ndarray | None = None,
-        out: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Normalize a (batch, width) block; returns (output, cache).
+    def forward(self, a: np.ndarray, mode: Mode, out: np.ndarray) -> np.ndarray:
+        """Normalizes a (batch, width) block into out; returns inv_std.
 
-        cache = (x_c, inv_std) feeds backward(): x_c is the input centred
-        by the batch (train) or running (infer) mean, and x_c * inv_std is
-        the normalized x_hat, which is never formed.  Train mode requires
+        a is centred in place by the batch (train) or running (infer)
+        mean; a * inv_std is the normalized x_hat, which is never formed,
+        and a with inv_std is what backward() reads.  Train mode requires
         a batch of at least 2 and folds the batch statistics into the
-        running statistics.  x_c and out, when given, are written and
-        returned instead of fresh arrays; x_c may be x itself, which then
-        is centred in place.
+        running statistics.
         """
-        if x.ndim != 2 or x.shape[1] != self.gamma.shape[0]:
-            raise ValueError(f"expected (batch, {self.gamma.shape[0]}), got {x.shape}")
+        if a.ndim != 2 or a.shape[1] != self.gamma.shape[0]:
+            raise ValueError(f"expected (batch, {self.gamma.shape[0]}), got {a.shape}")
         if mode is Mode.TRAIN:
-            batch = x.shape[0]
+            batch = a.shape[0]
             if batch < 2:
                 raise ValueError("train-mode batch norm needs batch size >= 2")
-            mean = (_ones(batch, x.dtype) @ x) / batch
-            x_c = np.subtract(x, mean, out=x_c)
-            var = np.einsum("ij,ij->j", x_c, x_c) / batch
+            mean = (_ones(batch, a.dtype) @ a) / batch
+            a -= mean
+            var = np.einsum("ij,ij->j", a, a) / batch
             self.running_mean = (
                 BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
             )
@@ -160,40 +151,36 @@ class BatchNormLayer:
                 BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
             )
         else:
-            x_c = np.subtract(x, self.running_mean, out=x_c)
+            a -= self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         # gamma x_hat + beta, with the scaling folded into one pass
-        out = np.multiply(x_c, self.gamma * inv_std, out=out)
+        np.multiply(a, self.gamma * inv_std, out=out)
         out += self.beta
-        return out, (x_c, inv_std)
+        return inv_std
 
     def backward(
-        self,
-        grad_out: np.ndarray,
-        cache: tuple[np.ndarray, np.ndarray],
-        *,
-        out: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (grad_x, grad_gamma, grad_beta) for the cache (x_c,
-        inv_std) of a train-mode forward(), through the batch statistics.
+        self, g: np.ndarray, x_c: np.ndarray, inv_std: np.ndarray, out: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Writes grad_x into out and returns (grad_gamma, grad_beta), for
+        the output gradient g of a train-mode forward() that left x_c and
+        inv_std, through the batch statistics.
 
-        grad_gamma is inv_std times the column sums of grad_out * x_c.
-        With grad_xhat = gamma * grad_out, the batch sums the gradient
-        needs are gamma * grad_beta and gamma * grad_gamma, so
+        grad_gamma is inv_std times the column sums of g * x_c.  With
+        grad_xhat = gamma * g, the batch sums the gradient needs are
+        gamma * grad_beta and gamma * grad_gamma, so
         grad_x = gamma inv_std (g - grad_beta/B - x_c inv_std grad_gamma/B).
-        grad_x is written into out when given, which must not be grad_out.
+        out must not be g.
         """
-        x_c, inv_std = cache
-        batch = grad_out.shape[0]
-        grad_beta = _ones(batch, grad_out.dtype) @ grad_out
-        grad_gamma = np.einsum("ij,ij->j", grad_out, x_c)
+        batch = g.shape[0]
+        grad_beta = _ones(batch, g.dtype) @ g
+        grad_gamma = np.einsum("ij,ij->j", g, x_c)
         grad_gamma *= inv_std
-        grad_x = np.multiply(x_c, grad_gamma * (inv_std / batch), out=out)
-        np.subtract(grad_out, grad_x, out=grad_x)
-        grad_x -= grad_beta / batch
-        grad_x *= self.gamma * inv_std
-        return grad_x, grad_gamma, grad_beta
+        np.multiply(x_c, grad_gamma * (inv_std / batch), out=out)
+        np.subtract(g, out, out=out)
+        out -= grad_beta / batch
+        out *= self.gamma * inv_std
+        return grad_gamma, grad_beta
 
 
 @dataclass
@@ -245,13 +232,12 @@ class ForwardTrace:
     """Intermediates of the last forward() pass given this trace, for
     backward().
 
-    The arrays hold up to capacity rows; forward(..., reuse=this trace)
-    refills their leading rows with each batch that fits and returns this
-    same trace, so it always describes the batch it was last given.
-    grads is backward()'s working storage.
+    The arrays hold up to capacity rows; forward() refills their leading
+    rows with each batch, so the trace always describes the batch it was
+    last given.  grads is backward()'s working storage.
     inputs is that batch once a train-mode pass completes; it is None
     while a pass is under way and after an infer-mode pass or a pass
-    that raised, and backward() refuses the trace then.
+    that raised or was refused, and backward() refuses the trace then.
     """
 
     inputs: np.ndarray | None  # (batch, width), the caller's array
@@ -283,14 +269,21 @@ class ForwardTrace:
         arrays = page_aligned(*blocks.values())
         return cls(inputs=None, inv_stds=[], **dict(zip(blocks, arrays)))
 
-    def holds(self, model: UnrolledAutoencoder, rows: int) -> bool:
-        return (
-            self.x_hat.dtype == model.phi.dtype
-            and self.x_hat.shape[0] == model.num_updates + 1
-            and self.x_hat.shape[1] >= rows
-            and self.x_hat.shape[2] == model.width
-            and self.measurements.shape[1] == model.num_measurements
+    def holds(self, model: UnrolledAutoencoder, rows: int) -> None:
+        """Raises ValueError unless this trace takes a batch of rows for
+        model: the model's dtype, layer count, width and m, and at least
+        rows rows."""
+        layers, capacity, width = self.x_hat.shape
+        have = (self.x_hat.dtype.name, layers, width, self.measurements.shape[1])
+        want = (
+            model.phi.dtype.name, model.num_updates + 1, model.width,
+            model.num_measurements,
         )
+        if have != want or capacity < rows:
+            raise ValueError(
+                f"trace of {capacity} rows cannot hold {rows}: its (dtype, "
+                f"layers, width, m) are {have}, the model's {want}"
+            )
 
 
 @dataclass
@@ -301,31 +294,6 @@ class Gradients:
     d_alpha: float
     d_gammas: list[np.ndarray]
     d_betas: list[np.ndarray]
-
-
-def encode(
-    model: UnrolledAutoencoder, h_batch: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Linear compression of a (batch, width) block: row i maps to Phi h_i.
-
-    Written into out when given.
-    """
-    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
-    if h_batch.ndim != 2 or h_batch.shape[1] != model.width:
-        raise ValueError(f"expected (batch, {model.width}), got {h_batch.shape}")
-    return np.matmul(h_batch, model.phi.T, out=out)
-
-
-def decoder_init(
-    model: UnrolledAutoencoder, y_batch: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """First decoder layer: Phi^T y per sample, written into out when given."""
-    y_batch = np.asarray(y_batch, dtype=model.phi.dtype)
-    if y_batch.ndim != 2 or y_batch.shape[1] != model.num_measurements:
-        raise ValueError(
-            f"expected (batch, {model.num_measurements}), got {y_batch.shape}"
-        )
-    return np.matmul(y_batch, model.phi, out=out)
 
 
 def _update(
@@ -348,39 +316,34 @@ def _update(
 
 
 def forward(
-    model: UnrolledAutoencoder,
-    h_batch: np.ndarray,
-    mode: Mode = Mode.TRAIN,
-    reuse: ForwardTrace | None = None,
-) -> tuple[np.ndarray, ForwardTrace]:
-    """Full reconstruction pass; Train mode updates BN running statistics.
+    model: UnrolledAutoencoder, h_batch: np.ndarray, mode: Mode, trace: ForwardTrace
+) -> np.ndarray:
+    """Full reconstruction pass into the caller's trace; returns the
+    output, a view of the trace's storage.  Train mode updates BN running
+    statistics.
 
-    reuse takes the trace of an earlier call.  When it holds this batch
-    (same model shape, at least as many rows) its leading rows are
-    refilled and reuse itself is returned, with the output a view of
-    its storage; otherwise a new trace is made and reuse is left as it
-    was.  h_batch must not share memory with reuse; after a train-mode
-    pass backward() reads it as the batch, so it must not change before
-    that call.
+    The trace must hold the batch (ForwardTrace.holds); its leading rows
+    are refilled.  h_batch must not share memory with the trace; after a
+    train-mode pass backward() reads it as the batch, so it must not
+    change before that call.
     """
-    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
-    rows = h_batch.shape[0] if h_batch.ndim == 2 else 0  # encode rejects the rest
-    trace = reuse
-    if trace is None or not trace.holds(model, rows):
-        trace = ForwardTrace.allocate(model, rows)
     trace.inputs = None  # set last, by train mode only: see ForwardTrace
+    h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
+    if h_batch.ndim != 2 or h_batch.shape[1] != model.width:
+        raise ValueError(f"expected (batch, {model.width}), got {h_batch.shape}")
+    rows = h_batch.shape[0]
+    trace.holds(model, rows)
     x_hat = trace.x_hat[:, :rows]
     signs = trace.signs[:, :rows]
     signs_proj = trace.signs_proj[:, :rows]
     positive, negative = trace.sign_masks[:, :rows]
     z = trace.post_bn[:rows]
 
-    # Each layer's update is built in its x_hat block, which batch norm
-    # then centres in place, writing its output over z; of its cache
-    # (x_c, inv_std) only inv_std is new.
-    y = encode(model, h_batch, out=trace.measurements[:rows])
-    a = decoder_init(model, y, out=x_hat[0])
-    inv_stds = [model.bn_layers[0].forward(a, mode, x_c=a, out=z)[1][1]]
+    # y = h Phi^T, then each layer's update is built in its x_hat block,
+    # which batch norm centres in place, writing its output over z.
+    y = np.matmul(h_batch, model.phi.T, out=trace.measurements[:rows])
+    a = np.matmul(y, model.phi, out=x_hat[0])
+    inv_stds = [model.bn_layers[0].forward(a, mode, z)]
     for t in range(1, model.num_updates + 1):
         # sign(z) as (z > 0) - (z < 0): the bits of np.sign, ±0 included,
         # and faster; a NaN gives 0 where np.sign gives NaN, but the NaN in
@@ -393,13 +356,13 @@ def forward(
         )
         sp = np.matmul(s, model.phi.T, out=signs_proj[t - 1])
         a = _update(model, z, s, sp, t, out=x_hat[t])
-        inv_stds.append(model.bn_layers[t].forward(a, mode, x_c=a, out=z)[1][1])
+        inv_stds.append(model.bn_layers[t].forward(a, mode, z))
 
     output = np.maximum(z, 0.0, out=trace.output[:rows])
     trace.inv_stds = inv_stds
     if mode is Mode.TRAIN:
         trace.inputs = h_batch
-    return output, trace
+    return output
 
 
 def mse_loss(
@@ -447,13 +410,15 @@ def backward(model: UnrolledAutoencoder, trace: ForwardTrace) -> Gradients:
     g, spare = trace.grads[0, :batch], trace.grads[1, :batch]
     np.subtract(trace.output[:batch], h_batch, out=g)
     g *= 2.0 / batch
-    g *= trace.post_bn[:batch] > 0  # ReLU'(x) = 0 for x <= 0
+    # ReLU'(x) = 0 for x <= 0, as floats in the free block
+    np.greater(trace.post_bn[:batch], 0.0, out=spare)
+    g *= spare
 
     for t in range(model.num_updates, 0, -1):
-        grad_x, d_gammas[t], d_betas[t] = model.bn_layers[t].backward(
-            g, (trace.x_hat[t, :batch], trace.inv_stds[t]), out=spare
+        d_gammas[t], d_betas[t] = model.bn_layers[t].backward(
+            g, trace.x_hat[t, :batch], trace.inv_stds[t], spare
         )
-        g, spare = grad_x, g
+        g, spare = spare, g
         s = trace.signs[t - 1, :batch]
         sp = trace.signs_proj[t - 1, :batch]
         gp = g @ phi.T
@@ -462,9 +427,10 @@ def backward(model: UnrolledAutoencoder, trace: ForwardTrace) -> Gradients:
         d_phi += (model.alpha / t) * (sp.T @ g + gp.T @ s)
         # dL/d post_bn[t-1] equals g: the sign branch is locally constant.
 
-    g, d_gammas[0], d_betas[0] = model.bn_layers[0].backward(
-        g, (trace.x_hat[0, :batch], trace.inv_stds[0]), out=spare
+    d_gammas[0], d_betas[0] = model.bn_layers[0].backward(
+        g, trace.x_hat[0, :batch], trace.inv_stds[0], spare
     )
+    g = spare
     # First layer a = y Phi with y = h Phi^T: direct term plus the
     # dependence through the encoder.
     d_phi += trace.measurements[:batch].T @ g

@@ -163,24 +163,22 @@ def _sgd_step(
 
 
 def dev_loss(
-    model: UnrolledAutoencoder,
-    samples: np.ndarray,
-    trace: ForwardTrace | None = None,
-) -> tuple[float, ForwardTrace]:
-    """Inference-mode reconstruction loss, chunked; exact because
-    inference outputs are batch-independent.  Refills trace when given
-    and returns the loss and the trace to pass to the next evaluation."""
+    model: UnrolledAutoencoder, samples: np.ndarray, trace: ForwardTrace
+) -> float:
+    """Inference-mode reconstruction loss, chunked through trace, which
+    must hold a chunk; exact because inference outputs are
+    batch-independent."""
     if samples.shape[0] == 0:
         raise ValueError("empty evaluation split")
     samples = np.asarray(samples, dtype=model.phi.dtype)
     total = 0.0
     for start in range(0, samples.shape[0], _DEV_CHUNK):
         block = samples[start : start + _DEV_CHUNK]
-        out, trace = forward(model, block, Mode.INFER, reuse=trace)
+        out = forward(model, block, Mode.INFER, trace)
         diff = np.subtract(block, out, out=out)
         diff *= diff
         total += float(np.sum(diff))
-    return total / samples.shape[0], trace
+    return total / samples.shape[0]
 
 
 def train(
@@ -218,7 +216,7 @@ def train(
     )
 
     best = copy.deepcopy(model)
-    best_loss, trace = dev_loss(model, dev_x, trace)
+    best_loss = dev_loss(model, dev_x, trace)
     best_epoch = 0
     dev_epochs = [0]
     dev_losses = [best_loss]
@@ -238,7 +236,7 @@ def train(
             # idx is a permutation slice, always in range; mode="clip"
             # writes straight into out, where "raise" would buffer a copy
             batch = np.take(train_x, idx, axis=0, out=batch_buf[:rows], mode="clip")
-            out, trace = forward(model, batch, Mode.TRAIN, reuse=trace)
+            out = forward(model, batch, Mode.TRAIN, trace)
             loss = mse_loss(batch, out, out=error_buf[:rows])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -253,7 +251,7 @@ def train(
         epoch_seconds.append(time.perf_counter() - tic)
 
         if epoch % cfg.dev_eval_every == 0 or epoch == cfg.max_epochs:
-            loss, trace = dev_loss(model, dev_x, trace)
+            loss = dev_loss(model, dev_x, trace)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite dev loss at epoch {epoch}")
             dev_epochs.append(epoch)

@@ -5,7 +5,8 @@ Euclidean projection onto the affine solution set, and
 oracle_sparse_recover brute-forces small instances by support
 enumeration; both cross-check basis pursuit's LP route, and the oracle
 shares no code with it.  decoder_update is one decoder layer of the
-network, before batch norm, as a standalone function.
+network, before batch norm, as a standalone function, and fresh_forward
+is forward() on a trace allocated for the one call.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beamcs.network import UnrolledAutoencoder, _update
+from beamcs.network import ForwardTrace, Mode, UnrolledAutoencoder, _update, forward
 from beamcs.recovery import (
     RecoveryConfig,
     RecoveryResult,
@@ -154,3 +155,11 @@ def decoder_update(
     h_batch = np.asarray(h_batch, dtype=model.phi.dtype)
     signs = np.sign(h_batch)
     return _update(model, h_batch, signs, signs @ model.phi.T, step_index)
+
+
+def fresh_forward(
+    model: UnrolledAutoencoder, h_batch: np.ndarray, mode: Mode
+) -> tuple[np.ndarray, ForwardTrace]:
+    """(output, trace) of forward() on a trace made for this batch."""
+    trace = ForwardTrace.allocate(model, len(h_batch))
+    return forward(model, h_batch, mode, trace), trace

@@ -1,8 +1,8 @@
 """Acceptance gates for the whole package.
 
 Each test here is one pass/fail verdict.  The three full-scale gates read
-the artifacts of a completed paper-profile run (about two and a half
-hours on one CPU core; see the README) and skip with instructions when
+the artifacts of a completed paper-profile run (about 70 minutes on one
+CPU core; see the README) and skip with instructions when
 those artifacts are absent.  Everything else runs from scratch in
 minutes.
 """
@@ -28,7 +28,6 @@ from beamcs import (
     UnrolledAutoencoder,
     backward,
     effective_rate,
-    forward,
     generate_dataset,
     mse_loss,
     preprocess,
@@ -37,13 +36,12 @@ from beamcs import (
 )
 from beamcs.cli import EXIT_OK, main
 from reference_channels import dft_grid_matrix, stack_real, steering_vector, unstack_real
-from reference_solvers import decoder_update, oracle_sparse_recover
+from reference_solvers import decoder_update, fresh_forward, oracle_sparse_recover
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FULL_RUN_DIR = os.environ.get(
     "BEAMCS_PAPER_DIR", os.path.join(REPO_ROOT, "runs", "paper")
 )
-RUN_FULL_INLINE = os.environ.get("BEAMCS_RUN_FULL") == "1"
 
 # Targets for the full-scale learned matrix, in percent, per m.
 TARGET_LEARNED_PERCENT = {20: 95.90, 25: 98.70, 30: 99.60, 35: 100.0, 40: 100.0}
@@ -59,21 +57,13 @@ def full_scale_report():
     """Rates from a completed paper-profile run, keyed [kind][m]."""
     path = os.path.join(FULL_RUN_DIR, "report.json")
     if not os.path.exists(path):
-        if RUN_FULL_INLINE:
-            for sub in ("gen-data", "train", "sweep"):
-                code = main(
-                    [sub, "--profile", "paper", "--seed", "0", "--out", FULL_RUN_DIR]
-                )
-                assert code == EXIT_OK, f"{sub} failed with exit code {code}"
-        else:
-            pytest.skip(
-                f"no full-scale report at {path}; generate one with\n"
-                f"  python3 -m beamcs.cli gen-data --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
-                f"  python3 -m beamcs.cli train    --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
-                f"  python3 -m beamcs.cli sweep    --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
-                "(about two and a half hours), point BEAMCS_PAPER_DIR at an existing run, "
-                "or set BEAMCS_RUN_FULL=1 to run it inside pytest"
-            )
+        pytest.skip(
+            f"no full-scale report at {path}; generate one with\n"
+            f"  python3 -m beamcs.cli gen-data --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
+            f"  python3 -m beamcs.cli train    --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
+            f"  python3 -m beamcs.cli sweep    --profile paper --seed 0 --out {FULL_RUN_DIR}\n"
+            "(about 70 minutes), or point BEAMCS_PAPER_DIR at an existing run"
+        )
     with open(path) as fh:
         doc = json.load(fh)
     # the dataset block describes the swept file, whatever the sweep's config
@@ -166,7 +156,7 @@ def _random_model(rng):
 
 
 def _loss(model, h):
-    out, _ = forward(model, h, Mode.TRAIN)
+    out, _ = fresh_forward(model, h, Mode.TRAIN)
     return mse_loss(h, out)
 
 
@@ -201,7 +191,7 @@ def test_gradients_match_finite_differences_on_random_configs():
         h[rng.random((4, 16)) < 0.6] = 0.0
         frozen = copy.deepcopy(model)
 
-        _, trace = forward(model, h, Mode.TRAIN)
+        _, trace = fresh_forward(model, h, Mode.TRAIN)
         grads = backward(model, trace)
         model = frozen  # finite differences probe untouched statistics
 

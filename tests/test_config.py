@@ -93,6 +93,8 @@ def test_bad_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     for text, message in [
         ("{not json", "not valid JSON"),
+        # more digits than Python converts to an int
+        ('{"seed": ' + "1" * 5000 + "}", "not valid JSON: Exceeds the limit"),
         ("[1, 2]", "JSON object"),
         # a profile of the wrong JSON type is refused, a falsy one too,
         # rather than read as no profile at all
@@ -165,6 +167,8 @@ def test_seed_cascades():
         ({"seed": -1, "channel": {"seed": 0}, "train": {"seed": 0}}, "^seed must be nonnegative$"),
         # also when no section seed was ever in the document
         ({"seed": -1}, "^seed must be nonnegative$"),
+        # a JSON integer no float holds
+        ({"train": {"learning_rate": 10**400}}, "train.learning_rate must be of type float, got an integer too large"),
     ],
 )
 def test_build_experiment_rejects(overrides, message):

@@ -152,14 +152,15 @@ def test_checkpoint_train_config_matches_config_echo(tmp_path, trained, profile)
 
 
 def test_checkpoint_usable_after_load(tmp_path, trained):
-    from beamcs import Mode, forward
+    from beamcs import Mode
+    from reference_solvers import fresh_forward
 
     dataset, model, _ = trained
     path = tmp_path / "c.bcsw"
     save_checkpoint(str(path), model, TRAIN_CFG)
     loaded, _ = load_checkpoint(str(path))
-    a, _ = forward(model, dataset.dev, Mode.INFER)
-    b, _ = forward(loaded, dataset.dev, Mode.INFER)
+    a, _ = fresh_forward(model, dataset.dev, Mode.INFER)
+    b, _ = fresh_forward(loaded, dataset.dev, Mode.INFER)
     assert np.array_equal(a, b)
 
 
@@ -243,11 +244,17 @@ def test_corrupt_files_raise(tmp_path, trained):
         ("seed", True, "seed must be of type int, got True"),
         ("floor", -0.1, r"floor -0.1 is not in \[0, 1\)"),
         ("floor", "0.1", "floor must be of type float, got '0.1'"),
+        ("floor", 10**400, "floor must be of type float, got an integer too large"),
         ("floor", 0.9, "floor 0.9 exceeds the smallest nonzero sample 0.1"),
     ]:
         bad.write_bytes(_with_trailer(head, {**trailer, key: value}))
         with pytest.raises(FileFormatError, match=f"^dataset trailer invalid: {message}"):
             load_dataset(str(bad))
+    # an integer with more digits than Python converts
+    text = b'{"floor":' + b"1" * 5000 + b',"ratios":[0.8,0.1,0.1],"seed":11}'
+    bad.write_bytes(head + text + struct.pack("<Q", len(text)))
+    with pytest.raises(FileFormatError, match="^corrupt echo trailer: Exceeds the limit"):
+        load_dataset(str(bad))
 
     # checkpoint trailers that are not the TrainConfig of this model
     head, trailer = _split_trailer((tmp_path / "c.bcsw").read_bytes())

@@ -10,14 +10,12 @@ from beamcs import (
     Mode,
     UnrolledAutoencoder,
     backward,
-    decoder_init,
-    encode,
     forward,
     mse_loss,
 )
 from beamcs import training
 from beamcs.network import BN_EPS, BN_MOMENTUM, ForwardTrace
-from reference_solvers import decoder_update
+from reference_solvers import decoder_update, fresh_forward
 
 
 def make_model(width=6, m=2, num_updates=2, seed=0):
@@ -43,11 +41,20 @@ def make_model(width=6, m=2, num_updates=2, seed=0):
 # ------------------------------------------------------------ batch norm
 
 
+def _bn_forward(layer, x, mode):
+    """(output, x_c, inv_std) of layer.forward on a copy of x, which it
+    centres in place."""
+    x_c = np.array(x, dtype=layer.gamma.dtype)
+    out = np.empty_like(x_c)
+    inv_std = layer.forward(x_c, mode, out)
+    return out, x_c, inv_std
+
+
 def test_bn_train_standardizes_batch(rng):
     layer = BatchNormLayer.identity(4)
     x = rng.standard_normal((64, 4)) * 3.0 + 5.0
-    out, (x_c, inv_std) = layer.forward(x, Mode.TRAIN)
-    # the cache holds the centred input; x_c * inv_std is the textbook x_hat
+    out, x_c, inv_std = _bn_forward(layer, x, Mode.TRAIN)
+    # the input is left centred; x_c * inv_std is the textbook x_hat
     want_x_hat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + BN_EPS)
     assert _rel(x_c * inv_std, want_x_hat) <= 1e-12
     assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
@@ -58,7 +65,7 @@ def test_bn_train_standardizes_batch(rng):
 def test_bn_running_statistics_update(rng):
     layer = BatchNormLayer.identity(3)
     x = rng.standard_normal((32, 3)) + 2.0
-    layer.forward(x, Mode.TRAIN)
+    _bn_forward(layer, x, Mode.TRAIN)
     # exponential update from the (0, 1) initialization, biased batch var
     assert np.allclose(layer.running_mean, 0.01 * x.mean(axis=0), atol=1e-15)
     assert np.allclose(
@@ -74,7 +81,7 @@ def test_bn_infer_uses_running_stats(rng):
         running_var=np.array([4.0, 9.0]),
     )
     x = rng.standard_normal((5, 2))
-    out, _ = layer.forward(x, Mode.INFER)
+    out = _bn_forward(layer, x, Mode.INFER)[0]
     expected = layer.gamma * (x - layer.running_mean) / np.sqrt(
         layer.running_var + 1e-5
     ) + layer.beta
@@ -86,16 +93,16 @@ def test_bn_infer_uses_running_stats(rng):
 def test_bn_infer_is_rowwise(rng):
     layer = make_model().bn_layers[0]
     x = rng.standard_normal((6, 6))
-    full, _ = layer.forward(x, Mode.INFER)
+    full = _bn_forward(layer, x, Mode.INFER)[0]
     for i in range(6):
-        row, _ = layer.forward(x[i : i + 1], Mode.INFER)
+        row = _bn_forward(layer, x[i : i + 1], Mode.INFER)[0]
         assert np.array_equal(row[0], full[i])
 
 
 def test_bn_rejects_singleton_train_batch():
     layer = BatchNormLayer.identity(3)
     with pytest.raises(ValueError, match="batch size >= 2"):
-        layer.forward(np.ones((1, 3)), Mode.TRAIN)
+        _bn_forward(layer, np.ones((1, 3)), Mode.TRAIN)
 
 
 def test_bn_validation():
@@ -153,31 +160,66 @@ def test_decoder_update_step_scaling(rng):
         decoder_update(model, h, 0)
 
 
-def test_encode_decode_shapes(rng):
+def test_forward_checks_the_batch_shape(rng):
     model = make_model(width=8, m=3, num_updates=4)
     h = rng.standard_normal((7, 8))
-    y = encode(model, h)
+    _, trace = fresh_forward(model, h, Mode.INFER)
+    y = trace.measurements
     assert y.shape == (7, 3)
     assert np.allclose(y, h @ model.phi.T)
-    assert decoder_init(model, y).shape == (7, 8)
-    with pytest.raises(ValueError):
-        encode(model, np.ones((7, 9)))
-    with pytest.raises(ValueError):
-        decoder_init(model, np.ones((7, 4)))
+    assert trace.x_hat[0].shape == (7, 8)
+    for bad in (np.ones((7, 9)), np.ones(8), np.ones((1, 7, 8))):
+        with pytest.raises(ValueError, match="expected"):
+            forward(model, bad, Mode.INFER, trace)
 
 
-# --------------------------------------------------------------- forward
+def _blocks(trace):
+    """Copies of the trace's own arrays: not inputs, the caller's batch."""
+    return {
+        f.name: getattr(trace, f.name).copy()
+        for f in fields(trace)
+        if f.name != "inputs" and isinstance(getattr(trace, f.name), np.ndarray)
+    }
+
+
+@pytest.mark.parametrize("other", ["rows", "dtype", "width", "m", "layers", "batch"])
+def test_forward_refuses_a_trace_that_does_not_fit(other, rng):
+    # a trace made for another model or fewer rows, or a batch of another
+    # width, is refused before any trace block is written
+    model = make_model(width=16, m=4, num_updates=2, seed=1)
+    owner, rows = {
+        "rows": (model, 7),
+        "dtype": (_as_dtype(model, np.float32), 8),
+        "width": (make_model(width=15, m=4, num_updates=2), 8),
+        "m": (make_model(width=16, m=3, num_updates=2), 8),
+        "layers": (make_model(width=16, m=4, num_updates=3), 8),
+        "batch": (model, 8),
+    }[other]
+    trace = ForwardTrace.allocate(owner, rows)
+    forward(owner, rng.uniform(0.0, 1.0, (rows, owner.width)), Mode.TRAIN, trace)
+    before = _blocks(trace)
+    width, message = 16, "cannot hold 8"
+    if other == "batch":
+        width, message = 15, r"expected \(batch, 16\)"
+    with pytest.raises(ValueError, match=message):
+        forward(model, rng.uniform(0.0, 1.0, (8, width)), Mode.TRAIN, trace)
+    after = _blocks(trace)
+    assert all(np.array_equal(before[k], after[k], equal_nan=True) for k in before)
+    # the trace holds no batch, so backward cannot pair it with stale blocks
+    assert trace.inputs is None
+    with pytest.raises(ValueError, match="no batch"):
+        backward(owner, trace)
 
 
 def test_forward_trace_contents(rng):
     model = make_model(width=6, m=2, num_updates=3)
     h = rng.standard_normal((5, 6))
-    out, trace = forward(model, h, Mode.INFER)
+    out, trace = fresh_forward(model, h, Mode.INFER)
     assert out.shape == trace.post_bn.shape == (5, 6)
     assert trace.x_hat.shape == (4, 5, 6) and len(trace.inv_stds) == 4
     assert trace.signs.shape == (3, 5, 6)
     assert trace.signs_proj.shape == (3, 5, 2)
-    assert np.array_equal(trace.measurements, encode(model, h))
+    assert np.array_equal(trace.measurements, h @ model.phi.T)
     assert np.array_equal(out, np.maximum(trace.post_bn, 0.0))
     assert (out >= 0.0).all()
 
@@ -186,7 +228,7 @@ def test_forward_trace_contents(rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_trace_blocks_start_on_pages_and_share_no_memory(num_updates, dtype, rng):
     model = _as_dtype(make_model(width=6, m=2, num_updates=num_updates), dtype)
-    _, trace = forward(model, rng.standard_normal((5, 6)), Mode.TRAIN)
+    _, trace = fresh_forward(model, rng.standard_normal((5, 6)), Mode.TRAIN)
     # the trace's own arrays: not inputs, the caller's batch
     blocks = {
         f.name: getattr(trace, f.name)
@@ -212,7 +254,7 @@ def test_backward_allocates_no_gradient_block(rng):
     # (batch, width) block, and each call gives the same gradients
     model = make_model(width=64, m=2, num_updates=2)
     h = rng.standard_normal((1024, 64))
-    _, trace = forward(model, h, Mode.TRAIN)
+    _, trace = fresh_forward(model, h, Mode.TRAIN)
     grads = trace.grads
     tracemalloc.start()
     try:
@@ -242,8 +284,8 @@ def test_forward_signs_are_np_sign_bit_for_bit(dtype, rng):
     layer.running_mean[:k] = 1e30
     h = rng.uniform(0.0, 1.0, (rows, width))
 
-    _, trace = forward(model, h, Mode.INFER)
-    z, _ = layer.forward(decoder_init(model, encode(model, h)), Mode.INFER)
+    _, trace = fresh_forward(model, h, Mode.INFER)
+    z = _bn_forward(layer, trace.measurements @ model.phi, Mode.INFER)[0]
     ints = np.dtype(f"i{np.dtype(dtype).itemsize}")
     assert np.array_equal(z[:, :k].view(ints), np.tile(special.view(ints), (rows, 1)))
     assert (z[:, k:] > 0).any() and (z[:, k:] < 0).any()
@@ -254,8 +296,8 @@ def test_forward_signs_are_np_sign_bit_for_bit(dtype, rng):
 def test_forward_infer_is_batch_independent(rng):
     model = make_model(width=8, m=3, num_updates=2, seed=5)
     h = rng.standard_normal((6, 8))
-    full, _ = forward(model, h, Mode.INFER)
-    rows = [forward(model, h[i : i + 1], Mode.INFER)[0][0] for i in range(6)]
+    full, _ = fresh_forward(model, h, Mode.INFER)
+    rows = [fresh_forward(model, h[i : i + 1], Mode.INFER)[0][0] for i in range(6)]
     # equal up to BLAS rounding: batched and row-wise matmuls may take
     # different kernel paths
     assert np.max(np.abs(np.stack(rows) - full)) <= 1e-12
@@ -265,7 +307,7 @@ def test_forward_train_updates_running_stats(rng):
     model = make_model()
     before = [layer.running_mean.copy() for layer in model.bn_layers]
     h = rng.standard_normal((4, 6))
-    forward(model, h, Mode.TRAIN)
+    fresh_forward(model, h, Mode.TRAIN)
     for prev, layer in zip(before, model.bn_layers):
         assert not np.array_equal(prev, layer.running_mean)
 
@@ -273,7 +315,7 @@ def test_forward_train_updates_running_stats(rng):
 def test_forward_infer_leaves_running_stats(rng):
     model = make_model()
     before = [layer.running_mean.copy() for layer in model.bn_layers]
-    forward(model, rng.standard_normal((4, 6)), Mode.INFER)
+    fresh_forward(model, rng.standard_normal((4, 6)), Mode.INFER)
     for prev, layer in zip(before, model.bn_layers):
         assert np.array_equal(prev, layer.running_mean)
 
@@ -282,11 +324,11 @@ def test_zero_updates_model(rng):
     # L = 0: encode, Phi^T y, one BN, ReLU
     model = make_model(num_updates=0)
     h = rng.standard_normal((3, 6))
-    out, trace = forward(model, h, Mode.INFER)
+    out, trace = fresh_forward(model, h, Mode.INFER)
     assert trace.post_bn.shape == (3, 6)
     assert len(trace.inv_stds) == 1
     assert len(trace.signs) == len(trace.signs_proj) == 0
-    z, _ = model.bn_layers[0].forward(decoder_init(model, encode(model, h)), Mode.INFER)
+    z = _bn_forward(model.bn_layers[0], h @ model.phi.T @ model.phi, Mode.INFER)[0]
     assert np.allclose(out, np.maximum(z, 0.0), atol=1e-14)
 
 
@@ -331,7 +373,7 @@ def test_mse_loss():
 
 
 def _loss_of(model, h, mode):
-    out, _ = forward(model, copy.deepcopy(h), mode)
+    out, _ = fresh_forward(model, copy.deepcopy(h), mode)
     return mse_loss(h, out)
 
 
@@ -364,7 +406,7 @@ def test_backward_matches_finite_differences(mode, rng):
     h = rng.uniform(0.0, 1.0, (4, 6))
     h[h < 0.3] = 0.0
     frozen = copy.deepcopy(model)
-    _, trace = forward(model, h, mode)
+    _, trace = fresh_forward(model, h, mode)
     grads = backward(model, trace)
     model = frozen  # FD probes run on untouched running statistics
 
@@ -390,35 +432,37 @@ def test_backward_refuses_a_trace_whose_forward_raised(rng):
     # a 1-row train batch fails in the first batch norm, after the
     # encoder and the first decoder layer wrote into the reused trace
     model = make_model()
-    _, trace = forward(model, rng.standard_normal((4, 6)), Mode.TRAIN)
+    _, trace = fresh_forward(model, rng.standard_normal((4, 6)), Mode.TRAIN)
     before = trace.measurements.copy()
     with pytest.raises(ValueError, match="batch size"):
-        forward(model, rng.standard_normal((1, 6)), Mode.TRAIN, reuse=trace)
+        forward(model, rng.standard_normal((1, 6)), Mode.TRAIN, trace)
     assert not np.array_equal(trace.measurements[0], before[0])
     with pytest.raises(ValueError, match="no batch"):
         backward(model, trace)
     # the next pass refills the trace and backward takes it again
     twin = copy.deepcopy(model)
     h = rng.standard_normal((3, 6))
-    _, again = forward(model, h, Mode.TRAIN, reuse=trace)
-    assert again is trace
-    assert _grads_equal(backward(model, trace), backward(twin, forward(twin, h)[1]))
+    again = forward(model, h, Mode.TRAIN, trace)
+    assert np.shares_memory(again, trace.output)
+    want = backward(twin, fresh_forward(twin, h, Mode.TRAIN)[1])
+    assert _grads_equal(backward(model, trace), want)
 
 
 def test_backward_refuses_a_trace_whose_last_pass_ran_in_infer_mode(rng):
     # only dev_loss runs infer mode, and it never backpropagates
     model = make_model()
-    _, trace = forward(model, rng.standard_normal((4, 6)), Mode.TRAIN)
-    _, again = forward(model, rng.standard_normal((4, 6)), Mode.INFER, reuse=trace)
-    assert again is trace and trace.inputs is None
+    _, trace = fresh_forward(model, rng.standard_normal((4, 6)), Mode.TRAIN)
+    again = forward(model, rng.standard_normal((4, 6)), Mode.INFER, trace)
+    assert np.shares_memory(again, trace.output) and trace.inputs is None
     with pytest.raises(ValueError, match="no batch: .* infer mode"):
         backward(model, trace)
     # a train-mode pass on the same trace makes it usable again
     twin = copy.deepcopy(model)
     h = rng.standard_normal((3, 6))
-    _, again = forward(model, h, Mode.TRAIN, reuse=trace)
-    assert again is trace and trace.inputs is h
-    assert _grads_equal(backward(model, trace), backward(twin, forward(twin, h)[1]))
+    again = forward(model, h, Mode.TRAIN, trace)
+    assert np.shares_memory(again, trace.output) and trace.inputs is h
+    want = backward(twin, fresh_forward(twin, h, Mode.TRAIN)[1])
+    assert _grads_equal(backward(model, trace), want)
 
 
 def test_backward_relu_gate(rng):
@@ -427,11 +471,40 @@ def test_backward_relu_gate(rng):
     model = make_model(width=4, m=2, num_updates=0, seed=2)
     model.bn_layers[0].beta[:] = -100.0  # push every output below zero
     h = np.abs(rng.standard_normal((3, 4)))
-    out, trace = forward(model, h, Mode.TRAIN)
+    out, trace = fresh_forward(model, h, Mode.TRAIN)
     assert np.array_equal(out, np.zeros_like(h))
     grads = backward(model, trace)
     assert np.array_equal(grads.d_gammas[0], np.zeros(4))
     assert np.array_equal(grads.d_phi, np.zeros_like(model.phi))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_relu_gate_matches_the_boolean_mask_bit_for_bit(dtype, rng):
+    # backward writes the gate post_bn > 0 as floats into a free gradient
+    # block; on signed zeros and a NaN in post_bn the gated gradient must
+    # have the bits of multiplying by the boolean mask.  With L = 0 the
+    # gated gradient stays in the first gradient block.
+    model = _as_dtype(make_model(width=16, m=3, num_updates=0, seed=4), dtype)
+    h = rng.uniform(0.0, 1.0, (8, 16))
+    _, trace = fresh_forward(model, h, Mode.TRAIN)
+    trace.post_bn[:, 0] = 0.0
+    trace.post_bn[:, 1] = -0.0
+    trace.post_bn[::2, 2] = -0.0
+    trace.post_bn[1::2, 2] = 0.0
+    trace.post_bn[0, 3] = np.nan
+    grads = backward(model, trace)
+
+    want = np.subtract(trace.output, trace.inputs)
+    want *= 2.0 / 8
+    want *= trace.post_bn > 0
+    ints = np.dtype(f"i{np.dtype(dtype).itemsize}")
+    assert np.signbit(want[:, :3]).any() and not np.signbit(want[:, :3]).all()
+    assert np.array_equal(trace.grads[0].view(ints), want.view(ints))
+    d_gamma, d_beta = model.bn_layers[0].backward(
+        want, trace.x_hat[0], trace.inv_stds[0], np.empty_like(want)
+    )
+    assert np.array_equal(grads.d_gammas[0].view(ints), d_gamma.view(ints))
+    assert np.array_equal(grads.d_betas[0].view(ints), d_beta.view(ints))
 
 
 def _grads_equal(a, b):
@@ -450,19 +523,16 @@ def test_forward_backward_reuse_matches_fresh_calls():
     reused = make_model(width=16, m=4, num_updates=3, seed=7)
     fresh = copy.deepcopy(reused)
     rng = np.random.default_rng(8)
-    first = trace = None
+    trace = ForwardTrace.allocate(reused, 128)
     for rows, mode in [
         (128, Mode.TRAIN), (64, Mode.TRAIN), (128, Mode.TRAIN),
         (128, Mode.INFER), (64, Mode.INFER), (128, Mode.TRAIN),
     ]:
         h = rng.uniform(0.0, 1.0, (rows, 16))
-        want_out, want_trace = forward(fresh, h, mode)
-        out, trace = forward(reused, h, mode, reuse=trace)
-        if first is None:
-            first = trace
-        # forward refills the trace it is given and returns it
-        assert trace is first
-        assert np.shares_memory(out, first.output)
+        want_out, want_trace = fresh_forward(fresh, h, mode)
+        out = forward(reused, h, mode, trace)
+        # forward refills the trace it is given
+        assert np.shares_memory(out, trace.output)
 
         assert np.array_equal(out, want_out)
         for a, b in zip(reused.bn_layers, fresh.bn_layers):
@@ -479,17 +549,10 @@ def test_forward_backward_reuse_matches_fresh_calls():
         # backward only reads the trace: a second call gives the same
         assert _grads_equal(backward(reused, trace), got)
 
-    # a batch larger than the trace gets a new one and leaves the old
-    h = rng.uniform(0.0, 1.0, (200, 16))
-    out, bigger = forward(reused, h, Mode.INFER, reuse=trace)
-    assert bigger is not trace
-    assert np.array_equal(out, forward(fresh, h, Mode.INFER)[0])
-    assert not np.shares_memory(out, trace.output)
-    assert _grads_equal(backward(reused, trace), got)
     # a rejected input was still given to the trace, which then holds no
     # batch
     with pytest.raises(ValueError):
-        forward(reused, np.ones((5, 15)), Mode.TRAIN, reuse=trace)
+        forward(reused, np.ones((5, 15)), Mode.TRAIN, trace)
     with pytest.raises(ValueError, match="no batch"):
         backward(reused, trace)
 
@@ -589,7 +652,7 @@ def test_forward_backward_match_textbook_at_paper_shape(mode):
 
     reference = copy.deepcopy(model)
     ref = _textbook_forward(reference, h, mode)
-    out, trace = forward(model, h, mode)
+    out, trace = fresh_forward(model, h, mode)
 
     assert _rel(out, np.maximum(ref[1][-1], 0.0)) <= 1e-12
     assert _rel(trace.post_bn, ref[1][-1]) <= 1e-12
@@ -655,8 +718,8 @@ def test_float32_matches_float64_at_paper_shape(mode):
     for row in h:
         row[rng.choice(width, 6, replace=False)] = rng.uniform(0.1, 1.0, 6)
 
-    out64, trace64 = forward(wide, h, mode)
-    out32, trace32 = forward(narrow, h, mode)
+    out64, trace64 = fresh_forward(wide, h, mode)
+    out32, trace32 = fresh_forward(narrow, h, mode)
     assert out32.dtype == np.float32 and out64.dtype == np.float64
     assert np.array_equal(trace32.signs, trace64.signs)
     assert _rel_norm(out32, out64) <= 1e-4
@@ -679,7 +742,7 @@ def test_step_keeps_the_dtype_of_phi(dtype, rng):
     # without failing anything else
     model = _as_dtype(make_model(width=16, m=4, num_updates=3, seed=5), dtype)
     h = rng.uniform(0.0, 1.0, (32, 16))  # float64 samples, cast by forward
-    out, trace = forward(model, h, Mode.TRAIN)
+    out, trace = fresh_forward(model, h, Mode.TRAIN)
     err = np.empty_like(out)
     assert np.isfinite(mse_loss(h, out, out=err))
     grads = backward(model, trace)
@@ -703,8 +766,8 @@ def test_step_keeps_the_dtype_of_phi(dtype, rng):
     assert {k: v.dtype for k, v in arrays.items() if v.dtype != dtype} == {}
     assert type(grads.d_alpha) is float and type(model.alpha) is float
     # the next step refills that trace in place
-    _, again = forward(model, h, Mode.TRAIN, reuse=trace)
-    assert again is trace
+    again = forward(model, h, Mode.TRAIN, trace)
+    assert np.shares_memory(again, trace.output)
 
 
 def test_model_rejects_mixed_dtypes():
@@ -722,16 +785,6 @@ def test_model_rejects_mixed_dtypes():
         bn_layers=[BatchNormLayer.identity(6, dtype=np.float32)],
     )
     assert model.bn_layers[0].running_var.dtype == np.float32
-
-
-def test_reuse_by_a_model_of_another_dtype_gets_new_buffers(rng):
-    wide = make_model(width=16, m=4, num_updates=2, seed=1)
-    narrow = _as_dtype(wide, np.float32)
-    h = rng.uniform(0.0, 1.0, (8, 16))
-    _, trace = forward(wide, h, Mode.INFER)
-    out, again = forward(narrow, h, Mode.INFER, reuse=trace)
-    assert out.dtype == np.float32
-    assert again is not trace
 
 
 def test_mse_loss_computes_in_the_dtype_of_the_prediction():

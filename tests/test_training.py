@@ -17,6 +17,7 @@ from beamcs import (
 from beamcs import training
 from beamcs.network import ForwardTrace
 from beamcs.training import dev_loss
+from reference_solvers import fresh_forward
 
 FAST = TrainConfig(
     learning_rate=0.05,
@@ -25,6 +26,12 @@ FAST = TrainConfig(
     num_updates=2,
     seed=3,
 )
+
+
+def _dev_loss(model, samples):
+    """dev_loss on a trace made for one chunk of samples."""
+    rows = min(len(samples), training._DEV_CHUNK)
+    return dev_loss(model, samples, ForwardTrace.allocate(model, rows))
 
 
 def test_init_model_truncated_normal():
@@ -95,14 +102,14 @@ def test_train_returns_best_snapshot(tiny_dataset):
     assert report.best_dev_loss == report.dev_losses.min()
     assert report.dev_epochs[np.argmin(report.dev_losses)] == report.best_epoch
     # the returned model reproduces the reported best dev loss exactly
-    assert dev_loss(model, tiny_dataset.dev)[0] == report.best_dev_loss
+    assert _dev_loss(model, tiny_dataset.dev) == report.best_dev_loss
 
 
 def test_train_dev_curve_includes_untrained_model(tiny_dataset):
     _, report = train(tiny_dataset, 4, FAST)
     assert report.dev_epochs[0] == 0
     assert len(report.train_losses) == 4
-    baseline, _ = dev_loss(init_model(4, tiny_dataset.width, FAST), tiny_dataset.dev)
+    baseline = _dev_loss(init_model(4, tiny_dataset.width, FAST), tiny_dataset.dev)
     assert report.dev_losses[0] == baseline
 
 
@@ -165,8 +172,8 @@ def test_train_rejects_empty_splits(tiny_dataset):
 def test_dev_loss_matches_unchunked(tiny_dataset):
     model = init_model(4, tiny_dataset.width, FAST)
     split = tiny_dataset.dev
-    out, _ = forward(model, split, Mode.INFER)
-    assert dev_loss(model, split)[0] == pytest.approx(mse_loss(split, out), rel=1e-12)
+    out, _ = fresh_forward(model, split, Mode.INFER)
+    assert _dev_loss(model, split) == pytest.approx(mse_loss(split, out), rel=1e-12)
 
 
 def test_train_calls_forward_and_backward_once_per_step(tiny_dataset, monkeypatch):
@@ -174,9 +181,9 @@ def test_train_calls_forward_and_backward_once_per_step(tiny_dataset, monkeypatc
     # and training.backward, so train must go through those names
     calls = {"backward": 0, Mode.TRAIN: 0, Mode.INFER: 0}
 
-    def counted_forward(model, h_batch, mode, **kwargs):
+    def counted_forward(model, h_batch, mode, trace):
         calls[mode] += 1
-        return forward(model, h_batch, mode, **kwargs)
+        return forward(model, h_batch, mode, trace)
 
     def counted_backward(*args):
         calls["backward"] += 1
@@ -246,13 +253,13 @@ def test_init_model_rounds_the_float64_draw_once():
 def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
     # every forward of a train call, SGD step or dev evaluation, is given
     # the same trace and refills it
-    given, returned = [], []
+    given = []
 
-    def recording_forward(model, h_batch, mode, reuse=None):
-        out, trace = forward(model, h_batch, mode, reuse=reuse)
-        given.append(reuse)
-        returned.append(trace)
-        return out, trace
+    def recording_forward(model, h_batch, mode, trace):
+        out = forward(model, h_batch, mode, trace)
+        given.append(trace)
+        assert np.shares_memory(out, trace.output)
+        return out
 
     monkeypatch.setattr(training, "forward", recording_forward)
     cfg = TrainConfig(
@@ -261,8 +268,8 @@ def test_dev_loss_carries_one_trace(tiny_dataset, monkeypatch):
     _, report = train(tiny_dataset, 4, cfg)
     steps = 3 * (tiny_dataset.num_train // 16)
     assert len(report.dev_epochs) == 4
-    assert len(returned) == steps + len(report.dev_epochs)
-    assert all(t is returned[0] for t in given + returned)
+    assert len(given) == steps + len(report.dev_epochs)
+    assert all(t is given[0] for t in given)
 
 
 @pytest.mark.parametrize(
